@@ -28,7 +28,6 @@ from .whitening import (  # noqa: F401
     apply_whitener,
     build_whitener,
     estimate_covariance,
-    hermitian_eig,
 )
 from .extractor import (  # noqa: F401
     DemixState,

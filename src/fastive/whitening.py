@@ -3,9 +3,9 @@
 The whitener for bin k is ``Q^k = diag(d)^(-1/2) @ U^H`` built from the
 eigendecomposition of the (regularized) spatial covariance, so that
 ``Q^k C^k Q^k^H = I`` and the retained components are ordered by power.
-Eigendecompositions use a cyclic Jacobi sweep specialized to small complex
-Hermitian matrices; channel counts here are tiny, and the explicit rotation
-schedule makes the result reproducible bit-for-bit across runs.
+All bins are decomposed by one batched LAPACK call (``np.linalg.eigh``);
+a stable descending sort and a fixed phase convention on top of it make the
+eigenvectors reproducible bit-for-bit across runs.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from .stft import Spectrogram
 # floor so even an exactly silent bin yields a finite d**(-1/2)
 EPS_COV_REL = 1e-10
 EPS_COV_ABS = 1e-30
-
-MAX_JACOBI_DIM = 16
 
 
 @dataclass
@@ -61,100 +59,40 @@ def estimate_covariance(spec):
     return CovarianceBank(cov, num_frames)
 
 
-def hermitian_eig(matrix, off_tol=1e-12, max_sweeps=100):
-    """Eigendecomposition of a small complex Hermitian matrix.
-
-    Cyclic Jacobi: each (p, q) pair is phase-rotated to a real 2x2 problem
-    and annihilated with the stable half-angle rotation; sweeps repeat until
-    the off-diagonal Frobenius norm falls below ``off_tol`` times the matrix
-    norm.
-
-    Returns
-    -------
-    (eigvals, eigvecs)
-        Eigenvalues descending (stable order on ties).  Each eigenvector's
-        largest-magnitude component (first occurrence on ties) is made real
-        and positive, so the decomposition is deterministic.
-    """
-    a = np.array(matrix, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    m = a.shape[0]
-    if m > MAX_JACOBI_DIM:
-        raise ValueError(f"matrix dimension {m} exceeds {MAX_JACOBI_DIM}")
-    scale = np.linalg.norm(a)
-    if np.linalg.norm(a - a.conj().T) > 1e-8 * max(scale, 1.0):
-        raise ValueError("matrix is not Hermitian")
-    a = 0.5 * (a + a.conj().T)
-
-    vecs = np.eye(m, dtype=np.complex128)
-    if scale > 0.0:
-        threshold = off_tol * scale
-        for _ in range(max_sweeps):
-            off = np.linalg.norm(a - np.diag(np.diagonal(a)))
-            if off <= threshold:
-                break
-            for p in range(m - 1):
-                for q in range(p + 1, m):
-                    apq = a[p, q]
-                    beta = abs(apq)
-                    if beta == 0.0:
-                        continue
-                    phase = apq / beta
-                    zeta = (a[q, q].real - a[p, p].real) / (2.0 * beta)
-                    sign = 1.0 if zeta >= 0.0 else -1.0
-                    t = sign / (abs(zeta) + np.hypot(1.0, zeta))
-                    c = 1.0 / np.sqrt(1.0 + t * t)
-                    s = t * c
-                    rot = np.array(
-                        [[c * phase, s * phase], [-s, c]], dtype=np.complex128
-                    )
-                    a[:, [p, q]] = a[:, [p, q]] @ rot
-                    a[[p, q], :] = rot.conj().T @ a[[p, q], :]
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    a[p, p] = a[p, p].real
-                    a[q, q] = a[q, q].real
-                    vecs[:, [p, q]] = vecs[:, [p, q]] @ rot
-
-    vals = np.diagonal(a).real.copy()
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-    # deterministic phase: largest-magnitude component real positive
-    for j in range(m):
-        col = vecs[:, j]
-        i = int(np.argmax(np.abs(col)))
-        ph = col[i]
-        mag = abs(ph)
-        if mag > 0.0:
-            vecs[:, j] = col * (ph.conj() / mag)
-    return vals, vecs
-
-
 def build_whitener(bank, rank=None):
     """Whitening matrices for every bin of a CovarianceBank.
 
     ``rank`` selects how many principal components to keep (default: all).
     A diagonal shift of ``EPS_COV_REL * trace/M + EPS_COV_ABS`` guards the
-    inverse square root against silent and rank-deficient bins.
+    inverse square root against silent and rank-deficient bins.  Every bin
+    must be square and Hermitian to ``1e-8 * max(||C_k||, 1)``.
+
+    Eigenvalues come out descending (stable order on ties).  Each
+    eigenvector's largest-magnitude component (first occurrence on ties) is
+    made real and positive, so the decomposition is deterministic.
     """
-    cov = bank.cov
-    num_bins, m, _ = cov.shape
+    cov = np.asarray(bank.cov, dtype=np.complex128)
+    if cov.ndim != 3 or cov.shape[1] != cov.shape[2]:
+        raise ValueError(f"matrix must be square, got bank shape {cov.shape}")
+    m = cov.shape[1]
     if rank is None:
         rank = m
     if not 1 <= rank <= m:
         raise ValueError(f"rank must be in [1, {m}], got {rank}")
+    cov_h = cov.conj().transpose(0, 2, 1)
+    skew = np.linalg.norm(cov - cov_h, axis=(1, 2))
+    if np.any(skew > 1e-8 * np.maximum(np.linalg.norm(cov, axis=(1, 2)), 1.0)):
+        raise ValueError("matrix is not Hermitian")
 
-    eigvecs = np.empty((num_bins, m, m), dtype=np.complex128)
-    eigvals = np.empty((num_bins, m))
-    eye = np.eye(m)
-    for k in range(num_bins):
-        trace = np.trace(cov[k]).real
-        shift = EPS_COV_REL * trace / m + EPS_COV_ABS
-        vals, vecs = hermitian_eig(cov[k] + shift * eye)
-        eigvals[k] = np.maximum(vals, EPS_COV_ABS)
-        eigvecs[k] = vecs
+    shift = EPS_COV_REL * np.trace(cov, axis1=1, axis2=2).real / m + EPS_COV_ABS
+    vals, vecs = np.linalg.eigh(0.5 * (cov + cov_h) + shift[:, None, None] * np.eye(m))
+    order = np.argsort(-vals, axis=1, kind="stable")
+    eigvals = np.maximum(np.take_along_axis(vals, order, axis=1), EPS_COV_ABS)
+    eigvecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
+    # deterministic phase: largest-magnitude component real positive
+    peak = np.argmax(np.abs(eigvecs), axis=1)[:, None, :]
+    phase = np.take_along_axis(eigvecs, peak, axis=1)
+    eigvecs *= phase.conj() / np.abs(phase)
     whitener = (
         eigvals[:, :rank, None] ** -0.5 * eigvecs[:, :, :rank].conj().transpose(0, 2, 1)
     )

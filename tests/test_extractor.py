@@ -315,6 +315,14 @@ def test_extract_input_guards():
         extract(stereo, SolverConfig(ref_mic=2), StftConfig(256, 64))
 
 
+def test_extract_handles_more_than_sixteen_mics():
+    noise = np.random.default_rng(17).normal(size=(16000, 17))
+    result = extract(AudioBuffer(noise, 16000), SolverConfig(max_iter=3))
+    assert result.audio.num_channels == 1
+    assert 0 < result.audio.num_samples <= 16000
+    assert np.all(np.isfinite(result.audio.samples))
+
+
 def instantaneous_trial(seed, kind, dominance_db=10.0, duration=3.0):
     """Two synthetic talkers through a random well-conditioned 2x2 matrix,
     talker 0 scaled to sit at least ``dominance_db`` above talker 1 at

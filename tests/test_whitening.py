@@ -1,20 +1,24 @@
 """Covariance and whitening tests.
 
-The eigensolver is cross-checked against numpy's LAPACK-backed routine on
-random Hermitian matrices, and against a closed-form 2x2 case; whitening is
-checked by the identity it must produce.
+The eigendecomposition inside ``build_whitener`` is checked on one-bin
+banks: against the eigenvalues of the regularized matrix, a closed-form 2x2
+case, its phase convention and its reproducibility; whitening is checked by
+the identity it must produce, including as a property over random banks.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastive.stft import Spectrogram, StftConfig
 from fastive.whitening import (
+    EPS_COV_ABS,
+    EPS_COV_REL,
     CovarianceBank,
     apply_whitener,
     build_whitener,
     estimate_covariance,
-    hermitian_eig,
 )
 
 
@@ -26,11 +30,28 @@ def random_spec(seed, num_bins=5, num_frames=200, num_channels=3):
     return Spectrogram(data, cfg, 16000)
 
 
+def one_bin(matrix):
+    """A single-bin CovarianceBank holding ``matrix``."""
+    return CovarianceBank(np.asarray(matrix, dtype=complex)[None], 1)
+
+
+def shift_of(matrix):
+    m = matrix.shape[0]
+    return EPS_COV_REL * np.trace(matrix).real / m + EPS_COV_ABS
+
+
+def eig(matrix):
+    wb = build_whitener(one_bin(matrix))
+    return wb.eigvals[0], wb.eigvecs[0]
+
+
 def test_eig_closed_form_2x2():
     """[[2, i], [-i, 2]] has eigenpairs 3 -> (1, -i)/sqrt(2) and
-    1 -> (1, i)/sqrt(2) under the real-positive-max-component convention."""
-    vals, vecs = hermitian_eig(np.array([[2.0, 1.0j], [-1.0j, 2.0]]))
-    np.testing.assert_allclose(vals, [3.0, 1.0], atol=1e-14)
+    1 -> (1, i)/sqrt(2) under the real-positive-max-component convention;
+    the eigenvalues carry the diagonal shift."""
+    a = np.array([[2.0, 1.0j], [-1.0j, 2.0]])
+    vals, vecs = eig(a)
+    np.testing.assert_allclose(vals, np.array([3.0, 1.0]) + shift_of(a), atol=1e-14)
     expected = np.array([[1.0, 1.0], [-1.0j, 1.0j]]) / np.sqrt(2.0)
     np.testing.assert_allclose(vecs, expected, atol=1e-14)
 
@@ -40,22 +61,23 @@ def test_eig_matches_lapack_on_random_hermitian(m):
     rng = np.random.default_rng(m)
     for _ in range(5):
         raw = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-        a = raw + raw.conj().T
-        scale = np.linalg.norm(a)
-        vals, vecs = hermitian_eig(a)
-        ref = np.sort(np.linalg.eigvalsh(a))[::-1]
+        a = raw @ raw.conj().T
+        reg = a + shift_of(a) * np.eye(m)
+        scale = np.linalg.norm(reg)
+        vals, vecs = eig(a)
+        ref = np.sort(np.linalg.eigvalsh(reg))[::-1]
         np.testing.assert_allclose(vals, ref, atol=1e-12 * scale)
         # residual and unitarity
-        assert np.linalg.norm(a @ vecs - vecs * vals) < 1e-12 * scale
+        assert np.linalg.norm(reg @ vecs - vecs * vals) < 1e-12 * scale
         assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(m)) < 1e-12
 
 
 def test_eig_phase_convention_is_deterministic():
     rng = np.random.default_rng(4)
     raw = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    a = raw + raw.conj().T
-    vals1, vecs1 = hermitian_eig(a)
-    vals2, vecs2 = hermitian_eig(a.copy())
+    a = raw @ raw.conj().T
+    vals1, vecs1 = eig(a)
+    vals2, vecs2 = eig(a.copy())
     np.testing.assert_array_equal(vals1, vals2)
     np.testing.assert_array_equal(vecs1, vecs2)
     for j in range(5):
@@ -65,28 +87,43 @@ def test_eig_phase_convention_is_deterministic():
 
 
 def test_eig_tied_eigenvalues_keep_stable_order():
-    vals, vecs = hermitian_eig(np.diag([5.0, 5.0, 2.0]).astype(complex))
-    np.testing.assert_array_equal(vals, [5.0, 5.0, 2.0])
-    np.testing.assert_array_equal(vecs, np.eye(3))
+    a = np.diag([5.0, 5.0, 2.0]).astype(complex)
+    vals, vecs = eig(a)
+    np.testing.assert_allclose(vals, np.array([5.0, 5.0, 2.0]) + shift_of(a),
+                               atol=1e-14)
+    # which basis of the tied plane comes back is LAPACK's choice; the plane
+    # itself is fixed: the two leading vectors span {e1, e2}
+    assert np.max(np.abs(vecs[2, :2])) < 1e-14
+    np.testing.assert_allclose(np.abs(vecs[:, 2]), [0.0, 0.0, 1.0], atol=1e-14)
+    again = eig(a.copy())
+    np.testing.assert_array_equal(vals, again[0])
+    np.testing.assert_array_equal(vecs, again[1])
 
     # a rotated double eigenvalue still reproduces bit-for-bit
     rng = np.random.default_rng(7)
     raw = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     u, _ = np.linalg.qr(raw)
     a = u @ np.diag([3.0, 3.0, 1.0]).astype(complex) @ u.conj().T
-    out1 = hermitian_eig(a)
-    out2 = hermitian_eig(a.copy())
+    out1 = eig(a)
+    out2 = eig(a.copy())
     np.testing.assert_array_equal(out1[0], out2[0])
     np.testing.assert_array_equal(out1[1], out2[1])
 
 
 def test_eig_input_guards():
     with pytest.raises(ValueError, match="not Hermitian"):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        build_whitener(one_bin([[0.0, 1.0], [0.0, 0.0]]))
+    # one bad bin among good ones is enough
+    bad = np.stack([np.eye(2), [[1.0, 1e-3], [0.0, 1.0]]]).astype(complex)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        build_whitener(CovarianceBank(bad, 1))
     with pytest.raises(ValueError, match="square"):
-        hermitian_eig(np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="exceeds"):
-        hermitian_eig(np.eye(17))
+        build_whitener(CovarianceBank(np.zeros((1, 2, 3), dtype=complex), 1))
+    with pytest.raises(ValueError, match="square"):
+        build_whitener(CovarianceBank(np.zeros((2, 2), dtype=complex), 1))
+    # a deviation inside the 1e-8 relative tolerance is accepted
+    near = np.array([[1.0, 1e-10], [0.0, 1.0]], dtype=complex)
+    assert np.all(np.isfinite(build_whitener(one_bin(near)).whitener))
 
 
 def test_estimate_covariance_hand_case():
@@ -119,6 +156,50 @@ def test_whitener_whitens():
     white = apply_whitener(spec, wb)
     wcov = estimate_covariance(white).cov
     assert np.max(np.abs(wcov - eye)) < 1e-8
+
+
+def test_whitener_whitens_beyond_sixteen_mics():
+    spec = random_spec(6, num_channels=20)
+    bank = estimate_covariance(spec)
+    wb = build_whitener(bank)
+    q, c = wb.whitener, bank.cov
+    ident = np.einsum("krm,kmn,ksn->krs", q, c, q.conj())
+    assert np.max(np.abs(ident - np.eye(20))) < 1e-8
+    assert np.all(np.diff(wb.eigvals, axis=1) <= 0)
+
+
+@settings(deadline=None)
+@given(num_channels=st.integers(2, 20), num_bins=st.integers(1, 4),
+       gain=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+def test_whitener_properties_on_random_banks(num_channels, num_bins, gain, seed):
+    # positive definite banks with eigenvalues in [0.1, 1] times a per-bin
+    # power spread over twelve decades, as in a real spectrum
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(num_bins, num_channels, num_channels)) \
+        + 1j * rng.normal(size=(num_bins, num_channels, num_channels))
+    u, _ = np.linalg.qr(raw)
+    spectrum = rng.uniform(0.1, 1.0, size=(num_bins, num_channels))
+    spectrum *= 10.0 ** rng.uniform(-6, 6, size=(num_bins, 1))
+    cov = np.einsum("kmr,kr,knr->kmn", u, spectrum, u.conj())
+    cov = 0.5 * (cov + cov.conj().transpose(0, 2, 1))
+    eye = np.eye(num_channels)
+
+    wb = build_whitener(CovarianceBank(cov, 1))
+    q = wb.whitener
+    ident = np.einsum("krm,kmn,ksn->krs", q, cov, q.conj())
+    assert np.max(np.abs(ident - eye)) < 1e-8
+    assert np.all(np.diff(wb.eigvals, axis=1) <= 0)
+    peak = np.argmax(np.abs(wb.eigvecs), axis=1)[:, None, :]
+    lead = np.take_along_axis(wb.eigvecs, peak, axis=1)
+    assert np.all(lead.real > 0) and np.all(np.abs(lead.imag) <= 1e-12 * lead.real)
+
+    # Q^H Q is the inverse of the shifted covariance, whatever basis the
+    # solver picks on near-ties, so it scales exactly as 1/gain
+    scaled = build_whitener(CovarianceBank(gain * cov, 1)).whitener
+    inv = np.einsum("krm,krn->kmn", q.conj(), q)
+    inv_scaled = np.einsum("krm,krn->kmn", scaled.conj(), scaled)
+    err = np.linalg.norm(gain * inv_scaled - inv, axis=(1, 2))
+    assert np.all(err <= 1e-8 * np.linalg.norm(inv, axis=(1, 2)))
 
 
 def test_whitener_orders_components_by_power():
