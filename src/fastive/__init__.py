@@ -38,7 +38,6 @@ from .extractor import (  # noqa: F401
     estimate_mixing_vector,
     evaluate_cost,
     extract,
-    initialize,
     iterate_once,
     rescale,
     solve,

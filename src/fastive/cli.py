@@ -18,14 +18,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .extractor import SolverConfig, extract
-from .metrics import DEFAULT_FILTER_LEN, aggregate, decompose, evaluate, sir_db
+from .extractor import ExtractionResult, SolverConfig, extract
+from .metrics import DEFAULT_FILTER_LEN, aggregate, evaluate
 from .priors import KINDS, ContrastModel
 from .roomsim import (
-    RoomSpec,
-    Scenario,
+    MixtureSet,
     compute_rirs,
-    default_geometry,
     render,
     scenario_from_dict,
     speech_like_sources,
@@ -44,14 +42,7 @@ class RunManifest:
     seed: int | None = None
 
     def to_dict(self):
-        return {
-            "tool": f"fastive {__version__}",
-            "command": self.command,
-            "config_path": self.config_path,
-            "overrides": list(self.overrides),
-            "output_dir": self.output_dir,
-            "seed": self.seed,
-        }
+        return {"tool": f"fastive {__version__}", **dataclasses.asdict(self)}
 
 
 def _add_solver_flags(p):
@@ -140,29 +131,6 @@ def apply_overrides(cfg, pairs):
     return cfg
 
 
-def _resolved_solver_config(model, solver, stft_cfg, rank):
-    return {
-        "prior": {
-            "kind": model.kind,
-            "nu": model.nu,
-            "gg_exponent": model.gg_exponent,
-            "floor": model.floor,
-            "scale": model.scale,
-        },
-        "solver": {
-            "max_iter": solver.max_iter,
-            "tol": solver.tol,
-            "ref_mic": solver.ref_mic,
-        },
-        "stft": {
-            "fft_size": stft_cfg.fft_size,
-            "hop_size": stft_cfg.hop_size,
-            "window": stft_cfg.window,
-        },
-        "rank": rank,
-    }
-
-
 def cmd_extract(args):
     audio = load_wav(args.input)
     model = ContrastModel(kind=args.prior, nu=args.nu,
@@ -182,7 +150,8 @@ def cmd_extract(args):
         "manifest": RunManifest(
             command="extract", config_path=str(args.input),
             output_dir=str(outdir)).to_dict(),
-        "config": _resolved_solver_config(model, solver, stft_cfg, args.rank),
+        "config": {"solver": dataclasses.asdict(solver),
+                   "stft": dataclasses.asdict(stft_cfg), "rank": args.rank},
         "input_wav": str(args.input),
         "output_wav": str(wav_path),
         "sample_rate_hz": result.audio.sample_rate_hz,
@@ -239,31 +208,14 @@ def cmd_simulate(args):
 
 
 def cmd_evaluate(args):
-    ch = args.channel
-    estimate = load_wav(args.estimate).samples[:, 0]
-    mixture = load_wav(args.mixture).samples[:, ch]
-    target = load_wav(args.target).samples[:, ch]
-    interferers = [load_wav(p).samples[:, ch] for p in args.interferer]
-    n = min(estimate.size, mixture.size, target.size,
-            *(i.size for i in interferers)) if interferers else min(
-                estimate.size, mixture.size, target.size)
-    t_in, i_in, _ = decompose(mixture[:n], target[:n],
-                              [i[:n] for i in interferers], args.filter_len)
-    t_out, i_out, _ = decompose(estimate[:n], target[:n],
-                                [i[:n] for i in interferers], args.filter_len)
-    input_sir = sir_db(t_in, i_in)
-    output_sir = sir_db(t_out, i_out)
-    record = {
-        "scenario_id": args.scenario_id,
-        "algorithm": args.algorithm,
-        "input_sir_db": input_sir,
-        "output_sir_db": output_sir,
-        "sirimp_db": output_sir - input_sir,
-        "success": output_sir - input_sir > 0.0,
-        "runtime_s": 0.0,
-        "iterations": 0,
-    }
-    print(json.dumps(record))
+    estimate = ExtractionResult(load_wav(args.estimate), state=None,
+                                runtime_seconds=0.0, iterations_used=0)
+    truth = MixtureSet(load_wav(args.mixture),
+                       [load_wav(p) for p in (args.target, *args.interferer)])
+    report = evaluate(estimate, truth, ref_mic=args.channel,
+                      filter_len=args.filter_len, algorithm=args.algorithm,
+                      scenario_id=args.scenario_id)
+    print(json.dumps(report.to_record()))
     return 0
 
 
@@ -312,18 +264,9 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
     duration = float(grid.get("duration_seconds", 3.0))
     trials = int(grid.get("trials", 10))
     base_seed = int(grid.get("seed", 0))
-    room_cfg = dict(grid.get("room", {}))
     stft_grid = dict(grid.get("stft", {}))
     solver_grid = dict(grid.get("solver", {}))
 
-    room = RoomSpec(
-        dimensions=tuple(room_cfg.get("dimensions", RoomSpec().dimensions)),
-        rt60=float(room_cfg.get("rt60", RoomSpec().rt60)),
-        speed_of_sound=float(room_cfg.get("speed_of_sound",
-                                          RoomSpec().speed_of_sound)),
-        rir_seconds=room_cfg.get("rir_seconds"),
-        max_order=room_cfg.get("max_order"),
-    )
     stft_cfg = StftConfig(
         fft_size=int(stft_grid.get("fft_size", 2048)),
         hop_size=int(stft_grid.get("hop_size", 512)),
@@ -342,20 +285,16 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
         [str(v) for v in _as_list(grid.get("prior", "t"))],
     ))
 
-    template = default_geometry()
-    geometries = sorted({(n_src, n_mic) for n_src, n_mic, _, _ in cells})
-    scenarios = {}
-    rirs = {}
-    for n_src, n_mic in geometries:
-        scen = Scenario(
-            room=room,
-            source_positions=template.source_positions[:n_src],
-            mic_positions=template.mic_positions[:n_mic],
-            soi_index=int(grid.get("soi_index", 0)),
-            ref_mic=int(grid.get("ref_mic", 0)),
-        )
-        scenarios[(n_src, n_mic)] = scen
-        rirs[(n_src, n_mic)] = compute_rirs(scen, fs)
+    # cell axes pick the geometry; the grid's room, soi_index and ref_mic
+    # go through the scenario schema, so every cell is checked before any trial
+    geometry_cfg = {k: grid[k] for k in ("room", "soi_index", "ref_mic")
+                    if k in grid}
+    scenarios = {
+        (n_src, n_mic): scenario_from_dict(
+            {**geometry_cfg, "num_sources": n_src, "num_mics": n_mic})[0]
+        for n_src, n_mic in sorted({cell[:2] for cell in cells})
+    }
+    rirs = {key: compute_rirs(scen, fs) for key, scen in scenarios.items()}
 
     grid_ctx = {
         "fs": fs,

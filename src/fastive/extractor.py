@@ -83,41 +83,28 @@ class ExtractionResult:
     iterations_used: int
 
 
-def _one_hot(num_bins, rank):
-    w = np.zeros((num_bins, rank), dtype=np.complex128)
-    w[:, 0] = 1.0
-    return w
-
-
-def initialize(bank):
-    """One-hot init: w^k = e_1, i.e. the top principal component per bin."""
-    num_bins = bank.whitener.shape[0]
-    return DemixState(w=_one_hot(num_bins, bank.rank))
-
-
 def apply_demixer(spec, w):
     """Demixed output ``y[k, t] = w^k^H x[k, t]`` as a [K, T] array."""
     return np.einsum("kr,ktr->kt", w.conj(), spec.data)
 
 
 def _update_terms(white_spec, w, model):
-    """Shared intermediates of one update: y, r, and the (a, b) coefficients."""
+    """Cost at w (the one place it is computed) and the (a, b) coefficients."""
     x = white_spec.data
     y = apply_demixer(white_spec, w)
     power = np.abs(y) ** 2
     r = power.sum(axis=0)
+    cost = float(-np.mean(priors.g(model, r)))
     gp = priors.g_prime(model, r)
     gpp = priors.g_double_prime(model, r)
     a = np.mean(gp[None, :] + power * gpp[None, :], axis=1)
     b = np.einsum("kt,ktr->kr", y.conj() * gp[None, :], x) / x.shape[1]
-    return y, r, a, b
+    return cost, a, b
 
 
 def evaluate_cost(white_spec, state, model):
     """Negated contrast objective ``-mean_t G(sum_k |y_t^k|^2)``."""
-    y = apply_demixer(white_spec, state.w)
-    r = np.sum(np.abs(y) ** 2, axis=0)
-    return float(-np.mean(priors.g(model, r)))
+    return _update_terms(white_spec, state.w, model)[0]
 
 
 def cost_gradient(white_spec, w, model):
@@ -126,8 +113,7 @@ def cost_gradient(white_spec, w, model):
     Convention: for real cost C and w = u + iv,
     dC/du = 2 Re(grad), dC/dv = 2 Im(grad).
     """
-    _, _, _, b = _update_terms(white_spec, w, model)
-    return -b
+    return -_update_terms(white_spec, w, model)[2]
 
 
 def iterate_once(white_spec, state, model):
@@ -136,14 +122,13 @@ def iterate_once(white_spec, state, model):
     Returns a new DemixState; the incoming objective value is appended to
     the cost history.
     """
-    y, r, a, b = _update_terms(white_spec, state.w, model)
+    cost, a, b = _update_terms(white_spec, state.w, model)
     w_new = a[:, None] * state.w - b
     norms = np.linalg.norm(w_new, axis=1)
     if np.any(norms == 0.0):
         k = int(np.flatnonzero(norms == 0.0)[0])
         raise ValueError(f"degenerate update at bin {k}")
     w_new = w_new / norms[:, None]
-    cost = float(-np.mean(priors.g(model, r)))
     return DemixState(
         w=w_new,
         w_effective=state.w_effective,
@@ -160,8 +145,11 @@ def convergence_delta(w_new, w_old):
 
 
 def solve(white_spec, config):
-    """Iterate from the one-hot start until converged or max_iter."""
-    state = DemixState(w=_one_hot(white_spec.num_bins, white_spec.num_channels))
+    """Iterate from the one-hot start ``w^k = e_1`` (the top principal
+    component per bin) until converged or max_iter."""
+    state = DemixState(w=np.zeros((white_spec.num_bins, white_spec.num_channels),
+                                  dtype=np.complex128))
+    state.w[:, 0] = 1.0
     for _ in range(config.max_iter):
         new_state = iterate_once(white_spec, state, config.prior)
         delta = convergence_delta(new_state.w, state.w)

@@ -167,8 +167,11 @@ def evaluate(
 
     Input SIR comes from decomposing the raw mixture channel at the
     reference mic, output SIR from decomposing the extracted audio, both
-    against the same image references truncated to a common length.
+    against the same image references truncated to the shortest signal.
     """
+    channels = min(b.num_channels for b in (truth.mixture, *truth.images))
+    if not 0 <= ref_mic < channels:
+        raise ValueError(f"ref_mic {ref_mic} out of range for {channels} channels")
     mixture = truth.mixture.samples[:, ref_mic]
     target = truth.images[soi_index].samples[:, ref_mic]
     interferers = [
@@ -177,7 +180,7 @@ def evaluate(
         if i != soi_index
     ]
     estimate = result.audio.samples[:, 0]
-    n = min(mixture.size, estimate.size)
+    n = min(s.size for s in (mixture, estimate, target, *interferers))
 
     t_in, i_in, _ = decompose(
         mixture[:n], target[:n], [s[:n] for s in interferers], filter_len

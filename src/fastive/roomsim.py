@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -450,13 +450,7 @@ def scenario_from_dict(cfg, base_dir=None, default_fs=16000):
     scenario.validate()
     resolved = {
         "fs": fs,
-        "room": {
-            "dimensions": list(room.dimensions),
-            "rt60": room.rt60,
-            "speed_of_sound": room.speed_of_sound,
-            "rir_seconds": room.rir_seconds,
-            "max_order": room.max_order,
-        },
+        "room": asdict(room),
         "source_positions": [list(p) for p in source_positions],
         "mic_positions": [list(p) for p in mic_positions],
         "sources": sources_resolved,

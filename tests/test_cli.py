@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from fastive.cli import apply_overrides, build_parser, main
-from fastive.stft import AudioBuffer, load_wav, save_wav
+from fastive.extractor import SolverConfig
+from fastive.priors import ContrastModel
+from fastive.stft import AudioBuffer, StftConfig, load_wav, save_wav
 
 
 def write_scenario(path, **extra):
@@ -92,6 +94,36 @@ def test_simulate_extract_evaluate_pipeline(tmp_path, capsys):
     assert record["input_sir_db"] == pytest.approx(10.0, abs=0.5)
     assert record["sirimp_db"] > 0.0
     assert record["success"] is True
+
+
+def test_extract_report_config_round_trips(tmp_path):
+    # the report alone must rebuild the configuration that ran
+    wav = tmp_path / "noise.wav"
+    rng = np.random.default_rng(0)
+    save_wav(wav, AudioBuffer(rng.laplace(size=(8000, 2)), 16000))
+    assert main(["extract", str(wav), "-o", str(tmp_path),
+                 "--prior", "gg", "--gg-exponent", "0.3", "--max-iter", "5",
+                 "--ref-mic", "1", "--fft-size", "512", "--hop", "128"]) == 0
+    cfg = json.loads((tmp_path / "noise_report.json").read_text())["config"]
+    solver = SolverConfig(**{**cfg["solver"],
+                             "prior": ContrastModel(**cfg["solver"]["prior"])})
+    assert solver == SolverConfig(
+        prior=ContrastModel(kind="gg", gg_exponent=0.3), max_iter=5, ref_mic=1)
+    assert StftConfig(**cfg["stft"]) == StftConfig(fft_size=512, hop_size=128)
+    assert cfg["rank"] is None
+
+
+def test_evaluate_rejects_a_missing_channel(tmp_path, capsys):
+    rng = np.random.default_rng(1)
+    paths = []
+    for name in ("est", "mix", "tgt", "int"):
+        paths.append(tmp_path / f"{name}.wav")
+        save_wav(paths[-1], AudioBuffer(rng.normal(size=(4000, 2)), 16000))
+    est, mix, tgt, intf = (str(p) for p in paths)
+    assert main(["evaluate", est, "--mixture", mix, "--target", tgt,
+                 "--interferer", intf, "--channel", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "out of range" in err
 
 
 def test_simulate_seed_and_set_overrides(tmp_path):
@@ -187,6 +219,26 @@ def test_bench_records_trial_errors_in_band(tmp_path):
     assert "unknown prior" in record["error"]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["cells"][0]["errors"] == 1
+
+
+@pytest.mark.parametrize("key, message", [
+    ("num_mics", "num_mics 7 exceeds the 6-mic default array"),
+    ("num_sources", "num_sources 7 exceeds the 6 default talker spots"),
+])
+def test_bench_rejects_geometry_beyond_the_default_layout(tmp_path, capsys,
+                                                          key, message):
+    # the bad cell sits behind a valid one; nothing may run before the error
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({
+        "duration_seconds": 0.5, "trials": 1, key: [2, 7],
+        "stft": {"fft_size": 512, "hop_size": 128},
+    }))
+    out = tmp_path / "bench"
+    assert main(["bench", str(grid_path), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "N2_M2" not in captured.out
+    assert not out.exists()
 
 
 def test_main_returns_2_on_bad_input(tmp_path, capsys):

@@ -19,7 +19,6 @@ from fastive.extractor import (
     estimate_mixing_vector,
     evaluate_cost,
     extract,
-    initialize,
     iterate_once,
     rescale,
     solve,
@@ -112,8 +111,7 @@ def test_gradient_matches_finite_differences(kind):
     assert np.linalg.norm(fd - analytic) < 1e-5 * np.linalg.norm(analytic)
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_exactly_stationary_point_is_fixed(kind):
+def stationary_instance():
     """Duplicate frames pairwise on channel 1 and flip signs pairwise on
     channel 2: the cross term of the update cancels exactly, so w = e_1 is
     a fixed point up to rounding."""
@@ -121,7 +119,12 @@ def test_exactly_stationary_point_is_fixed(kind):
     half = rng.normal(size=20) + 1j * rng.normal(size=20)
     ch1 = np.repeat(half, 2)
     ch2 = np.tile([0.7 + 0.2j, -(0.7 + 0.2j)], 20)
-    spec = spec_of(np.stack([ch1, ch2], axis=1)[None, :, :])
+    return spec_of(np.stack([ch1, ch2], axis=1)[None, :, :])
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_exactly_stationary_point_is_fixed(kind):
+    spec = stationary_instance()
     state = DemixState(w=np.array([[1.0 + 0.0j, 0.0 + 0.0j]]))
     new = iterate_once(spec, state, ContrastModel(kind=kind))
     assert convergence_delta(new.w, state.w) < 1e-12
@@ -177,12 +180,12 @@ def test_solve_captures_a_dominant_source(kind):
     assert 1.0 - corr < 1e-3
 
 
-def test_initialize_is_one_hot():
-    spec = spec_of(np.ones((4, 8, 3), dtype=complex))
-    bank = build_whitener(estimate_covariance(spec))
-    state = initialize(bank)
-    np.testing.assert_array_equal(state.w[:, 0], np.ones(4, dtype=complex))
-    np.testing.assert_array_equal(state.w[:, 1:], 0.0)
+def test_solve_starts_from_e1():
+    """On the exactly-stationary instance one step from the one-hot start
+    stays at e_1, so solve must begin there."""
+    spec = stationary_instance()
+    state = solve(spec, SolverConfig(max_iter=1))
+    np.testing.assert_allclose(np.abs(state.w), [[1.0, 0.0]], atol=1e-12)
 
 
 def test_back_project_composes_the_whitener():
