@@ -125,8 +125,12 @@ def apply_overrides(cfg, pairs):
             value = raw
         node = cfg
         parts = key.split(".")
-        for part in parts[:-1]:
+        for depth, part in enumerate(parts[:-1], 1):
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ValueError(
+                    f"override {key!r}: {'.'.join(parts[:depth])} is not an object"
+                )
         node[parts[-1]] = value
     return cfg
 
@@ -237,20 +241,27 @@ def _bench_trial(trial, seed, cell, grid_ctx):
         input_sir_db=sir,
         seed=seed,
     )
-    mixture_set = render(scenario, fs, rirs=grid_ctx["rirs"][(n_src, n_mic)])
+    rirs = [per_source[:n_mic] for per_source in grid_ctx["rirs"][:n_src]]
+    mixture_set = render(scenario, fs, rirs=rirs)
     model = ContrastModel(kind=prior_kind, nu=grid_ctx["nu"],
                           gg_exponent=grid_ctx["gg_exponent"])
     solver = replace(grid_ctx["solver"], prior=model)
     result = extract(mixture_set.mixture, solver, grid_ctx["stft"],
                      rank=grid_ctx["rank"])
     cell_id = f"N{n_src}_M{n_mic}_sir{sir:g}_{prior_kind}"
-    return evaluate(
+    # trials that differ only in prior score the same mixture at the same
+    # length (the STFT is grid-wide), so they share its input SIR
+    mixture_key = (n_src, n_mic, sir, seed)
+    report = evaluate(
         result, mixture_set,
         soi_index=scenario.soi_index, ref_mic=scenario.ref_mic,
         filter_len=grid_ctx["filter_len"],
         algorithm=f"fastive-{prior_kind}",
         scenario_id=f"{cell_id}_trial{trial:03d}",
+        input_sir_db=grid_ctx["input_sirs"].get(mixture_key),
     )
+    grid_ctx["input_sirs"].setdefault(mixture_key, report.input_sir_db)
+    return report
 
 
 def run_grid(grid, output_dir, jobs=1, manifest=None):
@@ -294,7 +305,9 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
             {**geometry_cfg, "num_sources": n_src, "num_mics": n_mic})[0]
         for n_src, n_mic in sorted({cell[:2] for cell in cells})
     }
-    rirs = {key: compute_rirs(scen, fs) for key, scen in scenarios.items()}
+    # every cell is a prefix of the default layout in the grid's room, and
+    # the cells are a cross product, so the largest key holds all responses
+    rirs = compute_rirs(scenarios[max(scenarios)], fs)
 
     grid_ctx = {
         "fs": fs,
@@ -308,6 +321,7 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
         "filter_len": int(grid.get("filter_len", DEFAULT_FILTER_LEN)),
         "scenarios": scenarios,
         "rirs": rirs,
+        "input_sirs": {},
     }
 
     records = []

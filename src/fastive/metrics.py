@@ -162,12 +162,16 @@ def evaluate(
     filter_len=DEFAULT_FILTER_LEN,
     algorithm="",
     scenario_id="",
+    input_sir_db=None,
 ):
     """Score one extraction against a rendered MixtureSet.
 
     Input SIR comes from decomposing the raw mixture channel at the
     reference mic, output SIR from decomposing the extracted audio, both
     against the same image references truncated to the shortest signal.
+    ``input_sir_db`` skips the first decomposition: pass the value an
+    earlier call returned for the same truth, ``soi_index``, ``ref_mic``
+    and ``filter_len`` with an estimate of the same length.
     """
     channels = min(b.num_channels for b in (truth.mixture, *truth.images))
     if not 0 <= ref_mic < channels:
@@ -182,17 +186,18 @@ def evaluate(
     estimate = result.audio.samples[:, 0]
     n = min(s.size for s in (mixture, estimate, target, *interferers))
 
-    t_in, i_in, _ = decompose(
-        mixture[:n], target[:n], [s[:n] for s in interferers], filter_len
-    )
+    if input_sir_db is None:
+        t_in, i_in, _ = decompose(
+            mixture[:n], target[:n], [s[:n] for s in interferers], filter_len
+        )
+        input_sir_db = sir_db(t_in, i_in)
     t_out, i_out, _ = decompose(
         estimate[:n], target[:n], [s[:n] for s in interferers], filter_len
     )
-    input_sir = sir_db(t_in, i_in)
     output_sir = sir_db(t_out, i_out)
-    improvement = output_sir - input_sir
+    improvement = output_sir - input_sir_db
     return EvalReport(
-        input_sir_db=input_sir,
+        input_sir_db=input_sir_db,
         output_sir_db=output_sir,
         sir_improvement_db=improvement,
         success=improvement > 0.0,

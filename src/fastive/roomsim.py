@@ -11,6 +11,15 @@ preserved.  Wall reflectivity is uniform and derived from the requested
 reverberation time by inverting Sabine's formula; rt60 = 0 degenerates to
 the free-field direct path.
 
+The image lattice, reflection orders and amplitudes depend only on the
+source, so they are built once per source and shared by all its mics; only
+the distances are per mic.  The kernel is evaluated in closed form from
+each image's fractional delay ``f``: the sinc taps are
+``-(-1)**k sin(pi f) / (pi (k - f))`` and the Hann taps follow by angle
+addition from fixed tables, so an image costs three sines and cosines
+instead of two per tap.  Images are deposited in fixed-size chunks, which
+bounds the temporaries whatever the room and reverberation time.
+
 Scenarios bundle a room, source/mic geometry, and source signals; rendering
 convolves each source with its impulse responses, scales the target source
 so the input SIR (target vs the *sum* of interferer images, measured at the
@@ -36,6 +45,18 @@ SPEED_OF_SOUND = 343.0
 KERNEL_TAPS = 81
 _KERNEL_HALF = (KERNEL_TAPS - 1) // 2
 _KERNEL_HALF_WIDTH = _KERNEL_HALF + 0.5
+# tap offsets k from the nearest sample, and three rows that, weighted by 1,
+# cos(phi) and sin(phi) with phi = pi f / half width, sum to
+# 2 hann(k - f) * -(-1)**k / pi; see _deposit
+_KERNEL_OFFSETS = np.arange(-_KERNEL_HALF, _KERNEL_HALF + 1)
+_SINC_SIGN = -((-1.0) ** _KERNEL_OFFSETS) / np.pi
+_KERNEL_ROWS = np.stack([
+    _SINC_SIGN,
+    _SINC_SIGN * np.cos(np.pi * _KERNEL_OFFSETS / _KERNEL_HALF_WIDTH),
+    _SINC_SIGN * np.sin(np.pi * _KERNEL_OFFSETS / _KERNEL_HALF_WIDTH),
+])
+# images per deposit step: keeps each [chunk, KERNEL_TAPS] temporary at 2.6 MB
+_DEPOSIT_CHUNK = 4096
 
 # default battery geometry: shoebox with a compact linear array near one wall
 ROOM_DIMENSIONS = (7.0, 5.0, 2.75)
@@ -155,50 +176,77 @@ def reflection_coefficient(room):
     return math.sqrt(max(0.0, 1.0 - absorption))
 
 
-def _deposit(rir, centers, amps):
-    """Accumulate Hann-windowed sinc kernels centered at fractional samples."""
-    n0 = np.round(centers).astype(np.int64) - _KERNEL_HALF
-    idx = n0[:, None] + np.arange(KERNEL_TAPS)[None, :]
-    delta = idx - centers[:, None]
-    kernel = 0.5 * (1.0 + np.cos(np.pi * delta / _KERNEL_HALF_WIDTH))
-    kernel *= np.sinc(delta)
-    vals = amps[:, None] * kernel
-    valid = (idx >= 0) & (idx < rir.size)
-    rir += np.bincount(
-        idx[valid].ravel(), weights=vals[valid].ravel(), minlength=rir.size
-    )
+def _deposit(num_samples, centers, amps):
+    """Sum of Hann-windowed sinc kernels centered at fractional samples.
+
+    With ``f = center - round(center)`` the tap at offset ``k`` from the
+    nearest sample is
+
+        0.5 (1 + cos(pi (k - f) / W)) * -(-1)**k sin(pi f) / (pi (k - f)),
+
+    where ``W`` is the window half width; the cosine splits by angle
+    addition, so every tap is a fixed combination of ``_KERNEL_ROWS``
+    divided by ``k - f``.  An image on an exact sample (``f == 0``) is a
+    single tap.  Taps outside ``[0, num_samples)`` are dropped.
+    """
+    # padded[i] accumulates sample i - _KERNEL_HALF; centers lie in
+    # [0, num_samples + _KERNEL_HALF), so every tap index fits
+    padded = np.zeros(num_samples + _KERNEL_HALF + KERNEL_TAPS)
+    taps = np.arange(KERNEL_TAPS)
+    for start in range(0, centers.size, _DEPOSIT_CHUNK):
+        center = centers[start:start + _DEPOSIT_CHUNK]
+        amp = amps[start:start + _DEPOSIT_CHUNK]
+        nearest = np.round(center)
+        frac = center - nearest
+        scale = 0.5 * amp * np.sin(np.pi * frac)
+        phase = np.pi * frac / _KERNEL_HALF_WIDTH
+        weights = np.stack(
+            [scale, scale * np.cos(phase), scale * np.sin(phase)], axis=1
+        )
+        vals = weights @ _KERNEL_ROWS
+        with np.errstate(invalid="ignore"):  # 0 / 0 at f == 0, k == 0
+            vals /= _KERNEL_OFFSETS - frac[:, None]
+        on_sample = np.flatnonzero(frac == 0.0)
+        vals[on_sample, _KERNEL_HALF] = amp[on_sample]
+        idx = nearest.astype(np.int64)[:, None] + taps
+        padded += np.bincount(
+            idx.ravel(), weights=vals.ravel(), minlength=padded.size
+        )
+    return padded[_KERNEL_HALF:_KERNEL_HALF + num_samples]
 
 
-def image_method_rir(room, source_position, mic_position, fs):
-    """Room impulse response between one source and one microphone.
+def _source_rirs(room, source_position, mic_positions, fs):
+    """Impulse responses from one source to each of ``mic_positions``.
 
-    Returns a 1-D float array sampled at ``fs``; length is
-    ``room.rir_seconds`` when set, otherwise sized to cover the direct
-    delay plus the decay to well below -60 dB.
+    The image lattice, reflection orders and amplitudes are built once for
+    all mics, over the lattice range of the longest response; an image
+    beyond a mic's own range is farther than that response can represent,
+    so the delay test drops it and every response is the one a lone mic
+    would get.
     """
     room.validate()
     dims = np.asarray(room.dimensions, dtype=np.float64)
     src = np.asarray(source_position, dtype=np.float64)
-    mic = np.asarray(mic_position, dtype=np.float64)
-    for name, p in (("source", src), ("mic", mic)):
+    mics = [np.asarray(m, dtype=np.float64) for m in mic_positions]
+    for name, p in (("source", src), *(("mic", m) for m in mics)):
         if p.shape != (3,) or np.any(p <= 0) or np.any(p >= dims):
             raise ValueError(f"{name} position {tuple(p)} outside room {tuple(dims)}")
-    direct = float(np.linalg.norm(src - mic))
-    if direct < 1e-6:
-        raise ValueError("source and mic positions coincide")
-
     c = room.speed_of_sound
-    beta = reflection_coefficient(room)
-    if room.rir_seconds is not None:
-        duration = room.rir_seconds
-    else:
-        duration = 1.25 * room.rt60 + direct / c + 2.0 * KERNEL_TAPS / fs
-    npts = max(int(math.ceil(duration * fs)),
-               int(math.ceil(direct / c * fs)) + KERNEL_TAPS)
-    rir = np.zeros(npts)
+    lengths = []
+    for mic in mics:
+        direct = float(np.linalg.norm(src - mic))
+        if direct < 1e-6:
+            raise ValueError("source and mic positions coincide")
+        if room.rir_seconds is not None:
+            duration = room.rir_seconds
+        else:
+            duration = 1.25 * room.rt60 + direct / c + 2.0 * KERNEL_TAPS / fs
+        lengths.append(max(int(math.ceil(duration * fs)),
+                           int(math.ceil(direct / c * fs)) + KERNEL_TAPS))
 
-    # images further than the response can represent never contribute
-    max_dist = (npts + _KERNEL_HALF) / fs * c
+    # images further than the longest response can represent never contribute
+    beta = reflection_coefficient(room)
+    max_dist = (max(lengths) + _KERNEL_HALF) / fs * c
     if beta > 0.0:
         counts = [int(math.ceil(max_dist / (2.0 * d))) for d in dims]
     else:
@@ -208,20 +256,38 @@ def image_method_rir(room, source_position, mic_position, fs):
         np.meshgrid(*axes, indexing="ij"), axis=-1
     ).reshape(-1, 3)
 
+    positions, amps = [], []
     for p in itertools.product((0.0, 1.0), repeat=3):
         p = np.asarray(p)
-        positions = (1.0 - 2.0 * p) * src + 2.0 * grid * dims
         orders = np.sum(np.abs(grid + p) + np.abs(grid), axis=1)
-        amps = beta**orders
+        amp = beta**orders
         if room.max_order is not None:
-            amps = np.where(orders <= room.max_order, amps, 0.0)
+            amp = np.where(orders <= room.max_order, amp, 0.0)
+        audible = amp > 0.0
+        positions.append((1.0 - 2.0 * p) * src + 2.0 * grid[audible] * dims)
+        amps.append(amp[audible])
+    positions, amps = np.concatenate(positions), np.concatenate(amps)
+
+    rirs = []
+    for mic, npts in zip(mics, lengths):
         dist = np.linalg.norm(positions - mic, axis=1)
         dist = np.maximum(dist, 1e-9)
         delays = dist / c * fs
-        keep = (amps > 0.0) & (delays < npts + _KERNEL_HALF)
-        if np.any(keep):
-            _deposit(rir, delays[keep], amps[keep] / (4.0 * np.pi * dist[keep]))
-    return rir
+        keep = delays < npts + _KERNEL_HALF
+        rirs.append(_deposit(
+            npts, delays[keep], amps[keep] / (4.0 * np.pi * dist[keep])
+        ))
+    return rirs
+
+
+def image_method_rir(room, source_position, mic_position, fs):
+    """Room impulse response between one source and one microphone.
+
+    Returns a 1-D float array sampled at ``fs``; length is
+    ``room.rir_seconds`` when set, otherwise sized to cover the direct
+    delay plus the decay to well below -60 dB.
+    """
+    return _source_rirs(room, source_position, [mic_position], fs)[0]
 
 
 def measure_rt60(rir, fs, fit_range=(-5.0, -25.0)):
@@ -246,10 +312,15 @@ def measure_rt60(rir, fs, fit_range=(-5.0, -25.0)):
 
 
 def compute_rirs(scenario, fs):
-    """All impulse responses of a scenario as ``rirs[source][mic]``."""
+    """All impulse responses of a scenario as ``rirs[source][mic]``.
+
+    Each response depends only on the room and its own source and mic, so
+    ``[r[:m] for r in rirs[:n]]`` are the responses of the scenario's first
+    ``n`` sources and ``m`` mics.
+    """
     scenario.validate()
     return [
-        [image_method_rir(scenario.room, s, m, fs) for m in scenario.mic_positions]
+        _source_rirs(scenario.room, s, scenario.mic_positions, fs)
         for s in scenario.source_positions
     ]
 
@@ -356,6 +427,17 @@ def default_geometry():
     )
 
 
+def _whole_number(value, name):
+    """``value`` as an int; ValueError naming ``name`` unless it is integral."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not number.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(number)
+
+
 def scenario_from_dict(cfg, base_dir=None, default_fs=16000):
     """Build a Scenario from the documented JSON schema.
 
@@ -385,8 +467,10 @@ def scenario_from_dict(cfg, base_dir=None, default_fs=16000):
         dimensions=tuple(room_cfg.get("dimensions", ROOM_DIMENSIONS)),
         rt60=float(room_cfg.get("rt60", DEFAULT_RT60)),
         speed_of_sound=float(room_cfg.get("speed_of_sound", SPEED_OF_SOUND)),
-        rir_seconds=room_cfg.get("rir_seconds"),
-        max_order=room_cfg.get("max_order"),
+        rir_seconds=(None if room_cfg.get("rir_seconds") is None
+                     else float(room_cfg["rir_seconds"])),
+        max_order=(None if room_cfg.get("max_order") is None
+                   else _whole_number(room_cfg["max_order"], "room.max_order")),
     )
     template = default_geometry()
     if "source_positions" in cfg:

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from fastive import cli
 from fastive.cli import apply_overrides, build_parser, main
 from fastive.extractor import SolverConfig
 from fastive.priors import ContrastModel
@@ -183,10 +184,13 @@ def test_bench_grid(tmp_path, capsys):
 
 
 def test_bench_parallel_matches_serial(tmp_path):
+    # two geometries share one RIR build, and two priors one input SIR per mixture
     grid = {
         "duration_seconds": 0.8,
         "trials": 2,
         "seed": 1,
+        "num_sources": [2, 3],
+        "prior": ["t", "ssl"],
         "stft": {"fft_size": 512, "hop_size": 128},
         "filter_len": 64,
     }
@@ -197,11 +201,40 @@ def test_bench_parallel_matches_serial(tmp_path):
                  "--jobs", "2"]) == 0
     serial = (tmp_path / "serial" / "records.jsonl").read_text().splitlines()
     par = (tmp_path / "par" / "records.jsonl").read_text().splitlines()
+    assert len(serial) == len(par) == 8
     for a, b in zip(serial, par):
         ra, rb = json.loads(a), json.loads(b)
         assert ra["scenario_id"] == rb["scenario_id"]
         assert ra["input_sir_db"] == pytest.approx(rb["input_sir_db"], abs=1e-9)
         assert ra["output_sir_db"] == pytest.approx(rb["output_sir_db"], abs=1e-9)
+
+
+def test_bench_sharing_matches_single_geometry_grids(tmp_path, monkeypatch):
+    # a multi-geometry grid slices one RIR build and shares each mixture's
+    # input SIR across priors; its records must equal those of one grid per
+    # geometry with every input SIR scored afresh
+    grid = {
+        "duration_seconds": 0.5, "trials": 2, "seed": 4,
+        "input_sir_db": [0.0, 10.0], "prior": ["t", "ssl"],
+        "stft": {"fft_size": 512, "hop_size": 128}, "filter_len": 64,
+    }
+
+    def records(name, **cells):
+        grid_path = tmp_path / f"{name}.json"
+        grid_path.write_text(json.dumps({**grid, **cells}))
+        assert main(["bench", str(grid_path), "-o", str(tmp_path / name)]) == 0
+        lines = (tmp_path / name / "records.jsonl").read_text().splitlines()
+        return [{k: v for k, v in json.loads(line).items() if k != "runtime_s"}
+                for line in lines]
+
+    shared = records("shared", num_sources=[2, 3])
+    score = cli.evaluate
+    monkeypatch.setattr(
+        cli, "evaluate",
+        lambda *args, input_sir_db=None, **kwargs: score(*args, **kwargs))
+    fresh = records("n2", num_sources=2) + records("n3", num_sources=3)
+    assert len(shared) == 16
+    assert shared == fresh
 
 
 def test_bench_records_trial_errors_in_band(tmp_path):
@@ -249,3 +282,14 @@ def test_main_returns_2_on_bad_input(tmp_path, capsys):
     save_wav(mono, AudioBuffer(np.zeros(4000), 16000))
     assert main(["extract", str(mono)]) == 2
     assert "2 channels" in capsys.readouterr().err
+
+    scene = tmp_path / "scene.json"
+    write_scenario(scene)
+    for override, message in (
+        ("fs.x=1", "override 'fs.x': fs is not an object"),
+        ("room.max_order=abc", "room.max_order must be an integer, got 'abc'"),
+        ("room.max_order=2.5", "room.max_order must be an integer, got 2.5"),
+    ):
+        assert main(["simulate", str(scene), "-o", str(tmp_path / "sim"),
+                     "--set", override]) == 2
+        assert f"error: {message}" in capsys.readouterr().err

@@ -4,6 +4,7 @@ arithmetic on hand-built parts, and report aggregation."""
 import numpy as np
 import pytest
 
+from fastive import metrics
 from fastive.extractor import ExtractionResult
 from fastive.metrics import (
     SIR_CAP_DB,
@@ -153,6 +154,25 @@ def test_evaluate_truncates_to_common_length():
     short = truth.images[0].samples[:1500, 0]
     report = evaluate(fabricated_result(short), truth, filter_len=16)
     assert report.success
+
+
+def test_evaluate_reuses_a_given_input_sir(monkeypatch):
+    truth = fabricated_truth()
+    result = fabricated_result(truth.mixture.samples[:1800, 0]
+                               + truth.images[0].samples[:1800, 0])
+    scored = evaluate(result, truth, filter_len=16)
+    calls = []
+    decompose_once = metrics.decompose
+
+    def counted(*args):
+        calls.append(args)
+        return decompose_once(*args)
+
+    monkeypatch.setattr(metrics, "decompose", counted)
+    reused = evaluate(result, truth, filter_len=16,
+                      input_sir_db=scored.input_sir_db)
+    assert reused == scored
+    assert len(calls) == 1  # only the estimate is decomposed
 
 
 def test_wire_record_fields():

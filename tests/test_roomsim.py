@@ -3,16 +3,23 @@
 Free-field responses are pinned against the closed-form point-source
 solution on a geometry whose delays are exact sample counts; the
 reverberant decay is checked with an independent backward-integration
-estimate.  Rendering must hit the requested mixing ratio exactly.
+estimate; the chunked closed-form kernel and the per-source image lattice
+are checked against a direct reference build.  Rendering must hit the
+requested mixing ratio exactly.
 """
 
+import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from fastive.roomsim import (
+    KERNEL_TAPS,
     MixtureSet,
     RoomSpec,
     Scenario,
@@ -93,6 +100,134 @@ def test_rir_position_guards():
         image_method_rir(FREE_ROOM, (9.0, 2.0, 1.5), MIC_100, FS)
     with pytest.raises(ValueError, match="coincide"):
         image_method_rir(FREE_ROOM, SRC, SRC, FS)
+
+
+def reference_deposit(rir, centers, amps):
+    """The direct kernel: np.sinc times the Hann window, tap by tap."""
+    half = (KERNEL_TAPS - 1) // 2
+    n0 = np.round(centers).astype(np.int64) - half
+    idx = n0[:, None] + np.arange(KERNEL_TAPS)[None, :]
+    delta = idx - centers[:, None]
+    kernel = 0.5 * (1.0 + np.cos(np.pi * delta / (half + 0.5)))
+    kernel *= np.sinc(delta)
+    vals = amps[:, None] * kernel
+    valid = (idx >= 0) & (idx < rir.size)
+    rir += np.bincount(
+        idx[valid].ravel(), weights=vals[valid].ravel(), minlength=rir.size
+    )
+
+
+def reference_rir(room, source_position, mic_position, fs):
+    """One response built directly: each mirror parity over a lattice sized
+    for this mic alone, deposited with the direct kernel."""
+    half = (KERNEL_TAPS - 1) // 2
+    dims = np.asarray(room.dimensions, dtype=np.float64)
+    src = np.asarray(source_position, dtype=np.float64)
+    mic = np.asarray(mic_position, dtype=np.float64)
+    c = room.speed_of_sound
+    beta = reflection_coefficient(room)
+    direct = float(np.linalg.norm(src - mic))
+    if room.rir_seconds is not None:
+        duration = room.rir_seconds
+    else:
+        duration = 1.25 * room.rt60 + direct / c + 2.0 * KERNEL_TAPS / fs
+    npts = max(math.ceil(duration * fs), math.ceil(direct / c * fs) + KERNEL_TAPS)
+    rir = np.zeros(npts)
+    max_dist = (npts + half) / fs * c
+    counts = [math.ceil(max_dist / (2.0 * d)) if beta > 0.0 else 0 for d in dims]
+    axes = [np.arange(-n, n + 1, dtype=np.float64) for n in counts]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    for p in itertools.product((0.0, 1.0), repeat=3):
+        p = np.asarray(p)
+        positions = (1.0 - 2.0 * p) * src + 2.0 * grid * dims
+        orders = np.sum(np.abs(grid + p) + np.abs(grid), axis=1)
+        amps = beta**orders
+        if room.max_order is not None:
+            amps = np.where(orders <= room.max_order, amps, 0.0)
+        dist = np.maximum(np.linalg.norm(positions - mic, axis=1), 1e-9)
+        delays = dist / c * fs
+        keep = (amps > 0.0) & (delays < npts + half)
+        reference_deposit(rir, delays[keep],
+                          amps[keep] / (4.0 * np.pi * dist[keep]))
+    return rir
+
+
+@st.composite
+def rooms_with_a_close_mic(draw):
+    """A room, a source, a mic about 1 cm from it (kernel taps before
+    sample 0) and a second mic anywhere."""
+    dims = tuple(draw(st.floats(2.5, 9.0)) for _ in range(3))
+    rt60 = draw(st.floats(0.0, 0.5))
+    max_order = draw(st.none() | st.integers(0, 3))
+    rir_seconds = draw(st.none() | st.floats(0.01, 0.1))
+    # keeps the reference's [images, taps] arrays small
+    assume(max_order is not None or rir_seconds is not None or rt60 <= 0.1)
+
+    def inside():
+        return np.array([d * draw(st.floats(0.05, 0.95)) for d in dims])
+
+    src = inside()
+    azimuth = draw(st.floats(0.0, 2.0 * math.pi))
+    elevation = draw(st.floats(-0.5 * math.pi, 0.5 * math.pi))
+    close = src + 0.01 * np.array([math.cos(azimuth) * math.cos(elevation),
+                                   math.sin(azimuth) * math.cos(elevation),
+                                   math.sin(elevation)])
+    far = inside()
+    assume(np.linalg.norm(far - src) > 1e-3)
+    room = RoomSpec(dimensions=dims, rt60=rt60, rir_seconds=rir_seconds,
+                    max_order=max_order)
+    return room, tuple(src), (tuple(close), tuple(far))
+
+
+# at 256 m/s and 16 kHz, a whole number of metres is 62.5 samples per metre
+# exactly, so the direct path (2 m) and many images sit on integer samples
+ON_SAMPLE = (RoomSpec(dimensions=(4.0, 3.0, 2.5), rt60=0.3,
+                      speed_of_sound=256.0, rir_seconds=0.05),
+             (1.0, 1.0, 1.0), ((1.01, 1.0, 1.0), (3.0, 1.0, 1.0)))
+
+
+# the far mic is 8 m down a narrow room: its default-length response
+# (98 m of travel) needs one more 5 m lattice shell across the room than
+# the close mic's (90 m)
+FAR_APART = (RoomSpec(dimensions=(2.5, 2.5, 9.0), rt60=0.2),
+             (1.0, 1.0, 0.5), ((1.01, 1.0, 0.5), (1.5, 1.5, 8.5)))
+
+
+@settings(deadline=None, max_examples=30)
+@example(case=ON_SAMPLE)
+@example(case=FAR_APART)
+@given(case=rooms_with_a_close_mic())
+def test_responses_match_the_direct_reference(case):
+    room, src, mics = case
+    scenario = Scenario(room=room, source_positions=(src,), mic_positions=mics)
+    [rirs] = compute_rirs(scenario, FS)
+    for mic, rir in zip(mics, rirs):
+        ref = reference_rir(room, src, mic, FS)
+        assert rir.shape == ref.shape
+        assert np.max(np.abs(rir - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_on_sample_case_puts_the_direct_path_on_a_sample():
+    room, src, (_, mic) = ON_SAMPLE
+    delay = math.dist(src, mic) / room.speed_of_sound * FS
+    assert delay == 125.0
+    rir = image_method_rir(room, src, mic, FS)
+    assert rir[125] == pytest.approx(1.0 / (4.0 * math.pi * 2.0), rel=1e-12)
+
+
+def test_sliced_responses_equal_the_sub_scenario():
+    template = default_geometry()
+    full = replace(template, source_positions=template.source_positions[:3],
+                   mic_positions=template.mic_positions[:4])
+    sub = replace(template, source_positions=template.source_positions[:2],
+                  mic_positions=template.mic_positions[:2])
+    rirs = compute_rirs(full, FS)
+    want = compute_rirs(sub, FS)
+    for s in range(2):
+        for m in range(2):
+            assert rirs[s][m].shape == want[s][m].shape
+            assert np.max(np.abs(rirs[s][m] - want[s][m])) \
+                <= 1e-12 * np.max(np.abs(want[s][m]))
 
 
 def test_measured_decay_tracks_the_requested_rt60():
