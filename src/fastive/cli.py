@@ -24,6 +24,8 @@ from .priors import KINDS, ContrastModel
 from .roomsim import (
     MixtureSet,
     compute_rirs,
+    config_float,
+    config_int,
     render,
     scenario_from_dict,
     speech_like_sources,
@@ -162,6 +164,7 @@ def cmd_extract(args):
         "iterations_used": result.iterations_used,
         "converged": result.state.converged,
         "runtime_s": result.runtime_seconds,
+        "timings_s": result.timings,
         "cost_history": result.state.cost_history,
     }
     report_path = outdir / f"{stem}_report.json"
@@ -271,28 +274,29 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
     prior; trial ``i`` in every cell uses seed ``base_seed + i`` so cells
     are comparable over the same source draws.
     """
-    fs = int(grid.get("fs", 16000))
-    duration = float(grid.get("duration_seconds", 3.0))
-    trials = int(grid.get("trials", 10))
-    base_seed = int(grid.get("seed", 0))
+    fs = config_int(grid.get("fs", 16000), "fs")
+    duration = config_float(grid.get("duration_seconds", 3.0), "duration_seconds")
+    trials = config_int(grid.get("trials", 10), "trials")
+    base_seed = config_int(grid.get("seed", 0), "seed")
     stft_grid = dict(grid.get("stft", {}))
     solver_grid = dict(grid.get("solver", {}))
 
     stft_cfg = StftConfig(
-        fft_size=int(stft_grid.get("fft_size", 2048)),
-        hop_size=int(stft_grid.get("hop_size", 512)),
+        fft_size=config_int(stft_grid.get("fft_size", 2048), "stft.fft_size"),
+        hop_size=config_int(stft_grid.get("hop_size", 512), "stft.hop_size"),
         window=stft_grid.get("window", "hann"),
     )
     solver_cfg = SolverConfig(
-        max_iter=int(solver_grid.get("max_iter", 100)),
-        tol=float(solver_grid.get("tol", 1e-6)),
-        ref_mic=int(grid.get("ref_mic", 0)),
+        max_iter=config_int(solver_grid.get("max_iter", 100), "solver.max_iter"),
+        tol=config_float(solver_grid.get("tol", 1e-6), "solver.tol"),
+        ref_mic=config_int(grid.get("ref_mic", 0), "ref_mic"),
     )
 
     cells = list(itertools.product(
-        [int(v) for v in _as_list(grid.get("num_sources", 2))],
-        [int(v) for v in _as_list(grid.get("num_mics", 2))],
-        [float(v) for v in _as_list(grid.get("input_sir_db", 10.0))],
+        [config_int(v, "num_sources") for v in _as_list(grid.get("num_sources", 2))],
+        [config_int(v, "num_mics") for v in _as_list(grid.get("num_mics", 2))],
+        [config_float(v, "input_sir_db")
+         for v in _as_list(grid.get("input_sir_db", 10.0))],
         [str(v) for v in _as_list(grid.get("prior", "t"))],
     ))
 
@@ -312,13 +316,14 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
     grid_ctx = {
         "fs": fs,
         "num_samples": int(round(duration * fs)),
-        "mod_hz": float(grid.get("mod_hz", 4.0)),
-        "nu": float(grid.get("nu", 4.0)),
-        "gg_exponent": float(grid.get("gg_exponent", 0.25)),
+        "mod_hz": config_float(grid.get("mod_hz", 4.0), "mod_hz"),
+        "nu": config_float(grid.get("nu", 4.0), "nu"),
+        "gg_exponent": config_float(grid.get("gg_exponent", 0.25), "gg_exponent"),
         "solver": solver_cfg,
         "stft": stft_cfg,
         "rank": grid.get("rank"),
-        "filter_len": int(grid.get("filter_len", DEFAULT_FILTER_LEN)),
+        "filter_len": config_int(grid.get("filter_len", DEFAULT_FILTER_LEN),
+                                 "filter_len"),
         "scenarios": scenarios,
         "rirs": rirs,
         "input_sirs": {},
@@ -402,7 +407,7 @@ def cmd_bench(args):
     manifest = RunManifest(command="bench", config_path=str(path),
                            overrides=args.overrides,
                            output_dir=str(args.output_dir),
-                           seed=int(grid.get("seed", 0)))
+                           seed=config_int(grid.get("seed", 0), "seed"))
     run_grid(grid, args.output_dir, jobs=args.jobs, manifest=manifest)
     return 0
 

@@ -427,8 +427,18 @@ def default_geometry():
     )
 
 
-def _whole_number(value, name):
-    """``value`` as an int; ValueError naming ``name`` unless it is integral."""
+def config_float(value, name):
+    """``value`` as a float; ValueError naming the key ``name`` unless numeric."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
+def config_int(value, name):
+    """``value`` as an int; ValueError naming the key ``name`` unless integral."""
+    if isinstance(value, int):
+        return int(value)
     try:
         number = float(value)
     except (TypeError, ValueError):
@@ -461,22 +471,23 @@ def scenario_from_dict(cfg, base_dir=None, default_fs=16000):
     ``seed``             RNG seed for synthetic sources, default 0
     """
     base_dir = Path(base_dir) if base_dir is not None else Path(".")
-    fs = int(cfg.get("fs", default_fs))
+    fs = config_int(cfg.get("fs", default_fs), "fs")
     room_cfg = dict(cfg.get("room", {}))
     room = RoomSpec(
         dimensions=tuple(room_cfg.get("dimensions", ROOM_DIMENSIONS)),
-        rt60=float(room_cfg.get("rt60", DEFAULT_RT60)),
-        speed_of_sound=float(room_cfg.get("speed_of_sound", SPEED_OF_SOUND)),
+        rt60=config_float(room_cfg.get("rt60", DEFAULT_RT60), "room.rt60"),
+        speed_of_sound=config_float(
+            room_cfg.get("speed_of_sound", SPEED_OF_SOUND), "room.speed_of_sound"),
         rir_seconds=(None if room_cfg.get("rir_seconds") is None
-                     else float(room_cfg["rir_seconds"])),
+                     else config_float(room_cfg["rir_seconds"], "room.rir_seconds")),
         max_order=(None if room_cfg.get("max_order") is None
-                   else _whole_number(room_cfg["max_order"], "room.max_order")),
+                   else config_int(room_cfg["max_order"], "room.max_order")),
     )
     template = default_geometry()
     if "source_positions" in cfg:
         source_positions = tuple(tuple(p) for p in cfg["source_positions"])
     else:
-        n = int(cfg.get("num_sources", 2))
+        n = config_int(cfg.get("num_sources", 2), "num_sources")
         if n > len(template.source_positions):
             raise ValueError(
                 f"num_sources {n} exceeds the {len(template.source_positions)} "
@@ -486,7 +497,7 @@ def scenario_from_dict(cfg, base_dir=None, default_fs=16000):
     if "mic_positions" in cfg:
         mic_positions = tuple(tuple(p) for p in cfg["mic_positions"])
     else:
-        m = int(cfg.get("num_mics", 2))
+        m = config_int(cfg.get("num_mics", 2), "num_mics")
         if m > len(template.mic_positions):
             raise ValueError(
                 f"num_mics {m} exceeds the {len(template.mic_positions)}-mic "
@@ -494,12 +505,13 @@ def scenario_from_dict(cfg, base_dir=None, default_fs=16000):
             )
         mic_positions = template.mic_positions[:m]
 
-    seed = int(cfg.get("seed", 0))
+    seed = config_int(cfg.get("seed", 0), "seed")
     sources_cfg = dict(cfg.get("sources", {"kind": "synthetic"}))
     kind = sources_cfg.get("kind", "synthetic")
     if kind == "synthetic":
-        duration = float(sources_cfg.get("duration_seconds", 3.0))
-        mod_hz = float(sources_cfg.get("mod_hz", 4.0))
+        duration = config_float(sources_cfg.get("duration_seconds", 3.0),
+                                "sources.duration_seconds")
+        mod_hz = config_float(sources_cfg.get("mod_hz", 4.0), "sources.mod_hz")
         signals = speech_like_sources(
             len(source_positions), int(round(duration * fs)), fs, seed, mod_hz
         )
@@ -524,12 +536,13 @@ def scenario_from_dict(cfg, base_dir=None, default_fs=16000):
         source_positions=source_positions,
         mic_positions=mic_positions,
         source_signals=tuple(signals),
-        soi_index=int(cfg.get("soi_index", 0)),
+        soi_index=config_int(cfg.get("soi_index", 0), "soi_index"),
         input_sir_db=(
-            None if cfg.get("input_sir_db") is None else float(cfg["input_sir_db"])
+            None if cfg.get("input_sir_db") is None
+            else config_float(cfg["input_sir_db"], "input_sir_db")
         ),
         seed=seed,
-        ref_mic=int(cfg.get("ref_mic", 0)),
+        ref_mic=config_int(cfg.get("ref_mic", 0), "ref_mic"),
     )
     scenario.validate()
     resolved = {

@@ -6,6 +6,9 @@ eigendecomposition of the (regularized) spatial covariance, so that
 All bins are decomposed by one batched LAPACK call (``np.linalg.eigh``);
 a stable descending sort and a fixed phase convention on top of it make the
 eigenvectors reproducible bit-for-bit across runs.
+Covariance and whitening are batched ``np.matmul`` calls (one BLAS call
+per bin); whitened data is stored frame-contiguous as [K, R, T] and exposed
+as its [K, T, R] transpose, so contractions over T run with unit stride.
 """
 
 from __future__ import annotations
@@ -48,13 +51,15 @@ class WhiteningBank:
 def estimate_covariance(spec):
     """Sample covariance per bin from a Spectrogram; needs >= 2 frames.
 
-    Uses the 1/T convention and re-symmetrizes to be exactly Hermitian.
+    Uses the 1/T convention (``C^k = x^k^T conj(x^k) / T`` with ``x^k`` the
+    [T, M] frames of bin k, one batched matmul) and re-symmetrizes to be
+    exactly Hermitian.
     """
     x = spec.data
     num_frames = x.shape[1]
     if num_frames < 2:
         raise ValueError(f"insufficient frames: got {num_frames}, need >= 2")
-    cov = np.einsum("ktm,ktn->kmn", x, x.conj()) / num_frames
+    cov = np.matmul(x.transpose(0, 2, 1), x.conj()) / num_frames
     cov = 0.5 * (cov + cov.conj().transpose(0, 2, 1))
     return CovarianceBank(cov, num_frames)
 
@@ -102,7 +107,9 @@ def build_whitener(bank, rank=None):
 def apply_whitener(spec, bank):
     """Project a Spectrogram onto its whitened principal components.
 
-    Output has ``rank`` channels: ``out[k, t] = Q^k @ x[k, t]``.
+    Output has ``rank`` channels: ``out[k, t] = Q^k @ x[k, t]``, computed as
+    one batched matmul ``Q^k @ x^k^T`` into a contiguous [K, R, T] array
+    whose [K, T, R] transpose becomes the returned Spectrogram's data.
     """
     x = spec.data
     q = bank.whitener
@@ -114,5 +121,5 @@ def apply_whitener(spec, bank):
         raise ValueError(
             f"channel mismatch: spectrogram {x.shape[2]}, whitener {q.shape[2]}"
         )
-    out = np.einsum("krm,ktm->ktr", q, x)
-    return Spectrogram(out, spec.config, spec.sample_rate_hz)
+    out = np.matmul(q, x.transpose(0, 2, 1))
+    return Spectrogram(out.transpose(0, 2, 1), spec.config, spec.sample_rate_hz)

@@ -8,7 +8,7 @@ import pytest
 
 from fastive import cli
 from fastive.cli import apply_overrides, build_parser, main
-from fastive.extractor import SolverConfig
+from fastive.extractor import STAGES, SolverConfig
 from fastive.priors import ContrastModel
 from fastive.stft import AudioBuffer, StftConfig, load_wav, save_wav
 
@@ -80,6 +80,7 @@ def test_simulate_extract_evaluate_pipeline(tmp_path, capsys):
     assert report["config"]["stft"]["fft_size"] == 512
     assert report["iterations_used"] >= 1
     assert report["runtime_s"] > 0.0
+    assert set(report["timings_s"]) == set(STAGES)
     assert len(report["cost_history"]) == report["iterations_used"]
 
     capsys.readouterr()
@@ -289,7 +290,16 @@ def test_main_returns_2_on_bad_input(tmp_path, capsys):
         ("fs.x=1", "override 'fs.x': fs is not an object"),
         ("room.max_order=abc", "room.max_order must be an integer, got 'abc'"),
         ("room.max_order=2.5", "room.max_order must be an integer, got 2.5"),
+        ("room.rt60=[1]", "room.rt60 must be a number, got [1]"),
+        ("room.rir_seconds=[1]", "room.rir_seconds must be a number, got [1]"),
+        ("num_mics=[2]", "num_mics must be an integer, got [2]"),
     ):
         assert main(["simulate", str(scene), "-o", str(tmp_path / "sim"),
                      "--set", override]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"duration_seconds": 0.5, "trials": 1}))
+    assert main(["bench", str(grid), "-o", str(tmp_path / "bench"),
+                 "--set", "trials=[1]"]) == 2
+    assert "error: trials must be an integer, got [1]" in capsys.readouterr().err

@@ -6,12 +6,18 @@ resolution against mixtures with a known mixing system.  End-to-end, the
 solver has to capture a source that dominates the mixture.
 """
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastive.extractor import (
+    STAGES,
     DemixState,
     SolverConfig,
+    _update_terms,
     apply_demixer,
     back_project,
     convergence_delta,
@@ -24,7 +30,7 @@ from fastive.extractor import (
     solve,
 )
 from fastive.metrics import evaluate
-from fastive.priors import ContrastModel, g_double_prime, g_prime
+from fastive.priors import ContrastModel, g, g_double_prime, g_prime
 from fastive.roomsim import AudioBuffer, MixtureSet, speech_like_sources
 from fastive.stft import Spectrogram, StftConfig
 from fastive.whitening import apply_whitener, build_whitener, estimate_covariance
@@ -78,6 +84,72 @@ def test_apply_demixer_matches_loop():
         for t in range(3):
             np.testing.assert_allclose(y[k, t], np.vdot(w[k], spec.data[k, t]),
                                        atol=1e-15)
+
+
+def assert_within(got, ref, scale, rel=1e-12):
+    """Elementwise ``|got - ref| <= rel * scale``, where ``scale`` is the
+    contraction taken over absolute values (the rounding-error scale)."""
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= rel * scale)
+
+
+@settings(deadline=None, max_examples=60)
+@given(num_bins=st.integers(1, 9), num_frames=st.integers(2, 60),
+       num_channels=st.integers(2, 12), kind=st.sampled_from(ALL_KINDS),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_contractions_match_einsum(num_bins, num_frames, num_channels, kind,
+                                   seed, data):
+    """The batched-matmul contractions against einsum written out here, on
+    channels whose gains span 1e-3..1e3, with a reduced whitening rank."""
+    rank = data.draw(st.integers(1, num_channels - 1), label="rank")
+    gains = np.array(data.draw(st.lists(st.floats(1e-3, 1e3),
+                                        min_size=num_channels,
+                                        max_size=num_channels), label="gains"))
+    rng = np.random.default_rng(seed)
+    shape = (num_bins, num_frames, num_channels)
+    x = gains * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    spec = spec_of(x.copy())
+    ax = np.abs(x)
+
+    cov = estimate_covariance(spec).cov
+    ref = np.einsum("ktm,ktn->kmn", x, x.conj()) / num_frames
+    ref = 0.5 * (ref + ref.conj().transpose(0, 2, 1))
+    assert_within(cov, ref, np.einsum("ktm,ktn->kmn", ax, ax) / num_frames)
+
+    bank = build_whitener(estimate_covariance(spec), rank=rank)
+    q = bank.whitener
+    white = apply_whitener(spec, bank)
+    assert white.data.shape == (num_bins, num_frames, rank)
+    ref_white = np.einsum("krm,ktm->ktr", q, x)
+    assert_within(white.data, ref_white, np.einsum("krm,ktm->ktr", np.abs(q), ax))
+
+    w = rng.normal(size=(num_bins, rank)) + 1j * rng.normal(size=(num_bins, rank))
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    xw = white.data
+    aw = np.abs(xw)
+    y = np.einsum("kr,ktr->kt", w.conj(), xw)
+    assert_within(apply_demixer(white, w), y,
+                  np.einsum("kr,ktr->kt", np.abs(w), aw))
+
+    model = ContrastModel(kind=kind)
+    cost, a, b = _update_terms(white, w, model)
+    power = np.abs(y) ** 2
+    r = power.sum(axis=0)
+    gp, gpp = g_prime(model, r), g_double_prime(model, r)
+    ref_cost = -np.mean(g(model, r))
+    assert abs(cost - ref_cost) <= 1e-12 * np.mean(np.abs(g(model, r)))
+    assert_within(a, np.mean(gp + power * gpp, axis=1),
+                  np.mean(np.abs(gp) + power * np.abs(gpp), axis=1))
+    assert_within(b, np.einsum("kt,ktr->kr", y.conj() * gp, xw) / num_frames,
+                  np.einsum("kt,ktr->kr", np.abs(y * gp), aw) / num_frames)
+
+    # writing through the data views reaches the contractions
+    spec.data[:] = 2.0 * spec.data
+    assert_within(estimate_covariance(spec).cov, 4.0 * ref,
+                  4.0 * np.einsum("ktm,ktn->kmn", ax, ax) / num_frames)
+    white.data[:] = ref_white
+    assert_within(apply_demixer(white, w), np.einsum("kr,ktr->kt", w.conj(), ref_white),
+                  np.einsum("kr,ktr->kt", np.abs(w), np.abs(ref_white)))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -324,6 +396,31 @@ def test_extract_handles_more_than_sixteen_mics():
     assert result.audio.num_channels == 1
     assert 0 < result.audio.num_samples <= 16000
     assert np.all(np.isfinite(result.audio.samples))
+
+
+@settings(deadline=None, max_examples=20)
+@given(gain=st.floats(1e-3, 1e3), num_channels=st.integers(2, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_extract_is_gain_equivariant(gain, num_channels, seed):
+    """extract(c x) = c extract(x): whitening removes the gain and the
+    rescale to the reference microphone restores it."""
+    noise = np.random.default_rng(seed).laplace(size=(8000, num_channels))
+    config = SolverConfig(max_iter=5)
+    base = extract(AudioBuffer(noise, 16000), config).audio.samples
+    scaled = extract(AudioBuffer(gain * noise, 16000), config).audio.samples
+    assert np.max(np.abs(scaled - gain * base)) <= 1e-8 * np.max(np.abs(gain * base))
+
+
+def test_extract_times_its_stages():
+    noise = np.random.default_rng(31).normal(size=(8000, 3))
+    start = time.perf_counter()
+    result = extract(AudioBuffer(noise, 16000), SolverConfig(max_iter=5))
+    wall = time.perf_counter() - start
+    assert tuple(result.timings) == STAGES
+    assert all(t >= 0.0 for t in result.timings.values())
+    assert sum(result.timings.values()) <= wall
+    assert result.runtime_seconds == pytest.approx(
+        result.timings["solve"] + result.timings["rescale"])
 
 
 def instantaneous_trial(seed, kind, dominance_db=10.0, duration=3.0):
