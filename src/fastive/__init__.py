@@ -36,7 +36,6 @@ from .extractor import (  # noqa: F401
     apply_demixer,
     back_project,
     estimate_mixing_vector,
-    evaluate_cost,
     extract,
     iterate_once,
     rescale,
@@ -48,16 +47,12 @@ from .roomsim import (  # noqa: F401
     Scenario,
     compute_rirs,
     default_geometry,
-    image_method_rir,
-    load_scenario,
-    measure_rt60,
     render,
     speech_like_sources,
 )
 from .metrics import (  # noqa: F401
     EvalReport,
     aggregate,
-    bss_ratios,
     decompose,
     evaluate,
     sir_db,

@@ -24,13 +24,14 @@ from .priors import KINDS, ContrastModel
 from .roomsim import (
     MixtureSet,
     compute_rirs,
+    config_dict,
     config_float,
     config_int,
     render,
     scenario_from_dict,
     speech_like_sources,
 )
-from .stft import StftConfig, load_wav, save_wav
+from .stft import WINDOW_KINDS, StftConfig, load_wav, save_wav
 
 
 @dataclass
@@ -48,19 +49,18 @@ class RunManifest:
 
 
 def _add_solver_flags(p):
-    p.add_argument("--prior", choices=KINDS, default="t",
-                   help="source prior (default: t)")
-    p.add_argument("--nu", type=float, default=4.0,
-                   help="Student's t degrees of freedom (default: 4)")
-    p.add_argument("--gg-exponent", type=float, default=0.25,
-                   help="generalized-Gaussian contrast exponent (default: 0.25)")
-    p.add_argument("--fft-size", type=int, default=2048)
-    p.add_argument("--hop", type=int, default=512)
-    p.add_argument("--window", choices=("hann", "sqrt_hann", "rect"),
-                   default="hann")
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--ref-mic", type=int, default=0)
+    p.add_argument("--prior", choices=KINDS, default=ContrastModel.kind,
+                   help="source prior (default: %(default)s)")
+    p.add_argument("--nu", type=float, default=ContrastModel.nu,
+                   help="Student's t degrees of freedom (default: %(default)g)")
+    p.add_argument("--gg-exponent", type=float, default=ContrastModel.gg_exponent,
+                   help="generalized-Gaussian contrast exponent (default: %(default)g)")
+    p.add_argument("--fft-size", type=int, default=StftConfig.fft_size)
+    p.add_argument("--hop", type=int, default=StftConfig.hop_size)
+    p.add_argument("--window", choices=WINDOW_KINDS, default=StftConfig.window)
+    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+    p.add_argument("--tol", type=float, default=SolverConfig.tol)
+    p.add_argument("--ref-mic", type=int, default=SolverConfig.ref_mic)
     p.add_argument("--rank", type=int, default=None,
                    help="principal components kept by whitening (default: all)")
 
@@ -230,7 +230,7 @@ def _as_list(value):
     return value if isinstance(value, list) else [value]
 
 
-def _bench_trial(trial, seed, cell, grid_ctx):
+def _bench_trial(scenario_id, seed, cell, grid_ctx):
     """One bench trial: synthesize sources, render, extract, evaluate."""
     n_src, n_mic, sir, prior_kind = cell
     fs = grid_ctx["fs"]
@@ -251,7 +251,6 @@ def _bench_trial(trial, seed, cell, grid_ctx):
     solver = replace(grid_ctx["solver"], prior=model)
     result = extract(mixture_set.mixture, solver, grid_ctx["stft"],
                      rank=grid_ctx["rank"])
-    cell_id = f"N{n_src}_M{n_mic}_sir{sir:g}_{prior_kind}"
     # trials that differ only in prior score the same mixture at the same
     # length (the STFT is grid-wide), so they share its input SIR
     mixture_key = (n_src, n_mic, sir, seed)
@@ -260,7 +259,7 @@ def _bench_trial(trial, seed, cell, grid_ctx):
         soi_index=scenario.soi_index, ref_mic=scenario.ref_mic,
         filter_len=grid_ctx["filter_len"],
         algorithm=f"fastive-{prior_kind}",
-        scenario_id=f"{cell_id}_trial{trial:03d}",
+        scenario_id=scenario_id,
         input_sir_db=grid_ctx["input_sirs"].get(mixture_key),
     )
     grid_ctx["input_sirs"].setdefault(mixture_key, report.input_sir_db)
@@ -278,18 +277,20 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
     duration = config_float(grid.get("duration_seconds", 3.0), "duration_seconds")
     trials = config_int(grid.get("trials", 10), "trials")
     base_seed = config_int(grid.get("seed", 0), "seed")
-    stft_grid = dict(grid.get("stft", {}))
-    solver_grid = dict(grid.get("solver", {}))
+    stft_grid = {**dataclasses.asdict(StftConfig()),
+                 **config_dict(grid.get("stft", {}), "stft")}
+    solver_grid = {**dataclasses.asdict(SolverConfig()),
+                   **config_dict(grid.get("solver", {}), "solver")}
 
     stft_cfg = StftConfig(
-        fft_size=config_int(stft_grid.get("fft_size", 2048), "stft.fft_size"),
-        hop_size=config_int(stft_grid.get("hop_size", 512), "stft.hop_size"),
-        window=stft_grid.get("window", "hann"),
+        fft_size=config_int(stft_grid["fft_size"], "stft.fft_size"),
+        hop_size=config_int(stft_grid["hop_size"], "stft.hop_size"),
+        window=stft_grid["window"],
     )
     solver_cfg = SolverConfig(
-        max_iter=config_int(solver_grid.get("max_iter", 100), "solver.max_iter"),
-        tol=config_float(solver_grid.get("tol", 1e-6), "solver.tol"),
-        ref_mic=config_int(grid.get("ref_mic", 0), "ref_mic"),
+        max_iter=config_int(solver_grid["max_iter"], "solver.max_iter"),
+        tol=config_float(solver_grid["tol"], "solver.tol"),
+        ref_mic=config_int(grid.get("ref_mic", SolverConfig.ref_mic), "ref_mic"),
     )
 
     cells = list(itertools.product(
@@ -297,7 +298,7 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
         [config_int(v, "num_mics") for v in _as_list(grid.get("num_mics", 2))],
         [config_float(v, "input_sir_db")
          for v in _as_list(grid.get("input_sir_db", 10.0))],
-        [str(v) for v in _as_list(grid.get("prior", "t"))],
+        [str(v) for v in _as_list(grid.get("prior", ContrastModel.kind))],
     ))
 
     # cell axes pick the geometry; the grid's room, soi_index and ref_mic
@@ -317,8 +318,9 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
         "fs": fs,
         "num_samples": int(round(duration * fs)),
         "mod_hz": config_float(grid.get("mod_hz", 4.0), "mod_hz"),
-        "nu": config_float(grid.get("nu", 4.0), "nu"),
-        "gg_exponent": config_float(grid.get("gg_exponent", 0.25), "gg_exponent"),
+        "nu": config_float(grid.get("nu", ContrastModel.nu), "nu"),
+        "gg_exponent": config_float(
+            grid.get("gg_exponent", ContrastModel.gg_exponent), "gg_exponent"),
         "solver": solver_cfg,
         "stft": stft_cfg,
         "rank": grid.get("rank"),
@@ -338,11 +340,12 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
 
         def one(trial_seed, _cell=cell):
             trial, seed = trial_seed
+            scenario_id = f"{cell_id}_trial{trial:03d}"
             try:
-                return _bench_trial(trial, seed, _cell, grid_ctx)
+                return _bench_trial(scenario_id, seed, _cell, grid_ctx)
             except Exception as exc:  # recorded in-band, sweep continues
                 return {
-                    "scenario_id": f"{cell_id}_trial{trial:03d}",
+                    "scenario_id": scenario_id,
                     "algorithm": f"fastive-{_cell[3]}",
                     "error": f"{type(exc).__name__}: {exc}",
                 }

@@ -102,7 +102,8 @@ def apply_demixer(spec, w):
 
 def _update_terms(white_spec, w, model):
     """Cost at w (the one place it is computed) and the (a, b) coefficients;
-    ``a`` and ``b`` contract over T, with unit stride on ``apply_whitener`` output."""
+    ``a`` and ``b`` contract over T, with unit stride on ``apply_whitener`` output.
+    ``-b`` is the cost's conjugate gradient: dC/du = -2 Re b, dC/dv = -2 Im b."""
     x = white_spec.data.transpose(0, 2, 1)
     num_frames = x.shape[2]
     y = apply_demixer(white_spec, w)
@@ -114,20 +115,6 @@ def _update_terms(white_spec, w, model):
     a = gp.mean() + power @ gpp / num_frames
     b = np.matmul(x, (y.conj() * gp)[:, :, None])[:, :, 0] / num_frames
     return cost, a, b
-
-
-def evaluate_cost(white_spec, state, model):
-    """Negated contrast objective ``-mean_t G(sum_k |y_t^k|^2)``."""
-    return _update_terms(white_spec, state.w, model)[0]
-
-
-def cost_gradient(white_spec, w, model):
-    """Conjugate (Wirtinger) gradient of the objective at w, [K, R].
-
-    Convention: for real cost C and w = u + iv,
-    dC/du = 2 Re(grad), dC/dv = 2 Im(grad).
-    """
-    return -_update_terms(white_spec, w, model)[2]
 
 
 def iterate_once(white_spec, state, model):

@@ -138,22 +138,6 @@ def sir_db(target_part, interference_part):
     return float(min(10.0 * np.log10(p_target / p_interf), SIR_CAP_DB))
 
 
-def bss_ratios(target_part, interference_part, artifact_part):
-    """(SDR, SIR, SAR) of a decomposition; diagnostic companions to sir_db."""
-    pt = float(np.sum(np.asarray(target_part) ** 2))
-    pi = float(np.sum(np.asarray(interference_part) ** 2))
-    pa = float(np.sum(np.asarray(artifact_part) ** 2))
-    if pt <= 0:
-        raise ValueError("degenerate decomposition: target part has no energy")
-
-    def _db(num, den):
-        return float(
-            min(10.0 * np.log10(num / max(den, POWER_FLOOR_REL * num)), SIR_CAP_DB)
-        )
-
-    return _db(pt, pi + pa), _db(pt, pi), _db(pt + pi, pa)
-
-
 def evaluate(
     result,
     truth,

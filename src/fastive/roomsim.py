@@ -30,7 +30,6 @@ with the per-source images that ground-truth evaluation needs.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -222,15 +221,11 @@ def _source_rirs(room, source_position, mic_positions, fs):
     all mics, over the lattice range of the longest response; an image
     beyond a mic's own range is farther than that response can represent,
     so the delay test drops it and every response is the one a lone mic
-    would get.
+    would get.  The positions must already have passed ``Scenario.validate``.
     """
-    room.validate()
     dims = np.asarray(room.dimensions, dtype=np.float64)
     src = np.asarray(source_position, dtype=np.float64)
     mics = [np.asarray(m, dtype=np.float64) for m in mic_positions]
-    for name, p in (("source", src), *(("mic", m) for m in mics)):
-        if p.shape != (3,) or np.any(p <= 0) or np.any(p >= dims):
-            raise ValueError(f"{name} position {tuple(p)} outside room {tuple(dims)}")
     c = room.speed_of_sound
     lengths = []
     for mic in mics:
@@ -280,39 +275,9 @@ def _source_rirs(room, source_position, mic_positions, fs):
     return rirs
 
 
-def image_method_rir(room, source_position, mic_position, fs):
-    """Room impulse response between one source and one microphone.
-
-    Returns a 1-D float array sampled at ``fs``; length is
-    ``room.rir_seconds`` when set, otherwise sized to cover the direct
-    delay plus the decay to well below -60 dB.
-    """
-    return _source_rirs(room, source_position, [mic_position], fs)[0]
-
-
-def measure_rt60(rir, fs, fit_range=(-5.0, -25.0)):
-    """Reverberation time from Schroeder backward integration.
-
-    Fits the decay curve over ``fit_range`` dB and extrapolates the slope
-    to -60 dB.
-    """
-    energy = np.cumsum(np.asarray(rir, dtype=np.float64)[::-1] ** 2)[::-1]
-    if energy[0] <= 0:
-        raise ValueError("impulse response has no energy")
-    decay = 10.0 * np.log10(np.maximum(energy / energy[0], 1e-300))
-    hi, lo = fit_range
-    sel = np.flatnonzero((decay <= hi) & (decay >= lo))
-    if sel.size < 2:
-        raise ValueError("response too short to fit a decay slope")
-    t = sel / fs
-    slope, _ = np.polyfit(t, decay[sel], 1)
-    if slope >= 0:
-        raise ValueError("decay curve is not decreasing")
-    return -60.0 / slope
-
-
 def compute_rirs(scenario, fs):
-    """All impulse responses of a scenario as ``rirs[source][mic]``.
+    """All impulse responses of a scenario as ``rirs[source][mic]``, each
+    ``room.rir_seconds`` long when set, else to well below -60 dB.
 
     Each response depends only on the room and its own source and mic, so
     ``[r[:m] for r in rirs[:n]]`` are the responses of the scenario's first
@@ -448,7 +413,30 @@ def config_int(value, name):
     return int(number)
 
 
-def scenario_from_dict(cfg, base_dir=None, default_fs=16000):
+def config_dict(value, name):
+    """``value`` as a dict; ValueError naming the key ``name`` unless an object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {value!r}")
+    return dict(value)
+
+
+def config_tuple(value, name):
+    """``value`` as a tuple; ValueError naming the key ``name`` unless a list."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
+
+
+def config_floats(value, name):
+    """``value`` as a tuple of floats, or of such tuples for a nested list;
+    ValueError naming the entry unless every leaf is a number."""
+    return tuple(
+        config_floats(v, f"{name}[{i}]") if isinstance(v, (list, tuple))
+        else config_float(v, f"{name}[{i}]")
+        for i, v in enumerate(config_tuple(value, name)))
+
+
+def scenario_from_dict(cfg, base_dir=None):
     """Build a Scenario from the documented JSON schema.
 
     Returns ``(scenario, fs, resolved)`` where ``resolved`` is the fully
@@ -471,10 +459,11 @@ def scenario_from_dict(cfg, base_dir=None, default_fs=16000):
     ``seed``             RNG seed for synthetic sources, default 0
     """
     base_dir = Path(base_dir) if base_dir is not None else Path(".")
-    fs = config_int(cfg.get("fs", default_fs), "fs")
-    room_cfg = dict(cfg.get("room", {}))
+    fs = config_int(cfg.get("fs", 16000), "fs")
+    room_cfg = config_dict(cfg.get("room", {}), "room")
     room = RoomSpec(
-        dimensions=tuple(room_cfg.get("dimensions", ROOM_DIMENSIONS)),
+        dimensions=config_floats(room_cfg.get("dimensions", ROOM_DIMENSIONS),
+                                 "room.dimensions"),
         rt60=config_float(room_cfg.get("rt60", DEFAULT_RT60), "room.rt60"),
         speed_of_sound=config_float(
             room_cfg.get("speed_of_sound", SPEED_OF_SOUND), "room.speed_of_sound"),
@@ -485,7 +474,7 @@ def scenario_from_dict(cfg, base_dir=None, default_fs=16000):
     )
     template = default_geometry()
     if "source_positions" in cfg:
-        source_positions = tuple(tuple(p) for p in cfg["source_positions"])
+        source_positions = config_floats(cfg["source_positions"], "source_positions")
     else:
         n = config_int(cfg.get("num_sources", 2), "num_sources")
         if n > len(template.source_positions):
@@ -495,7 +484,7 @@ def scenario_from_dict(cfg, base_dir=None, default_fs=16000):
             )
         source_positions = template.source_positions[:n]
     if "mic_positions" in cfg:
-        mic_positions = tuple(tuple(p) for p in cfg["mic_positions"])
+        mic_positions = config_floats(cfg["mic_positions"], "mic_positions")
     else:
         m = config_int(cfg.get("num_mics", 2), "num_mics")
         if m > len(template.mic_positions):
@@ -506,7 +495,7 @@ def scenario_from_dict(cfg, base_dir=None, default_fs=16000):
         mic_positions = template.mic_positions[:m]
 
     seed = config_int(cfg.get("seed", 0), "seed")
-    sources_cfg = dict(cfg.get("sources", {"kind": "synthetic"}))
+    sources_cfg = config_dict(cfg.get("sources", {"kind": "synthetic"}), "sources")
     kind = sources_cfg.get("kind", "synthetic")
     if kind == "synthetic":
         duration = config_float(sources_cfg.get("duration_seconds", 3.0),
@@ -521,7 +510,8 @@ def scenario_from_dict(cfg, base_dir=None, default_fs=16000):
             "mod_hz": mod_hz,
         }
     elif kind == "wav":
-        paths = [str(base_dir / p) for p in sources_cfg["paths"]]
+        paths = [str(base_dir / p)
+                 for p in config_tuple(sources_cfg["paths"], "sources.paths")]
         if len(paths) != len(source_positions):
             raise ValueError(
                 f"{len(paths)} WAV paths for {len(source_positions)} sources"
@@ -558,10 +548,3 @@ def scenario_from_dict(cfg, base_dir=None, default_fs=16000):
     }
     return scenario, fs, resolved
 
-
-def load_scenario(path):
-    """Read a scenario JSON file; see ``scenario_from_dict`` for the schema."""
-    path = Path(path)
-    with open(path) as f:
-        cfg = json.load(f)
-    return scenario_from_dict(cfg, base_dir=path.parent)

@@ -30,7 +30,6 @@ class CovarianceBank:
     """Per-bin spatial covariance ``cov[k] = (1/T) sum_t x x^H``, [K, M, M]."""
 
     cov: np.ndarray
-    frame_count: int
 
 
 @dataclass
@@ -45,7 +44,6 @@ class WhiteningBank:
     eigvecs: np.ndarray
     eigvals: np.ndarray
     whitener: np.ndarray
-    rank: int
 
 
 def estimate_covariance(spec):
@@ -61,7 +59,7 @@ def estimate_covariance(spec):
         raise ValueError(f"insufficient frames: got {num_frames}, need >= 2")
     cov = np.matmul(x.transpose(0, 2, 1), x.conj()) / num_frames
     cov = 0.5 * (cov + cov.conj().transpose(0, 2, 1))
-    return CovarianceBank(cov, num_frames)
+    return CovarianceBank(cov)
 
 
 def build_whitener(bank, rank=None):
@@ -101,7 +99,7 @@ def build_whitener(bank, rank=None):
     whitener = (
         eigvals[:, :rank, None] ** -0.5 * eigvecs[:, :, :rank].conj().transpose(0, 2, 1)
     )
-    return WhiteningBank(eigvecs, eigvals, whitener, rank)
+    return WhiteningBank(eigvecs, eigvals, whitener)
 
 
 def apply_whitener(spec, bank):

@@ -2,6 +2,7 @@
 scenarios, override parsing, and failure exit codes."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -113,6 +114,13 @@ def test_extract_report_config_round_trips(tmp_path):
         prior=ContrastModel(kind="gg", gg_exponent=0.3), max_iter=5, ref_mic=1)
     assert StftConfig(**cfg["stft"]) == StftConfig(fft_size=512, hop_size=128)
     assert cfg["rank"] is None
+
+    # with no flags the CLI runs the library defaults
+    default_dir = tmp_path / "defaults"
+    assert main(["extract", str(wav), "-o", str(default_dir)]) == 0
+    cfg = json.loads((default_dir / "noise_report.json").read_text())["config"]
+    assert cfg == {"solver": asdict(SolverConfig()), "stft": asdict(StftConfig()),
+                   "rank": None}
 
 
 def test_evaluate_rejects_a_missing_channel(tmp_path, capsys):
@@ -293,6 +301,14 @@ def test_main_returns_2_on_bad_input(tmp_path, capsys):
         ("room.rt60=[1]", "room.rt60 must be a number, got [1]"),
         ("room.rir_seconds=[1]", "room.rir_seconds must be a number, got [1]"),
         ("num_mics=[2]", "num_mics must be an integer, got [2]"),
+        ("room.dimensions=5", "room.dimensions must be a list, got 5"),
+        ("source_positions=[1,2]", "source_positions must be [N, 3]"),
+        ("mic_positions=3", "mic_positions must be a list, got 3"),
+        ("mic_positions=[[1,1,{}]]", "mic_positions[0][2] must be a number, got {}"),
+        ('room.dimensions=[7,5,"x"]', "room.dimensions[2] must be a number, got 'x'"),
+        ("room=[1]", "room must be an object, got [1]"),
+        ("sources=[1]", "sources must be an object, got [1]"),
+        ('sources={"kind": "wav", "paths": 5}', "sources.paths must be a list, got 5"),
     ):
         assert main(["simulate", str(scene), "-o", str(tmp_path / "sim"),
                      "--set", override]) == 2
@@ -303,3 +319,7 @@ def test_main_returns_2_on_bad_input(tmp_path, capsys):
     assert main(["bench", str(grid), "-o", str(tmp_path / "bench"),
                  "--set", "trials=[1]"]) == 2
     assert "error: trials must be an integer, got [1]" in capsys.readouterr().err
+    for key in ("stft", "solver"):
+        assert main(["bench", str(grid), "-o", str(tmp_path / "bench"),
+                     "--set", f"{key}=[1]"]) == 2
+        assert f"error: {key} must be an object, got [1]" in capsys.readouterr().err

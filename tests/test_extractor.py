@@ -21,9 +21,7 @@ from fastive.extractor import (
     apply_demixer,
     back_project,
     convergence_delta,
-    cost_gradient,
     estimate_mixing_vector,
-    evaluate_cost,
     extract,
     iterate_once,
     rescale,
@@ -167,7 +165,7 @@ def test_iterate_once_matches_reference(kind):
 def test_gradient_matches_finite_differences(kind):
     spec, w = random_instance(2, 2, 16, 2)
     model = ContrastModel(kind=kind)
-    analytic = cost_gradient(spec, w, model)
+    analytic = -_update_terms(spec, w, model)[2]
     eps = 1e-6
     fd = np.zeros_like(analytic)
     for k in range(w.shape[0]):
@@ -177,8 +175,8 @@ def test_gradient_matches_finite_differences(kind):
                 wp[k, m] += eps * direction
                 wm = w.copy()
                 wm[k, m] -= eps * direction
-                d = (evaluate_cost(spec, DemixState(w=wp), model)
-                     - evaluate_cost(spec, DemixState(w=wm), model)) / (2 * eps)
+                d = (_update_terms(spec, wp, model)[0]
+                     - _update_terms(spec, wm, model)[0]) / (2 * eps)
                 fd[k, m] += 0.5 * d * direction
     assert np.linalg.norm(fd - analytic) < 1e-5 * np.linalg.norm(analytic)
 

@@ -10,7 +10,6 @@ from fastive.metrics import (
     SIR_CAP_DB,
     EvalReport,
     aggregate,
-    bss_ratios,
     decompose,
     evaluate,
     sir_db,
@@ -98,15 +97,6 @@ def test_sir_arithmetic():
     assert sir_db(np.ones(4), np.zeros(4)) == SIR_CAP_DB
     with pytest.raises(ValueError, match="no energy"):
         sir_db(np.zeros(4), np.ones(4))
-
-
-def test_bss_ratio_arithmetic():
-    sdr, sir, sar = bss_ratios(np.array([2.0]), np.array([1.0]), np.array([1.0]))
-    assert sdr == pytest.approx(10.0 * np.log10(4.0 / 2.0), abs=1e-12)
-    assert sir == pytest.approx(10.0 * np.log10(4.0), abs=1e-12)
-    assert sar == pytest.approx(10.0 * np.log10(5.0), abs=1e-12)
-    for v in (sdr, sir, sar):
-        assert isinstance(v, float)
 
 
 def fabricated_truth(seed=5, n=2000):

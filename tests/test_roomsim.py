@@ -25,9 +25,6 @@ from fastive.roomsim import (
     Scenario,
     compute_rirs,
     default_geometry,
-    image_method_rir,
-    load_scenario,
-    measure_rt60,
     reflection_coefficient,
     render,
     scenario_from_dict,
@@ -45,6 +42,23 @@ MIC_100 = (4.14375, 2.0, 1.5)
 MIC_200 = (6.2875, 2.0, 1.5)
 
 
+def single_rir(room, src, mic):
+    """The response from ``src`` to ``mic``; a scenario needs two mics, so
+    the mic is repeated."""
+    return compute_rirs(Scenario(room, (src,), (mic, mic)), FS)[0][0]
+
+
+def measure_rt60(rir, fs, fit_range=(-5.0, -25.0)):
+    """Reverberation time from Schroeder backward integration: fits the
+    decay curve over ``fit_range`` dB and extrapolates the slope to -60 dB."""
+    energy = np.cumsum(np.asarray(rir, dtype=np.float64)[::-1] ** 2)[::-1]
+    decay = 10.0 * np.log10(np.maximum(energy / energy[0], 1e-300))
+    hi, lo = fit_range
+    sel = np.flatnonzero((decay <= hi) & (decay >= lo))
+    slope, _ = np.polyfit(sel / fs, decay[sel], 1)
+    return -60.0 / slope
+
+
 def test_reflection_coefficient_hand_value():
     # alpha = 0.161 V / (S rt60) for the default 7 x 5 x 2.75 room at 0.2 s
     assert reflection_coefficient(RoomSpec()) == pytest.approx(
@@ -56,7 +70,7 @@ def test_reflection_coefficient_hand_value():
 
 def test_free_field_impulse_amplitude_and_delay():
     """A point source in free field is a single tap of 1/(4 pi d) at d/c."""
-    rir = image_method_rir(FREE_ROOM, SRC, MIC_100, FS)
+    rir = single_rir(FREE_ROOM, SRC, MIC_100)
     peak = int(np.argmax(np.abs(rir)))
     assert peak == 100
     np.testing.assert_allclose(rir[peak], 1.0 / (4.0 * math.pi * 2.14375),
@@ -67,16 +81,16 @@ def test_free_field_impulse_amplitude_and_delay():
 
 def test_free_field_inverse_square_law():
     """Doubling the distance halves the amplitude and doubles the delay."""
-    near = image_method_rir(FREE_ROOM, SRC, MIC_100, FS)
-    far = image_method_rir(FREE_ROOM, SRC, MIC_200, FS)
+    near = single_rir(FREE_ROOM, SRC, MIC_100)
+    far = single_rir(FREE_ROOM, SRC, MIC_200)
     assert int(np.argmax(np.abs(far))) == 200
     np.testing.assert_allclose(near[100] / far[200], 2.0, rtol=1e-12)
 
 
 def test_reverberant_response_has_a_tail():
     scen = default_geometry()
-    rir = image_method_rir(scen.room, scen.source_positions[0],
-                           scen.mic_positions[0], FS)
+    rir = single_rir(scen.room, scen.source_positions[0],
+                     scen.mic_positions[0])
     direct = np.linalg.norm(np.asarray(scen.source_positions[0])
                             - np.asarray(scen.mic_positions[0]))
     arrival = int(np.flatnonzero(np.abs(rir) >= 1e-4 * np.max(np.abs(rir)))[0])
@@ -88,8 +102,8 @@ def test_reverberant_response_has_a_tail():
 def test_max_order_zero_suppresses_reflections():
     room = RoomSpec(max_order=0)
     scen = default_geometry()
-    rir = image_method_rir(room, scen.source_positions[0],
-                           scen.mic_positions[0], FS)
+    rir = single_rir(room, scen.source_positions[0],
+                     scen.mic_positions[0])
     peak = int(np.argmax(np.abs(rir)))
     outside = np.concatenate([rir[:max(peak - 41, 0)], rir[peak + 41:]])
     assert np.max(np.abs(outside)) < 1e-14 * np.abs(rir[peak])
@@ -97,9 +111,9 @@ def test_max_order_zero_suppresses_reflections():
 
 def test_rir_position_guards():
     with pytest.raises(ValueError, match="outside room"):
-        image_method_rir(FREE_ROOM, (9.0, 2.0, 1.5), MIC_100, FS)
+        single_rir(FREE_ROOM, (9.0, 2.0, 1.5), MIC_100)
     with pytest.raises(ValueError, match="coincide"):
-        image_method_rir(FREE_ROOM, SRC, SRC, FS)
+        single_rir(FREE_ROOM, SRC, SRC)
 
 
 def reference_deposit(rir, centers, amps):
@@ -211,7 +225,7 @@ def test_on_sample_case_puts_the_direct_path_on_a_sample():
     room, src, (_, mic) = ON_SAMPLE
     delay = math.dist(src, mic) / room.speed_of_sound * FS
     assert delay == 125.0
-    rir = image_method_rir(room, src, mic, FS)
+    rir = single_rir(room, src, mic)
     assert rir[125] == pytest.approx(1.0 / (4.0 * math.pi * 2.0), rel=1e-12)
 
 
@@ -233,8 +247,8 @@ def test_sliced_responses_equal_the_sub_scenario():
 def test_measured_decay_tracks_the_requested_rt60():
     scen = default_geometry()
     room = RoomSpec(rir_seconds=0.5)
-    rir = image_method_rir(room, scen.source_positions[0],
-                           scen.mic_positions[0], FS)
+    rir = single_rir(room, scen.source_positions[0],
+                     scen.mic_positions[0])
     measured = measure_rt60(rir, FS)
     assert 0.15 < measured < 0.26
 
@@ -246,13 +260,6 @@ def test_measure_rt60_recovers_an_exact_exponential():
     t = np.arange(n) / FS
     rir = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) * 10.0 ** (-3.0 * t / 0.3)
     assert measure_rt60(rir, FS) == pytest.approx(0.3, abs=1e-6)
-
-
-def test_measure_rt60_guards():
-    with pytest.raises(ValueError, match="no energy"):
-        measure_rt60(np.zeros(100), FS)
-    with pytest.raises(ValueError, match="too short"):
-        measure_rt60(np.array([1.0, 0.5]), FS)
 
 
 def two_by_two_scenario(seed=0, sir=None, duration=0.6):
@@ -416,7 +423,7 @@ def test_scenario_from_dict_wav_sources(tmp_path):
 def test_load_scenario_round_trip(tmp_path):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps({"num_sources": 2, "num_mics": 2, "seed": 4}))
-    scenario, fs, resolved = load_scenario(path)
+    scenario, fs, resolved = scenario_from_dict(json.loads(path.read_text()))
     assert scenario.seed == 4
     rebuilt, _, _ = scenario_from_dict(resolved)
     assert rebuilt.source_positions == scenario.source_positions
