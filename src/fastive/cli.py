@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .extractor import ExtractionResult, SolverConfig, extract
-from .metrics import DEFAULT_FILTER_LEN, aggregate, evaluate
+from .metrics import DEFAULT_FILTER_LEN, aggregate, evaluate, factor_references
 from .priors import KINDS, ContrastModel
 from .roomsim import (
     MixtureSet,
@@ -178,10 +178,15 @@ def cmd_extract(args):
     return 0
 
 
+def _load_config(path):
+    """The JSON object in a scenario or grid file."""
+    with open(path) as f:
+        return config_dict(json.load(f), f"{path}: top level")
+
+
 def cmd_simulate(args):
     path = Path(args.scenario)
-    with open(path) as f:
-        cfg = json.load(f)
+    cfg = _load_config(path)
     apply_overrides(cfg, args.overrides)
     if args.seed is not None:
         cfg["seed"] = args.seed
@@ -230,40 +235,60 @@ def _as_list(value):
     return value if isinstance(value, list) else [value]
 
 
-def _bench_trial(scenario_id, seed, cell, grid_ctx):
-    """One bench trial: synthesize sources, render, extract, evaluate."""
-    n_src, n_mic, sir, prior_kind = cell
+def _cell_id(n_src, n_mic, sir, prior_kind):
+    return f"N{n_src}_M{n_mic}_sir{sir:g}_{prior_kind}"
+
+
+def _bench_mixture(mixture, grid_ctx):
+    """One mixture of a sweep under every prior: its sources are drawn, it
+    is rendered and its references are factored once, then each prior
+    extracts and is scored in its own trial.
+
+    Returns one outcome per prior: an EvalReport, or an error record.
+    """
+    n_src, n_mic, sir, trial = mixture
     fs = grid_ctx["fs"]
-    num_samples = grid_ctx["num_samples"]
-    scenario = replace(
-        grid_ctx["scenarios"][(n_src, n_mic)],
-        source_signals=tuple(
-            speech_like_sources(n_src, num_samples, fs, seed,
-                                grid_ctx["mod_hz"])
-        ),
-        input_sir_db=sir,
-        seed=seed,
-    )
-    rirs = [per_source[:n_mic] for per_source in grid_ctx["rirs"][:n_src]]
-    mixture_set = render(scenario, fs, rirs=rirs)
-    model = ContrastModel(kind=prior_kind, nu=grid_ctx["nu"],
-                          gg_exponent=grid_ctx["gg_exponent"])
-    solver = replace(grid_ctx["solver"], prior=model)
-    result = extract(mixture_set.mixture, solver, grid_ctx["stft"],
-                     rank=grid_ctx["rank"])
-    # trials that differ only in prior score the same mixture at the same
-    # length (the STFT is grid-wide), so they share its input SIR
-    mixture_key = (n_src, n_mic, sir, seed)
-    report = evaluate(
-        result, mixture_set,
-        soi_index=scenario.soi_index, ref_mic=scenario.ref_mic,
-        filter_len=grid_ctx["filter_len"],
-        algorithm=f"fastive-{prior_kind}",
-        scenario_id=scenario_id,
-        input_sir_db=grid_ctx["input_sirs"].get(mixture_key),
-    )
-    grid_ctx["input_sirs"].setdefault(mixture_key, report.input_sir_db)
-    return report
+    seed = grid_ctx["base_seed"] + trial
+    scenario = grid_ctx["scenarios"][(n_src, n_mic)]
+    mixture_set = references = None
+    outcomes = []
+    for prior_kind in grid_ctx["priors"]:
+        scenario_id = f"{_cell_id(n_src, n_mic, sir, prior_kind)}_trial{trial:03d}"
+        try:
+            if mixture_set is None:
+                sources = speech_like_sources(n_src, grid_ctx["num_samples"], fs,
+                                              seed, grid_ctx["mod_hz"])
+                rirs = [per_source[:n_mic] for per_source in grid_ctx["rirs"][:n_src]]
+                mixture_set = render(
+                    replace(scenario, source_signals=tuple(sources),
+                            input_sir_db=sir, seed=seed),
+                    fs, rirs=rirs)
+            model = ContrastModel(kind=prior_kind, nu=grid_ctx["nu"],
+                                  gg_exponent=grid_ctx["gg_exponent"])
+            solver = replace(grid_ctx["solver"], prior=model)
+            result = extract(mixture_set.mixture, solver, grid_ctx["stft"],
+                             rank=grid_ctx["rank"])
+            # every prior's output has the same length (the STFT is
+            # grid-wide), so one factorisation scores them all
+            if references is None:
+                references = factor_references(
+                    mixture_set, result.audio.num_samples, scenario.soi_index,
+                    scenario.ref_mic, grid_ctx["filter_len"])
+            outcomes.append(evaluate(
+                result, mixture_set,
+                soi_index=scenario.soi_index, ref_mic=scenario.ref_mic,
+                filter_len=grid_ctx["filter_len"],
+                algorithm=f"fastive-{prior_kind}",
+                scenario_id=scenario_id,
+                references=references,
+            ))
+        except Exception as exc:  # recorded in-band, sweep continues
+            outcomes.append({
+                "scenario_id": scenario_id,
+                "algorithm": f"fastive-{prior_kind}",
+                "error": f"{type(exc).__name__}: {exc}",
+            })
+    return outcomes
 
 
 def run_grid(grid, output_dir, jobs=1, manifest=None):
@@ -271,7 +296,10 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
 
     Cells are the cross product of num_sources x num_mics x input_sir_db x
     prior; trial ``i`` in every cell uses seed ``base_seed + i`` so cells
-    are comparable over the same source draws.
+    are comparable over the same source draws.  The unit of work is one
+    mixture (a cell without its prior, and a trial), so trials that differ
+    only in prior share its render and reference factorisation; ``jobs``
+    mixtures run at a time.
     """
     fs = config_int(grid.get("fs", 16000), "fs")
     duration = config_float(grid.get("duration_seconds", 3.0), "duration_seconds")
@@ -293,13 +321,13 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
         ref_mic=config_int(grid.get("ref_mic", SolverConfig.ref_mic), "ref_mic"),
     )
 
-    cells = list(itertools.product(
+    axes = (
         [config_int(v, "num_sources") for v in _as_list(grid.get("num_sources", 2))],
         [config_int(v, "num_mics") for v in _as_list(grid.get("num_mics", 2))],
         [config_float(v, "input_sir_db")
          for v in _as_list(grid.get("input_sir_db", 10.0))],
-        [str(v) for v in _as_list(grid.get("prior", ContrastModel.kind))],
-    ))
+    )
+    priors = [str(v) for v in _as_list(grid.get("prior", ContrastModel.kind))]
 
     # cell axes pick the geometry; the grid's room, soi_index and ref_mic
     # go through the scenario schema, so every cell is checked before any trial
@@ -308,7 +336,7 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
     scenarios = {
         (n_src, n_mic): scenario_from_dict(
             {**geometry_cfg, "num_sources": n_src, "num_mics": n_mic})[0]
-        for n_src, n_mic in sorted({cell[:2] for cell in cells})
+        for n_src, n_mic in sorted(set(itertools.product(*axes[:2])))
     }
     # every cell is a prefix of the default layout in the grid's room, and
     # the cells are a cross product, so the largest key holds all responses
@@ -317,48 +345,39 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
     grid_ctx = {
         "fs": fs,
         "num_samples": int(round(duration * fs)),
+        "base_seed": base_seed,
         "mod_hz": config_float(grid.get("mod_hz", 4.0), "mod_hz"),
         "nu": config_float(grid.get("nu", ContrastModel.nu), "nu"),
         "gg_exponent": config_float(
             grid.get("gg_exponent", ContrastModel.gg_exponent), "gg_exponent"),
         "solver": solver_cfg,
         "stft": stft_cfg,
-        "rank": grid.get("rank"),
+        "rank": (None if grid.get("rank") is None
+                 else config_int(grid["rank"], "rank")),
         "filter_len": config_int(grid.get("filter_len", DEFAULT_FILTER_LEN),
                                  "filter_len"),
+        "priors": priors,
         "scenarios": scenarios,
         "rirs": rirs,
-        "input_sirs": {},
     }
+
+    mixtures = list(itertools.product(*axes, range(trials)))
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(lambda m: _bench_mixture(m, grid_ctx),
+                                     mixtures))
+    else:
+        outcomes = [_bench_mixture(m, grid_ctx) for m in mixtures]
+    by_mixture = dict(zip(mixtures, outcomes))
 
     records = []
     summaries = []
-    for cell in cells:
-        n_src, n_mic, sir, prior_kind = cell
-        cell_id = f"N{n_src}_M{n_mic}_sir{sir:g}_{prior_kind}"
-        seeds = [base_seed + t for t in range(trials)]
-
-        def one(trial_seed, _cell=cell):
-            trial, seed = trial_seed
-            scenario_id = f"{cell_id}_trial{trial:03d}"
-            try:
-                return _bench_trial(scenario_id, seed, _cell, grid_ctx)
-            except Exception as exc:  # recorded in-band, sweep continues
-                return {
-                    "scenario_id": scenario_id,
-                    "algorithm": f"fastive-{_cell[3]}",
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-
-        work = list(enumerate(seeds))
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(one, work))
-        else:
-            outcomes = [one(w) for w in work]
-
-        reports = [r for r in outcomes if not isinstance(r, dict)]
-        for r in outcomes:
+    cells = itertools.product(*axes, enumerate(priors))
+    for n_src, n_mic, sir, (p, prior_kind) in cells:
+        cell_id = _cell_id(n_src, n_mic, sir, prior_kind)
+        cell = [by_mixture[(n_src, n_mic, sir, t)][p] for t in range(trials)]
+        reports = [r for r in cell if not isinstance(r, dict)]
+        for r in cell:
             records.append(r if isinstance(r, dict) else r.to_record())
         summary = {
             "cell": cell_id,
@@ -367,7 +386,7 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
             "input_sir_db": sir,
             "prior": prior_kind,
             "trials": trials,
-            "errors": len(outcomes) - len(reports),
+            "errors": len(cell) - len(reports),
         }
         if reports:
             summary.update(aggregate(reports))
@@ -402,8 +421,7 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
 
 def cmd_bench(args):
     path = Path(args.grid)
-    with open(path) as f:
-        grid = json.load(f)
+    grid = _load_config(path)
     apply_overrides(grid, args.overrides)
     if args.seed is not None:
         grid["seed"] = args.seed

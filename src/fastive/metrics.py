@@ -12,16 +12,29 @@ The nesting makes the three parts mutually orthogonal and exactly summing
 to the (zero-padded) estimate.  SIR compares target to interference energy;
 a trial counts as a success when the SIR improvement over the unprocessed
 mixture channel is strictly positive.
+
+The references of one mixture are factored once (``References``): the
+block-Toeplitz Gram of their delays, target block first, has the Cholesky
+factor ``L``.  With ``c`` the correlations of an estimate with every
+delayed reference and ``z = L^-1 c``, the target part is the target
+filtered by ``L11^-T z[:filter_len]`` (``L11`` is the leading block of
+``L``, the factor of the target's own Gram) and the interference part all
+references filtered by ``L^-T [0, z[filter_len:]]``.  The columns of the
+delayed references times ``L^-T`` are orthonormal, so the SIR splits the
+energy of ``z``: |z[:filter_len]|^2 against |z[filter_len:]|^2, with the
+interference part never found as the difference of two projections.
+Once factored, an estimate costs a few FFT correlations and filters and
+three triangular solves.  A singular Gram falls back to least squares.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve as linalg_solve
-from scipy.linalg import toeplitz
-from scipy.signal import fftconvolve
+from scipy.fft import next_fast_len
+from scipy.linalg import cholesky, solve_triangular
 
 DEFAULT_FILTER_LEN = 512
 SIR_CAP_DB = 300.0
@@ -53,79 +66,106 @@ class EvalReport:
         }
 
 
-def _project(refs, est, filter_len):
-    """Least-squares projection of ``est`` onto delayed spans of ``refs``.
+class References:
+    """Target and interferer images factored for scoring estimates.
 
-    refs : [S, n] reference signals; est : [n].  Returns the projection at
-    length ``n + filter_len - 1`` (the filtered references carry a tail).
-
-    The Gram matrix of delayed references is block-Toeplitz and is built
-    from FFT cross-correlations of the zero-padded signals.
+    target : [n]; interferers : list of [n].  Holds the references'
+    spectra and the lower Cholesky factor of the Gram of their
+    ``filter_len`` delays, target block first (``factor`` is None when the
+    Gram is singular; ``gram`` is then kept for least squares).  The Gram
+    is built from FFT cross-correlations of the zero-padded signals; entry
+    ``(a, b)`` of block ``(i, j)`` is the correlation of references ``i``
+    and ``j`` at lag ``b - a``.
     """
-    num_refs, n = refs.shape
-    flen = filter_len
-    nfft = int(2 ** np.ceil(np.log2(n + flen - 1)))
-    ref_f = np.fft.rfft(refs, nfft, axis=1)
-    est_f = np.fft.rfft(est, nfft)
 
-    gram = np.zeros((num_refs * flen, num_refs * flen))
-    for i in range(num_refs):
-        for j in range(i, num_refs):
-            cc = np.fft.irfft(ref_f[i] * ref_f[j].conj(), nfft)
-            block = toeplitz(np.hstack((cc[0], cc[-1:-flen:-1])), r=cc[:flen])
-            gram[i * flen:(i + 1) * flen, j * flen:(j + 1) * flen] = block
-            if j > i:
+    def __init__(self, target, interferers, filter_len=DEFAULT_FILTER_LEN):
+        refs = [np.asarray(s, dtype=np.float64) for s in (target, *interferers)]
+        n = refs[0].size
+        if any(r.shape != (n,) for r in refs):
+            raise ValueError("all signals must be 1-D of equal length")
+        if not np.any(refs[0] != 0.0):
+            raise ValueError("degenerate reference: target image is all-zero")
+        if filter_len < 1:
+            raise ValueError("filter_len must be >= 1")
+        flen = self.filter_len = filter_len
+        self.num_samples = n
+        self.nfft = nfft = next_fast_len(n + flen - 1, real=True)
+        self.spectra = np.fft.rfft(refs, nfft, axis=1)
+
+        lags = np.arange(flen)
+        lag_index = (lags[None, :] - lags[:, None]) % nfft
+        size = len(refs) * flen
+        gram = np.empty((size, size))
+        for i, spec_i in enumerate(self.spectra):
+            for j in range(i, len(refs)):
+                cc = np.fft.irfft(spec_i * self.spectra[j].conj(), nfft)
+                block = cc[lag_index]
+                gram[i * flen:(i + 1) * flen, j * flen:(j + 1) * flen] = block
                 gram[j * flen:(j + 1) * flen, i * flen:(i + 1) * flen] = block.T
+        try:
+            self.factor, self.gram = cholesky(gram, lower=True), None
+        except np.linalg.LinAlgError:
+            self.factor, self.gram = None, gram
 
-    cross = np.zeros(num_refs * flen)
-    for i in range(num_refs):
-        cc = np.fft.irfft(ref_f[i] * est_f.conj(), nfft)
-        cross[i * flen:(i + 1) * flen] = np.hstack((cc[0], cc[-1:-flen:-1]))
+    def _correlate(self, estimate):
+        """Correlations of ``estimate`` with every delayed reference."""
+        est = np.asarray_chkfinite(estimate, dtype=np.float64)
+        if est.shape != (self.num_samples,):
+            raise ValueError("all signals must be 1-D of equal length")
+        est_f = np.fft.rfft(est, self.nfft).conj()
+        delays = -np.arange(self.filter_len) % self.nfft
+        return np.concatenate([np.fft.irfft(spec * est_f, self.nfft)[delays]
+                               for spec in self.spectra])
 
-    try:
-        coef = linalg_solve(gram, cross, assume_a="pos")
-    except np.linalg.LinAlgError:
-        coef, *_ = np.linalg.lstsq(gram, cross, rcond=None)
-    coef = coef.reshape(num_refs, flen)
+    def _taps(self, cross):
+        """Filter taps of the target part [1, filter_len] and of the
+        interference part [S, filter_len] for the correlations ``cross``."""
+        flen = self.filter_len
+        if self.factor is None:
+            lstsq = np.linalg.lstsq
+            target = lstsq(self.gram[:flen, :flen], cross[:flen], rcond=None)[0]
+            interference = lstsq(self.gram, cross, rcond=None)[0]
+            interference[:flen] -= target
+        else:
+            # the factor and the correlations of a finite estimate are finite
+            solve = functools.partial(solve_triangular, lower=True,
+                                      check_finite=False)
+            z = solve(self.factor, cross)
+            target = solve(self.factor[:flen, :flen], z[:flen], trans="T")
+            z[:flen] = 0.0
+            interference = solve(self.factor, z, trans="T")
+        return target.reshape(1, flen), interference.reshape(-1, flen)
 
-    out = np.zeros(n + flen - 1)
-    for i in range(num_refs):
-        out += fftconvolve(refs[i], coef[i])[: n + flen - 1]
-    return out
+    def _filter(self, taps):
+        """Sum of the leading references filtered by ``taps``."""
+        spec = sum(ref * np.fft.rfft(row, self.nfft)
+                   for ref, row in zip(self.spectra, taps))
+        return np.fft.irfft(spec, self.nfft)[:self.num_samples + self.filter_len - 1]
+
+    def decompose(self, estimate):
+        """(target, interference, artifact) parts of ``estimate``; see ``decompose``."""
+        target_taps, interference_taps = self._taps(self._correlate(estimate))
+        target_part = self._filter(target_taps)
+        interference_part = self._filter(interference_taps)
+        artifact_part = np.zeros(self.num_samples + self.filter_len - 1)
+        artifact_part[:self.num_samples] = estimate
+        artifact_part -= target_part + interference_part
+        return target_part, interference_part, artifact_part
 
 
-def decompose(estimate, target_image, interferer_images, filter_len=DEFAULT_FILTER_LEN):
+def decompose(estimate, target_image, interferer_images,
+              filter_len=DEFAULT_FILTER_LEN, references=None):
     """Split an estimate into target, interference, and artifact parts.
 
     All inputs are 1-D, equal length (reference-mic images).  Returned
     parts have length ``n + filter_len - 1``; they are mutually orthogonal
-    and sum to the zero-padded estimate.
+    and sum to the zero-padded estimate.  ``references`` skips factoring
+    the images: pass ``References(target_image, interferer_images,
+    filter_len)``, built once for every estimate scored against them.
     """
-    est = np.asarray(estimate, dtype=np.float64)
-    tgt = np.asarray(target_image, dtype=np.float64)
-    interferers = [np.asarray(i, dtype=np.float64) for i in interferer_images]
-    if est.ndim != 1:
-        raise ValueError("estimate must be 1-D")
-    for sig in [tgt, *interferers]:
-        if sig.shape != est.shape:
-            raise ValueError("all signals must be 1-D of equal length")
-    if not np.any(tgt != 0.0):
-        raise ValueError("degenerate reference: target image is all-zero")
-    if filter_len < 1:
-        raise ValueError("filter_len must be >= 1")
-
-    n = est.size
-    target_part = _project(tgt[None, :], est, filter_len)
-    if interferers:
-        refs = np.vstack([tgt] + interferers)
-        proj_all = _project(refs, est, filter_len)
-    else:
-        proj_all = target_part
-    interference_part = proj_all - target_part
-    padded = np.zeros(n + filter_len - 1)
-    padded[:n] = est
-    artifact_part = padded - proj_all
-    return target_part, interference_part, artifact_part
+    if references is None:
+        references = References(target_image, interferer_images, filter_len)
+    return references.decompose(estimate)
 
 
 def sir_db(target_part, interference_part):
@@ -138,6 +178,27 @@ def sir_db(target_part, interference_part):
     return float(min(10.0 * np.log10(p_target / p_interf), SIR_CAP_DB))
 
 
+def _reference_channels(truth, num_samples, soi_index, ref_mic):
+    """(mixture, target, interferers) of a MixtureSet at ``ref_mic``, cut
+    to the shortest of ``num_samples`` and the mixture and image lengths."""
+    channels = min(b.num_channels for b in (truth.mixture, *truth.images))
+    if not 0 <= ref_mic < channels:
+        raise ValueError(f"ref_mic {ref_mic} out of range for {channels} channels")
+    n = min(num_samples, *(b.num_samples for b in (truth.mixture, *truth.images)))
+    images = [img.samples[:n, ref_mic] for img in truth.images]
+    return (truth.mixture.samples[:n, ref_mic], images[soi_index],
+            [s for i, s in enumerate(images) if i != soi_index])
+
+
+def factor_references(truth, num_samples, soi_index=0, ref_mic=0,
+                      filter_len=DEFAULT_FILTER_LEN):
+    """``References`` of a rendered MixtureSet's images at ``ref_mic``, for
+    scoring estimates of ``num_samples`` samples with ``evaluate``."""
+    _, target, interferers = _reference_channels(truth, num_samples, soi_index,
+                                                 ref_mic)
+    return References(target, interferers, filter_len)
+
+
 def evaluate(
     result,
     truth,
@@ -146,42 +207,33 @@ def evaluate(
     filter_len=DEFAULT_FILTER_LEN,
     algorithm="",
     scenario_id="",
-    input_sir_db=None,
+    references=None,
 ):
     """Score one extraction against a rendered MixtureSet.
 
     Input SIR comes from decomposing the raw mixture channel at the
     reference mic, output SIR from decomposing the extracted audio, both
     against the same image references truncated to the shortest signal.
-    ``input_sir_db`` skips the first decomposition: pass the value an
-    earlier call returned for the same truth, ``soi_index``, ``ref_mic``
-    and ``filter_len`` with an estimate of the same length.
+    ``references`` skips factoring them: pass what ``factor_references``
+    returned for the same truth, ``soi_index``, ``ref_mic`` and
+    ``filter_len`` and an estimate of the same length.
     """
-    channels = min(b.num_channels for b in (truth.mixture, *truth.images))
-    if not 0 <= ref_mic < channels:
-        raise ValueError(f"ref_mic {ref_mic} out of range for {channels} channels")
-    mixture = truth.mixture.samples[:, ref_mic]
-    target = truth.images[soi_index].samples[:, ref_mic]
-    interferers = [
-        img.samples[:, ref_mic]
-        for i, img in enumerate(truth.images)
-        if i != soi_index
-    ]
     estimate = result.audio.samples[:, 0]
-    n = min(s.size for s in (mixture, estimate, target, *interferers))
+    mixture, target, interferers = _reference_channels(
+        truth, estimate.size, soi_index, ref_mic)
+    if references is None:
+        references = References(target, interferers, filter_len)
 
-    if input_sir_db is None:
-        t_in, i_in, _ = decompose(
-            mixture[:n], target[:n], [s[:n] for s in interferers], filter_len
-        )
-        input_sir_db = sir_db(t_in, i_in)
-    t_out, i_out, _ = decompose(
-        estimate[:n], target[:n], [s[:n] for s in interferers], filter_len
-    )
-    output_sir = sir_db(t_out, i_out)
-    improvement = output_sir - input_sir_db
+    def sir(signal):
+        parts = decompose(signal, target, interferers, filter_len,
+                          references=references)
+        return sir_db(*parts[:2])
+
+    input_sir = sir(mixture)
+    output_sir = sir(estimate[:mixture.size])
+    improvement = output_sir - input_sir
     return EvalReport(
-        input_sir_db=input_sir_db,
+        input_sir_db=input_sir,
         output_sir_db=output_sir,
         sir_improvement_db=improvement,
         success=improvement > 0.0,

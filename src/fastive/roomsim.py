@@ -510,8 +510,11 @@ def scenario_from_dict(cfg, base_dir=None):
             "mod_hz": mod_hz,
         }
     elif kind == "wav":
-        paths = [str(base_dir / p)
-                 for p in config_tuple(sources_cfg["paths"], "sources.paths")]
+        paths = config_tuple(sources_cfg["paths"], "sources.paths")
+        if not all(isinstance(p, str) for p in paths):
+            raise ValueError(
+                f"sources.paths must be a list of strings, got {list(paths)!r}")
+        paths = [str(base_dir / p) for p in paths]
         if len(paths) != len(source_positions):
             raise ValueError(
                 f"{len(paths)} WAV paths for {len(source_positions)} sources"

@@ -193,7 +193,8 @@ def test_bench_grid(tmp_path, capsys):
 
 
 def test_bench_parallel_matches_serial(tmp_path):
-    # two geometries share one RIR build, and two priors one input SIR per mixture
+    # two geometries share one RIR build, and two priors one render and
+    # reference factorisation per mixture
     grid = {
         "duration_seconds": 0.8,
         "trials": 2,
@@ -220,8 +221,8 @@ def test_bench_parallel_matches_serial(tmp_path):
 
 def test_bench_sharing_matches_single_geometry_grids(tmp_path, monkeypatch):
     # a multi-geometry grid slices one RIR build and shares each mixture's
-    # input SIR across priors; its records must equal those of one grid per
-    # geometry with every input SIR scored afresh
+    # reference factorisation across priors; its records must equal those
+    # of one grid per geometry with every trial's references factored afresh
     grid = {
         "duration_seconds": 0.5, "trials": 2, "seed": 4,
         "input_sir_db": [0.0, 10.0], "prior": ["t", "ssl"],
@@ -240,10 +241,33 @@ def test_bench_sharing_matches_single_geometry_grids(tmp_path, monkeypatch):
     score = cli.evaluate
     monkeypatch.setattr(
         cli, "evaluate",
-        lambda *args, input_sir_db=None, **kwargs: score(*args, **kwargs))
+        lambda *args, references=None, **kwargs: score(*args, **kwargs))
     fresh = records("n2", num_sources=2) + records("n3", num_sources=3)
     assert len(shared) == 16
     assert shared == fresh
+
+
+def test_bench_renders_and_factors_each_mixture_once(tmp_path, monkeypatch):
+    # 2 geometries x 2 trials are 4 mixtures; the 2 priors make 8 trials
+    calls = {"speech_like_sources": 0, "render": 0, "factor_references": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({
+        "duration_seconds": 0.5, "trials": 2, "num_sources": [2, 3],
+        "prior": ["t", "ssl"], "stft": {"fft_size": 512, "hop_size": 128},
+        "filter_len": 64,
+    }))
+    out = tmp_path / "bench"
+    assert main(["bench", str(grid_path), "-o", str(out)]) == 0
+    assert calls == {"speech_like_sources": 4, "render": 4, "factor_references": 4}
+    ids = [json.loads(line)["scenario_id"]
+           for line in (out / "records.jsonl").read_text().splitlines()]
+    assert ids == [f"N{n}_M2_sir10_{prior}_trial{t:03d}"
+                   for n in (2, 3) for prior in ("t", "ssl") for t in (0, 1)]
 
 
 def test_bench_records_trial_errors_in_band(tmp_path):
@@ -309,6 +333,8 @@ def test_main_returns_2_on_bad_input(tmp_path, capsys):
         ("room=[1]", "room must be an object, got [1]"),
         ("sources=[1]", "sources must be an object, got [1]"),
         ('sources={"kind": "wav", "paths": 5}', "sources.paths must be a list, got 5"),
+        ('sources={"kind": "wav", "paths": [1, 2]}',
+         "sources.paths must be a list of strings, got [1, 2]"),
     ):
         assert main(["simulate", str(scene), "-o", str(tmp_path / "sim"),
                      "--set", override]) == 2
@@ -316,10 +342,21 @@ def test_main_returns_2_on_bad_input(tmp_path, capsys):
 
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"duration_seconds": 0.5, "trials": 1}))
-    assert main(["bench", str(grid), "-o", str(tmp_path / "bench"),
-                 "--set", "trials=[1]"]) == 2
-    assert "error: trials must be an integer, got [1]" in capsys.readouterr().err
-    for key in ("stft", "solver"):
+    for override, message in (
+        ("trials=[1]", "trials must be an integer, got [1]"),
+        ("rank=[1]", "rank must be an integer, got [1]"),
+        ("stft=[1]", "stft must be an object, got [1]"),
+        ("solver=[1]", "solver must be an object, got [1]"),
+    ):
         assert main(["bench", str(grid), "-o", str(tmp_path / "bench"),
-                     "--set", f"{key}=[1]"]) == 2
-        assert f"error: {key} must be an object, got [1]" in capsys.readouterr().err
+                     "--set", override]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "bench").exists()
+
+    # a config file must hold a JSON object
+    listed = tmp_path / "list.json"
+    listed.write_text("[1]")
+    for command in ("simulate", "bench"):
+        assert main([command, str(listed), "-o", str(tmp_path / command)]) == 2
+        assert (f"error: {listed}: top level must be an object, got [1]"
+                in capsys.readouterr().err)

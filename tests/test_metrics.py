@@ -1,14 +1,18 @@
-"""Evaluation metric tests: projection decomposition identities, ratio
-arithmetic on hand-built parts, and report aggregation."""
+"""Evaluation metric tests: projection decomposition identities, the
+factored SIR against the decomposition and an explicit least-squares
+oracle, ratio arithmetic on hand-built parts, and report aggregation."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastive import metrics
 from fastive.extractor import ExtractionResult
 from fastive.metrics import (
     SIR_CAP_DB,
     EvalReport,
+    References,
     aggregate,
     decompose,
     evaluate,
@@ -146,23 +150,80 @@ def test_evaluate_truncates_to_common_length():
     assert report.success
 
 
-def test_evaluate_reuses_a_given_input_sir(monkeypatch):
+def test_evaluate_reuses_given_references(monkeypatch):
     truth = fabricated_truth()
     result = fabricated_result(truth.mixture.samples[:1800, 0]
                                + truth.images[0].samples[:1800, 0])
     scored = evaluate(result, truth, filter_len=16)
+    references = metrics.factor_references(truth, 1800, filter_len=16)
     calls = []
-    decompose_once = metrics.decompose
-
-    def counted(*args):
-        calls.append(args)
-        return decompose_once(*args)
-
-    monkeypatch.setattr(metrics, "decompose", counted)
-    reused = evaluate(result, truth, filter_len=16,
-                      input_sir_db=scored.input_sir_db)
+    monkeypatch.setattr(metrics, "factor_references",
+                        lambda *args: calls.append(args))
+    reused = evaluate(result, truth, filter_len=16, references=references)
     assert reused == scored
-    assert len(calls) == 1  # only the estimate is decomposed
+    assert calls == []
+
+
+def explicit_sir_db(estimate, target, interferers, filter_len):
+    """SIR from least squares on the explicit matrix of delayed references."""
+    n = estimate.size
+    length = n + filter_len - 1
+
+    def delays(signals):
+        cols = np.zeros((length, len(signals) * filter_len))
+        for s, sig in enumerate(signals):
+            for d in range(filter_len):
+                cols[d:d + n, s * filter_len + d] = sig
+        return cols
+
+    padded = np.zeros(length)
+    padded[:n] = estimate
+
+    def project(signals):
+        cols = delays(signals)
+        return cols @ np.linalg.lstsq(cols, padded, rcond=None)[0]
+
+    target_part = project([target])
+    return sir_db(target_part, project([target, *interferers]) - target_part)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_refs=st.integers(1, 3),
+       filter_len=st.integers(1, 8), n=st.integers(40, 160),
+       leak=st.floats(0.0, 1.0))
+def test_factored_sir_matches_least_squares(seed, num_refs, filter_len, n, leak):
+    # one factorisation scores a mixture-like signal and an estimate, as
+    # evaluate does; both match fresh decompositions and the explicit oracle
+    rng = np.random.default_rng(seed)
+    target, *interferers = rng.normal(size=(num_refs, n))
+    mixture = target + np.sum(interferers, axis=0)
+    estimate = target + leak * np.sum(interferers, axis=0) \
+        + 0.1 * rng.normal(size=n)
+    references = References(target, interferers, filter_len)
+    for signal in (mixture, estimate):
+        shared = decompose(signal, target, interferers, filter_len,
+                           references=references)
+        fresh = decompose(signal, target, interferers, filter_len)
+        for a, b in zip(shared, fresh):
+            np.testing.assert_array_equal(a, b)
+        assert sir_db(*shared[:2]) == pytest.approx(
+            explicit_sir_db(signal, target, interferers, filter_len), abs=1e-9)
+
+
+@pytest.mark.parametrize("second", ["none", "duplicate", "silent"])
+def test_singular_gram_falls_back_to_least_squares(second):
+    # a duplicated or silent interferer adds nothing to the span, so all
+    # three score the same; the last two have a singular Gram
+    rng = np.random.default_rng(0)
+    n = 3000
+    target, interferer, noise = (rng.standard_normal(n) for _ in range(3))
+    estimate = target + 0.3 * interferer + 0.1 * noise
+    interferers = [interferer] + {
+        "none": [], "duplicate": [interferer], "silent": [np.zeros(n)]}[second]
+    references = References(target, interferers, 64)
+    assert (references.factor is None) == (second != "none")
+    parts = decompose(estimate, target, interferers, 64, references=references)
+    assert sir_db(*parts[:2]) == pytest.approx(10.527080287131, abs=1e-9)
 
 
 def test_wire_record_fields():
