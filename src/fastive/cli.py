@@ -239,58 +239,6 @@ def _cell_id(n_src, n_mic, sir, prior_kind):
     return f"N{n_src}_M{n_mic}_sir{sir:g}_{prior_kind}"
 
 
-def _bench_mixture(mixture, grid_ctx):
-    """One mixture of a sweep under every prior: its sources are drawn, it
-    is rendered and its references are factored once, then each prior
-    extracts and is scored in its own trial.
-
-    Returns one outcome per prior: an EvalReport, or an error record.
-    """
-    n_src, n_mic, sir, trial = mixture
-    fs = grid_ctx["fs"]
-    seed = grid_ctx["base_seed"] + trial
-    scenario = grid_ctx["scenarios"][(n_src, n_mic)]
-    mixture_set = references = None
-    outcomes = []
-    for prior_kind in grid_ctx["priors"]:
-        scenario_id = f"{_cell_id(n_src, n_mic, sir, prior_kind)}_trial{trial:03d}"
-        try:
-            if mixture_set is None:
-                sources = speech_like_sources(n_src, grid_ctx["num_samples"], fs,
-                                              seed, grid_ctx["mod_hz"])
-                rirs = [per_source[:n_mic] for per_source in grid_ctx["rirs"][:n_src]]
-                mixture_set = render(
-                    replace(scenario, source_signals=tuple(sources),
-                            input_sir_db=sir, seed=seed),
-                    fs, rirs=rirs)
-            model = ContrastModel(kind=prior_kind, nu=grid_ctx["nu"],
-                                  gg_exponent=grid_ctx["gg_exponent"])
-            solver = replace(grid_ctx["solver"], prior=model)
-            result = extract(mixture_set.mixture, solver, grid_ctx["stft"],
-                             rank=grid_ctx["rank"])
-            # every prior's output has the same length (the STFT is
-            # grid-wide), so one factorisation scores them all
-            if references is None:
-                references = factor_references(
-                    mixture_set, result.audio.num_samples, scenario.soi_index,
-                    scenario.ref_mic, grid_ctx["filter_len"])
-            outcomes.append(evaluate(
-                result, mixture_set,
-                soi_index=scenario.soi_index, ref_mic=scenario.ref_mic,
-                filter_len=grid_ctx["filter_len"],
-                algorithm=f"fastive-{prior_kind}",
-                scenario_id=scenario_id,
-                references=references,
-            ))
-        except Exception as exc:  # recorded in-band, sweep continues
-            outcomes.append({
-                "scenario_id": scenario_id,
-                "algorithm": f"fastive-{prior_kind}",
-                "error": f"{type(exc).__name__}: {exc}",
-            })
-    return outcomes
-
-
 def run_grid(grid, output_dir, jobs=1, manifest=None):
     """Execute a bench grid; writes records.jsonl and summary.json.
 
@@ -299,27 +247,34 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
     are comparable over the same source draws.  The unit of work is one
     mixture (a cell without its prior, and a trial), so trials that differ
     only in prior share its render and reference factorisation; ``jobs``
-    mixtures run at a time.
+    mixtures run at a time.  Every key is parsed before any response is built.
     """
     fs = config_int(grid.get("fs", 16000), "fs")
     duration = config_float(grid.get("duration_seconds", 3.0), "duration_seconds")
+    num_samples = int(round(duration * fs))
     trials = config_int(grid.get("trials", 10), "trials")
     base_seed = config_int(grid.get("seed", 0), "seed")
+    mod_hz = config_float(grid.get("mod_hz", 4.0), "mod_hz")
     stft_grid = {**dataclasses.asdict(StftConfig()),
                  **config_dict(grid.get("stft", {}), "stft")}
     solver_grid = {**dataclasses.asdict(SolverConfig()),
                    **config_dict(grid.get("solver", {}), "solver")}
 
-    stft_cfg = StftConfig(
-        fft_size=config_int(stft_grid["fft_size"], "stft.fft_size"),
-        hop_size=config_int(stft_grid["hop_size"], "stft.hop_size"),
-        window=stft_grid["window"],
-    )
+    stft_cfg = StftConfig(config_int(stft_grid["fft_size"], "stft.fft_size"),
+                          config_int(stft_grid["hop_size"], "stft.hop_size"),
+                          stft_grid["window"])
     solver_cfg = SolverConfig(
         max_iter=config_int(solver_grid["max_iter"], "solver.max_iter"),
         tol=config_float(solver_grid["tol"], "solver.tol"),
         ref_mic=config_int(grid.get("ref_mic", SolverConfig.ref_mic), "ref_mic"),
     )
+    # each trial sets the prior's kind, so an unknown prior is an in-band error
+    model = ContrastModel(
+        nu=config_float(grid.get("nu", ContrastModel.nu), "nu"),
+        gg_exponent=config_float(
+            grid.get("gg_exponent", ContrastModel.gg_exponent), "gg_exponent"))
+    rank = None if grid.get("rank") is None else config_int(grid["rank"], "rank")
+    filter_len = config_int(grid.get("filter_len", DEFAULT_FILTER_LEN), "filter_len")
 
     axes = (
         [config_int(v, "num_sources") for v in _as_list(grid.get("num_sources", 2))],
@@ -342,32 +297,57 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
     # the cells are a cross product, so the largest key holds all responses
     rirs = compute_rirs(scenarios[max(scenarios)], fs)
 
-    grid_ctx = {
-        "fs": fs,
-        "num_samples": int(round(duration * fs)),
-        "base_seed": base_seed,
-        "mod_hz": config_float(grid.get("mod_hz", 4.0), "mod_hz"),
-        "nu": config_float(grid.get("nu", ContrastModel.nu), "nu"),
-        "gg_exponent": config_float(
-            grid.get("gg_exponent", ContrastModel.gg_exponent), "gg_exponent"),
-        "solver": solver_cfg,
-        "stft": stft_cfg,
-        "rank": (None if grid.get("rank") is None
-                 else config_int(grid["rank"], "rank")),
-        "filter_len": config_int(grid.get("filter_len", DEFAULT_FILTER_LEN),
-                                 "filter_len"),
-        "priors": priors,
-        "scenarios": scenarios,
-        "rirs": rirs,
-    }
+    def run_mixture(mixture):
+        """One mixture under every prior: its sources are drawn, it is
+        rendered and its references are factored once, then each prior
+        extracts and is scored in its own trial.
+
+        Returns one outcome per prior: an EvalReport, or an error record.
+        """
+        n_src, n_mic, sir, trial = mixture
+        seed = base_seed + trial
+        scenario = scenarios[(n_src, n_mic)]
+        mixture_set = references = None
+        outcomes = []
+        for prior_kind in priors:
+            scenario_id = f"{_cell_id(n_src, n_mic, sir, prior_kind)}_trial{trial:03d}"
+            try:
+                if mixture_set is None:
+                    sources = speech_like_sources(n_src, num_samples, fs, seed, mod_hz)
+                    mixture_set = render(
+                        replace(scenario, source_signals=tuple(sources),
+                                input_sir_db=sir, seed=seed),
+                        fs, rirs=[per_source[:n_mic] for per_source in rirs[:n_src]])
+                solver = replace(solver_cfg, prior=replace(model, kind=prior_kind))
+                result = extract(mixture_set.mixture, solver, stft_cfg, rank=rank)
+                # every prior's output has the same length (the STFT is
+                # grid-wide), so one factorisation scores them all
+                if references is None:
+                    references = factor_references(
+                        mixture_set, result.audio.num_samples, scenario.soi_index,
+                        scenario.ref_mic, filter_len)
+                outcomes.append(evaluate(
+                    result, mixture_set,
+                    soi_index=scenario.soi_index, ref_mic=scenario.ref_mic,
+                    filter_len=filter_len,
+                    algorithm=f"fastive-{prior_kind}",
+                    scenario_id=scenario_id,
+                    references=references,
+                ))
+            except Exception as exc:  # recorded in-band, sweep continues
+                outcomes.append({
+                    "scenario_id": scenario_id,
+                    "algorithm": f"fastive-{prior_kind}",
+                    "error": f"{type(exc).__name__}: {exc}",
+                })
+        return outcomes
 
     mixtures = list(itertools.product(*axes, range(trials)))
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(lambda m: _bench_mixture(m, grid_ctx),
-                                     mixtures))
+            outcomes = list(pool.map(run_mixture, mixtures))
     else:
-        outcomes = [_bench_mixture(m, grid_ctx) for m in mixtures]
+        outcomes = [run_mixture(m) for m in mixtures]
     by_mixture = dict(zip(mixtures, outcomes))
 
     records = []

@@ -19,14 +19,15 @@ The per-bin scaling left undetermined by the unit-norm constraint is
 resolved by back-projecting into the microphone domain, estimating the
 mixing (steering) vector of the extracted source from the original-domain
 covariance, and rescaling so the output equals the source image at a chosen
-reference microphone.
+reference microphone.  These three stages pass plain [K, M] arrays;
+``extract`` stores the final vectors in ``DemixState.w_effective``.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,7 +68,7 @@ class DemixState:
     """Solver state.
 
     w : [K, R] unit-norm demixing vectors on whitened data
-    w_effective : [K, M] microphone-domain vectors, set by back_project
+    w_effective : [K, M] rescaled microphone-domain vectors, set by extract
     cost_history : objective value at the start of each iteration
     """
 
@@ -132,7 +133,6 @@ def iterate_once(white_spec, state, model):
     w_new = w_new / norms[:, None]
     return DemixState(
         w=w_new,
-        w_effective=state.w_effective,
         iteration=state.iteration + 1,
         converged=state.converged,
         cost_history=state.cost_history + [cost],
@@ -161,13 +161,12 @@ def solve(white_spec, config):
     return state
 
 
-def back_project(state, bank):
-    """Compose the whitener into microphone-domain vectors ``w_eff = Q^H w``."""
-    w_eff = np.einsum("krm,kr->km", bank.whitener.conj(), state.w)
-    return replace(state, w_effective=w_eff)
+def back_project(w, bank):
+    """Compose the whitener into microphone-domain vectors ``w_eff = Q^H w``, [K, M]."""
+    return np.einsum("krm,kr->km", bank.whitener.conj(), w)
 
 
-def estimate_mixing_vector(cov_bank, state):
+def estimate_mixing_vector(cov_bank, w_eff):
     """Steering vector of the extracted source per bin, [K, M].
 
     ``h^k = C^k w_eff / (w_eff^H C^k w_eff)`` with the original-domain
@@ -175,10 +174,7 @@ def estimate_mixing_vector(cov_bank, state):
     source image at mic m.  Exactly silent bins yield h = 0; bins with
     positive power but vanishing output power are an error.
     """
-    if state.w_effective is None:
-        raise ValueError("back_project must run before estimate_mixing_vector")
     cov = cov_bank.cov
-    w_eff = state.w_effective
     cw = np.einsum("kmn,kn->km", cov, w_eff)
     denom = np.einsum("km,km->k", w_eff.conj(), cw).real
     trace = np.einsum("kmm->k", cov).real
@@ -193,16 +189,14 @@ def estimate_mixing_vector(cov_bank, state):
     return h
 
 
-def rescale(state, h, ref_mic):
+def rescale(w_eff, h, ref_mic):
     """Fix the per-bin scale so the output is the source image at ``ref_mic``.
 
-    Multiplies ``w_eff^k`` by ``conj(h^k[ref_mic])``; the demixed output
+    Returns ``w_eff^k`` multiplied by ``conj(h^k[ref_mic])``; the demixed output
     ``w_eff^H x`` then equals ``h_ref y``.  Bins where the source is nearly
     unobservable at the reference mic (|h_ref| below 1e-12 of ||h||) are
     left unscaled with a warning.
     """
-    if state.w_effective is None:
-        raise ValueError("back_project must run before rescale")
     num_mics = h.shape[1]
     if not 0 <= ref_mic < num_mics:
         raise ValueError(f"ref_mic {ref_mic} out of range for {num_mics} mics")
@@ -217,7 +211,7 @@ def rescale(state, h, ref_mic):
         )
     scale = href.conj().copy()
     scale[unobservable] = 1.0
-    return replace(state, w_effective=state.w_effective * scale[:, None])
+    return w_eff * scale[:, None]
 
 
 def extract(audio, config=None, stft_config=None, rank=None):
@@ -249,9 +243,9 @@ def extract(audio, config=None, stft_config=None, rank=None):
     marks.append(time.perf_counter())
     state = solve(white, config)
     marks.append(time.perf_counter())
-    state = back_project(state, bank)
-    h = estimate_mixing_vector(cov, state)
-    state = rescale(state, h, config.ref_mic)
+    w_eff = back_project(state.w, bank)
+    h = estimate_mixing_vector(cov, w_eff)
+    state.w_effective = rescale(w_eff, h, config.ref_mic)
     marks.append(time.perf_counter())
     out = apply_demixer(spec, state.w_effective)
     out_spec = Spectrogram(out[:, :, None], stft_config, spec.sample_rate_hz)

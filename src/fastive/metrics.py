@@ -75,7 +75,8 @@ class References:
     Gram is singular; ``gram`` is then kept for least squares).  The Gram
     is built from FFT cross-correlations of the zero-padded signals; entry
     ``(a, b)`` of block ``(i, j)`` is the correlation of references ``i``
-    and ``j`` at lag ``b - a``.
+    and ``j`` at lag ``b - a``.  ``input_sir_db`` is the SIR of the
+    mixture channel when ``factor_references`` built them, else None.
     """
 
     def __init__(self, target, interferers, filter_len=DEFAULT_FILTER_LEN):
@@ -89,6 +90,7 @@ class References:
             raise ValueError("filter_len must be >= 1")
         flen = self.filter_len = filter_len
         self.num_samples = n
+        self.input_sir_db = None
         self.nfft = nfft = next_fast_len(n + flen - 1, real=True)
         self.spectra = np.fft.rfft(refs, nfft, axis=1)
 
@@ -178,25 +180,27 @@ def sir_db(target_part, interference_part):
     return float(min(10.0 * np.log10(p_target / p_interf), SIR_CAP_DB))
 
 
-def _reference_channels(truth, num_samples, soi_index, ref_mic):
-    """(mixture, target, interferers) of a MixtureSet at ``ref_mic``, cut
-    to the shortest of ``num_samples`` and the mixture and image lengths."""
+def factor_references(truth, num_samples, soi_index=0, ref_mic=0,
+                      filter_len=DEFAULT_FILTER_LEN):
+    """``References`` of a rendered MixtureSet's images at ``ref_mic``, cut
+    to the shortest of ``num_samples`` and the mixture and image lengths,
+    for scoring estimates with ``evaluate``.  The mixture channel is scored
+    once, here: its SIR is kept as the references' ``input_sir_db``."""
     channels = min(b.num_channels for b in (truth.mixture, *truth.images))
     if not 0 <= ref_mic < channels:
         raise ValueError(f"ref_mic {ref_mic} out of range for {channels} channels")
     n = min(num_samples, *(b.num_samples for b in (truth.mixture, *truth.images)))
     images = [img.samples[:n, ref_mic] for img in truth.images]
-    return (truth.mixture.samples[:n, ref_mic], images[soi_index],
-            [s for i, s in enumerate(images) if i != soi_index])
+    target = images.pop(soi_index)
+    references = References(target, images, filter_len)
+    references.input_sir_db = _sir(truth.mixture.samples[:n, ref_mic], references)
+    return references
 
 
-def factor_references(truth, num_samples, soi_index=0, ref_mic=0,
-                      filter_len=DEFAULT_FILTER_LEN):
-    """``References`` of a rendered MixtureSet's images at ``ref_mic``, for
-    scoring estimates of ``num_samples`` samples with ``evaluate``."""
-    _, target, interferers = _reference_channels(truth, num_samples, soi_index,
-                                                 ref_mic)
-    return References(target, interferers, filter_len)
+def _sir(signal, references):
+    """SIR of ``signal`` against factored references, in dB."""
+    parts = decompose(signal, None, (), references=references)
+    return sir_db(*parts[:2])
 
 
 def evaluate(
@@ -214,23 +218,16 @@ def evaluate(
     Input SIR comes from decomposing the raw mixture channel at the
     reference mic, output SIR from decomposing the extracted audio, both
     against the same image references truncated to the shortest signal.
-    ``references`` skips factoring them: pass what ``factor_references``
-    returned for the same truth, ``soi_index``, ``ref_mic`` and
-    ``filter_len`` and an estimate of the same length.
+    ``references`` skips factoring them and scoring the mixture: pass what
+    ``factor_references`` returned for the same truth, ``soi_index``,
+    ``ref_mic`` and ``filter_len`` and an estimate of the same length.
     """
     estimate = result.audio.samples[:, 0]
-    mixture, target, interferers = _reference_channels(
-        truth, estimate.size, soi_index, ref_mic)
     if references is None:
-        references = References(target, interferers, filter_len)
-
-    def sir(signal):
-        parts = decompose(signal, target, interferers, filter_len,
-                          references=references)
-        return sir_db(*parts[:2])
-
-    input_sir = sir(mixture)
-    output_sir = sir(estimate[:mixture.size])
+        references = factor_references(truth, estimate.size, soi_index, ref_mic,
+                                       filter_len)
+    input_sir = references.input_sir_db
+    output_sir = _sir(estimate[:references.num_samples], references)
     improvement = output_sir - input_sir
     return EvalReport(
         input_sir_db=input_sir,

@@ -74,7 +74,7 @@ SOURCE_POSITIONS = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoomSpec:
     """Shoebox definition: dimensions [Lx, Ly, Lz] in meters plus acoustics.
 
@@ -89,23 +89,25 @@ class RoomSpec:
     rir_seconds: float | None = None
     max_order: int | None = None
 
-    def validate(self):
+    def __post_init__(self):
         dims = np.asarray(self.dimensions, dtype=np.float64)
-        if dims.shape != (3,) or np.any(dims <= 0):
+        if dims.shape != (3,) or not np.all((dims > 0) & np.isfinite(dims)):
             raise ValueError("room dimensions must be three positive lengths")
-        if self.rt60 < 0:
-            raise ValueError("rt60 must be nonnegative")
-        if self.speed_of_sound <= 0:
-            raise ValueError("speed_of_sound must be positive")
-        if self.rir_seconds is not None and self.rir_seconds <= 0:
-            raise ValueError("rir_seconds must be positive")
+        if not 0 <= self.rt60 < math.inf:
+            raise ValueError("rt60 must be finite and nonnegative")
+        if not 0 < self.speed_of_sound < math.inf:
+            raise ValueError("speed_of_sound must be finite and positive")
+        if self.rir_seconds is not None and not 0 < self.rir_seconds < math.inf:
+            raise ValueError("rir_seconds must be finite and positive")
         if self.max_order is not None and self.max_order < 0:
             raise ValueError("max_order must be nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """Room, geometry, signals, and mixing control for one simulated take."""
+    """Room, geometry, signals, and mixing control for one simulated take;
+    raises ValueError when built unless every source and mic lies strictly
+    inside the room, apart from each other, and the indices are in range."""
 
     room: RoomSpec = field(default_factory=RoomSpec)
     source_positions: tuple = SOURCE_POSITIONS
@@ -116,8 +118,7 @@ class Scenario:
     seed: int = 0
     ref_mic: int = 0
 
-    def validate(self):
-        self.room.validate()
+    def __post_init__(self):
         dims = np.asarray(self.room.dimensions, dtype=np.float64)
         srcs = np.asarray(self.source_positions, dtype=np.float64)
         mics = np.asarray(self.mic_positions, dtype=np.float64)
@@ -126,12 +127,15 @@ class Scenario:
         if mics.ndim != 2 or mics.shape[1] != 3 or mics.shape[0] < 2:
             raise ValueError("mic_positions must be [M, 3] with M >= 2")
         for name, pts in (("source", srcs), ("mic", mics)):
-            for i, p in enumerate(pts):
-                if np.any(p <= 0) or np.any(p >= dims):
-                    raise ValueError(
-                        f"{name} {i} position {tuple(p)} outside room "
-                        f"{tuple(dims)}"
-                    )
+            outside = np.flatnonzero(~np.all((pts > 0) & (pts < dims), axis=1))
+            if outside.size:
+                i = outside[0]
+                raise ValueError(f"{name} {i} position {tuple(pts[i])} outside "
+                                 f"room {tuple(dims)}")
+        close = np.argwhere(np.linalg.norm(srcs[:, None] - mics, axis=-1) < 1e-6)
+        if close.size:
+            raise ValueError(f"source {close[0, 0]} and mic {close[0, 1]} "
+                             "positions coincide")
         if not 0 <= self.soi_index < srcs.shape[0]:
             raise ValueError(f"soi_index {self.soi_index} out of range")
         if not 0 <= self.ref_mic < mics.shape[0]:
@@ -221,7 +225,7 @@ def _source_rirs(room, source_position, mic_positions, fs):
     all mics, over the lattice range of the longest response; an image
     beyond a mic's own range is farther than that response can represent,
     so the delay test drops it and every response is the one a lone mic
-    would get.  The positions must already have passed ``Scenario.validate``.
+    would get.  A Scenario has checked the positions when it was built.
     """
     dims = np.asarray(room.dimensions, dtype=np.float64)
     src = np.asarray(source_position, dtype=np.float64)
@@ -230,8 +234,6 @@ def _source_rirs(room, source_position, mic_positions, fs):
     lengths = []
     for mic in mics:
         direct = float(np.linalg.norm(src - mic))
-        if direct < 1e-6:
-            raise ValueError("source and mic positions coincide")
         if room.rir_seconds is not None:
             duration = room.rir_seconds
         else:
@@ -283,7 +285,6 @@ def compute_rirs(scenario, fs):
     ``[r[:m] for r in rirs[:n]]`` are the responses of the scenario's first
     ``n`` sources and ``m`` mics.
     """
-    scenario.validate()
     return [
         _source_rirs(scenario.room, s, scenario.mic_positions, fs)
         for s in scenario.source_positions
@@ -299,7 +300,6 @@ def render(scenario, fs, rirs=None):
     it exactly.  ``rirs`` can carry precomputed responses from
     ``compute_rirs`` so one geometry can be reused across takes.
     """
-    scenario.validate()
     signals = list(scenario.source_signals)
     if len(signals) != scenario.num_sources:
         raise ValueError(
@@ -537,7 +537,6 @@ def scenario_from_dict(cfg, base_dir=None):
         seed=seed,
         ref_mic=config_int(cfg.get("ref_mic", 0), "ref_mic"),
     )
-    scenario.validate()
     resolved = {
         "fs": fs,
         "room": asdict(room),

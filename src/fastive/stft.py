@@ -71,7 +71,7 @@ class StftConfig:
     hop_size: int = 512
     window: str = "hann"
 
-    def validate(self):
+    def __post_init__(self):
         if self.fft_size <= 0 or self.hop_size <= 0:
             raise ValueError("bad config: fft_size and hop_size must be positive")
         if self.hop_size > self.fft_size:
@@ -163,7 +163,6 @@ def analyze(audio, config):
     Spectrogram
         ``[K, T, M]`` with ``T = (num_samples - fft_size) // hop_size + 1``.
     """
-    config.validate()
     n = audio.num_samples
     if n < config.fft_size:
         raise ValueError(
@@ -189,7 +188,6 @@ def synthesize(spec):
     back as zeros.
     """
     config = spec.config
-    config.validate()
     num_frames = spec.num_frames
     num_channels = spec.num_channels
     window = make_window(config.window, config.fft_size)

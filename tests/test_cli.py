@@ -7,7 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from fastive import cli
+from fastive import cli, metrics
 from fastive.cli import apply_overrides, build_parser, main
 from fastive.extractor import STAGES, SolverConfig
 from fastive.priors import ContrastModel
@@ -249,12 +249,15 @@ def test_bench_sharing_matches_single_geometry_grids(tmp_path, monkeypatch):
 
 def test_bench_renders_and_factors_each_mixture_once(tmp_path, monkeypatch):
     # 2 geometries x 2 trials are 4 mixtures; the 2 priors make 8 trials
-    calls = {"speech_like_sources": 0, "render": 0, "factor_references": 0}
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+    calls = {}
+    for module, name in ((cli, "speech_like_sources"), (cli, "render"),
+                         (cli, "factor_references"), (metrics, "decompose")):
+        calls[name] = 0
+
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(module, name, counted)
     grid_path = tmp_path / "grid.json"
     grid_path.write_text(json.dumps({
         "duration_seconds": 0.5, "trials": 2, "num_sources": [2, 3],
@@ -263,11 +266,26 @@ def test_bench_renders_and_factors_each_mixture_once(tmp_path, monkeypatch):
     }))
     out = tmp_path / "bench"
     assert main(["bench", str(grid_path), "-o", str(out)]) == 0
-    assert calls == {"speech_like_sources": 4, "render": 4, "factor_references": 4}
+    # each mixture's channel is decomposed once, each prior's output once
+    assert calls == {"speech_like_sources": 4, "render": 4, "factor_references": 4,
+                     "decompose": 4 * (1 + 2)}
     ids = [json.loads(line)["scenario_id"]
            for line in (out / "records.jsonl").read_text().splitlines()]
     assert ids == [f"N{n}_M2_sir10_{prior}_trial{t:03d}"
                    for n in (2, 3) for prior in ("t", "ssl") for t in (0, 1)]
+
+
+@pytest.mark.parametrize("override", ["filter_len=[1]", "rank=[1]", "nu=[1]",
+                                      "mod_hz=[1]"])
+def test_bench_parses_every_key_before_building_responses(tmp_path, monkeypatch,
+                                                          override):
+    calls = []
+    monkeypatch.setattr(cli, "compute_rirs", lambda *args: calls.append(args))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"duration_seconds": 0.5, "trials": 1}))
+    assert main(["bench", str(grid), "-o", str(tmp_path / "bench"),
+                 "--set", override]) == 2
+    assert calls == []
 
 
 def test_bench_records_trial_errors_in_band(tmp_path):
@@ -324,6 +342,7 @@ def test_main_returns_2_on_bad_input(tmp_path, capsys):
         ("room.max_order=2.5", "room.max_order must be an integer, got 2.5"),
         ("room.rt60=[1]", "room.rt60 must be a number, got [1]"),
         ("room.rir_seconds=[1]", "room.rir_seconds must be a number, got [1]"),
+        ("room.rt60=1e400", "rt60 must be finite and nonnegative"),
         ("num_mics=[2]", "num_mics must be an integer, got [2]"),
         ("room.dimensions=5", "room.dimensions must be a list, got 5"),
         ("source_positions=[1,2]", "source_positions must be [N, 3]"),
@@ -347,6 +366,12 @@ def test_main_returns_2_on_bad_input(tmp_path, capsys):
         ("rank=[1]", "rank must be an integer, got [1]"),
         ("stft=[1]", "stft must be an object, got [1]"),
         ("solver=[1]", "solver must be an object, got [1]"),
+        ('stft={"fft_size": 512, "hop_size": 1024}',
+         "bad config: hop_size must not exceed fft_size"),
+        ("stft.hop_size=1024", "bad config: window/hop violates constant overlap-add"),
+        ("stft.window=kaiser", "bad config: unknown window 'kaiser'"),
+        ("nu=-1", "nu must be positive"),
+        ("gg_exponent=2", "gg_exponent must lie in (0, 1)"),
     ):
         assert main(["bench", str(grid), "-o", str(tmp_path / "bench"),
                      "--set", override]) == 2

@@ -229,6 +229,49 @@ def test_on_sample_case_puts_the_direct_path_on_a_sample():
     assert rir[125] == pytest.approx(1.0 / (4.0 * math.pi * 2.0), rel=1e-12)
 
 
+@st.composite
+def scenarios_anywhere(draw):
+    """Room keywords plus source and mic positions in and around the room:
+    some outside it or on a wall, some sources on top of a mic."""
+    dims = tuple(draw(st.floats(1.5, 6.0)) for _ in range(3))
+
+    def point():
+        spread = draw(st.sampled_from([(0.02, 0.98)] * 4 + [(-0.2, 1.2)]))
+        return tuple(d * draw(st.floats(*spread)) for d in dims)
+
+    srcs = [point() for _ in range(draw(st.integers(1, 2)))]
+    mics = [point() for _ in range(draw(st.integers(2, 3)))]
+    if draw(st.integers(0, 3)) == 0:
+        mics[draw(st.integers(0, len(mics) - 1))] = draw(st.sampled_from(srcs))
+    room = {"dimensions": dims, "rt60": draw(st.floats(-0.05, 0.2)),
+            "max_order": draw(st.none() | st.integers(0, 2))}
+    return room, tuple(srcs), tuple(mics)
+
+
+COINCIDENT = ({"dimensions": (4.0, 3.0, 2.5), "rt60": 0.1, "max_order": 1},
+              ((1.0, 1.0, 1.0),), ((1.0, 1.0, 1.0), (2.0, 1.0, 1.0)))
+OUTSIDE = ({"dimensions": (4.0, 3.0, 2.5), "rt60": 0.1, "max_order": 1},
+           ((5.0, 1.0, 1.0),), ((1.0, 1.0, 1.0), (2.0, 1.0, 1.0)))
+
+
+@settings(deadline=None, max_examples=40)
+@example(case=COINCIDENT)
+@example(case=OUTSIDE)
+@given(case=scenarios_anywhere())
+def test_every_scenario_that_builds_simulates(case):
+    """A Scenario either raises when built, or all its responses are finite."""
+    room, srcs, mics = case
+    try:
+        scenario = Scenario(room=RoomSpec(**room), source_positions=srcs,
+                            mic_positions=mics)
+    except ValueError:
+        return
+    rirs = compute_rirs(scenario, 8000)
+    assert [len(per_source) for per_source in rirs] == [len(mics)] * len(srcs)
+    for rir in itertools.chain.from_iterable(rirs):
+        assert rir.size > 0 and np.all(np.isfinite(rir))
+
+
 def test_sliced_responses_equal_the_sub_scenario():
     template = default_geometry()
     full = replace(template, source_positions=template.source_positions[:3],
@@ -324,19 +367,25 @@ def test_render_validation():
 
 def test_scenario_validation():
     scen = default_geometry()
-    bad_src = Scenario(source_positions=((9.0, 1.0, 1.0),),
-                       mic_positions=scen.mic_positions[:2])
     with pytest.raises(ValueError, match="source 0 position"):
-        bad_src.validate()
+        Scenario(source_positions=((9.0, 1.0, 1.0),),
+                 mic_positions=scen.mic_positions[:2])
     with pytest.raises(ValueError, match=r"M >= 2"):
         Scenario(source_positions=scen.source_positions[:1],
-                 mic_positions=scen.mic_positions[:1]).validate()
+                 mic_positions=scen.mic_positions[:1])
     with pytest.raises(ValueError, match="soi_index"):
         Scenario(source_positions=scen.source_positions[:1],
-                 mic_positions=scen.mic_positions[:2], soi_index=1).validate()
+                 mic_positions=scen.mic_positions[:2], soi_index=1)
     with pytest.raises(ValueError, match="ref_mic"):
         Scenario(source_positions=scen.source_positions[:1],
-                 mic_positions=scen.mic_positions[:2], ref_mic=5).validate()
+                 mic_positions=scen.mic_positions[:2], ref_mic=5)
+    with pytest.raises(ValueError, match="source 0 and mic 1 positions coincide"):
+        Scenario(source_positions=scen.mic_positions[1:2],
+                 mic_positions=scen.mic_positions[:2])
+    for bad in ({"rt60": math.nan}, {"rt60": math.inf}, {"speed_of_sound": math.inf},
+                {"rir_seconds": math.inf}, {"dimensions": (7.0, math.nan, 3.0)}):
+        with pytest.raises(ValueError, match="finite|three positive"):
+            RoomSpec(**bad)
 
 
 def test_speech_like_sources_are_seeded_and_unit_power():
@@ -360,13 +409,13 @@ def test_default_geometry_layout():
     center = np.array([4.0, 1.0, 1.5])
     for p in scen.source_positions:
         assert np.linalg.norm(np.asarray(p) - center) >= 1.0
-    attached = Scenario(
+    # a default-layout scenario with signals attached builds without error
+    Scenario(
         room=scen.room,
         source_positions=scen.source_positions[:2],
         mic_positions=scen.mic_positions[:2],
         source_signals=tuple(speech_like_sources(2, 1000, FS, 0)),
     )
-    attached.validate()
 
 
 def test_scenario_from_dict_defaults():

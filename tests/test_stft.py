@@ -3,8 +3,11 @@ Parseval, exact reconstruction, and WAV round trips."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fastive.stft import (
+    WINDOW_KINDS,
     AudioBuffer,
     Spectrogram,
     StftConfig,
@@ -43,12 +46,40 @@ def test_cola_fails_for_bad_pairs():
 
 
 def test_config_validation():
-    StftConfig(8, 2, "hann").validate()
-    for bad in (StftConfig(0, 2), StftConfig(8, 0), StftConfig(8, 16),
-                StftConfig(8, 2, "kaiser"), StftConfig(8, 3, "hann")):
+    StftConfig(8, 2, "hann")
+    for bad in ((0, 2), (8, 0), (8, 16), (8, 2, "kaiser"), (8, 3, "hann")):
         with pytest.raises(ValueError, match="bad config"):
-            bad.validate()
+            StftConfig(*bad)
     assert StftConfig(8, 2).num_bins == 5
+
+
+# any size and hop, and often a power of two with a hop that divides it
+FFT_SIZES = st.integers(8, 512) | st.sampled_from([2**p for p in range(3, 10)])
+FFT_AND_HOP = FFT_SIZES.flatmap(lambda fft: st.tuples(
+    st.just(fft),
+    st.integers(1, fft + 8) | st.integers(1, 16).map(lambda k: max(fft // k, 1))))
+
+
+@settings(deadline=None, max_examples=60)
+@example(case=(8, 16), window="hann")
+@example(case=(8, 3), window="rect")
+@example(case=(512, 128), window="hann")
+@example(case=(64, 32), window="sqrt_hann")
+@example(case=(40, 1), window="hann")
+@given(case=FFT_AND_HOP, window=st.sampled_from(WINDOW_KINDS))
+def test_every_config_that_builds_reconstructs(case, window):
+    """A config either raises when built, or analysis then synthesis gives
+    back the interior of any signal."""
+    fft, hop = case
+    try:
+        config = StftConfig(fft, hop, window)
+    except ValueError as exc:
+        assert "bad config" in str(exc)
+        return
+    x = np.random.default_rng(fft * 1000 + hop).normal(size=3 * fft + hop)
+    out = synthesize(analyze(AudioBuffer(x, 8000), config)).samples[:, 0]
+    interior = slice(fft, out.size - fft)
+    np.testing.assert_allclose(out[interior], x[interior], rtol=0, atol=1e-12)
 
 
 def test_frames_are_left_aligned():
