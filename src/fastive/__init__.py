@@ -23,7 +23,6 @@ from .priors import (  # noqa: F401
     g_prime,
 )
 from .whitening import (  # noqa: F401
-    CovarianceBank,
     WhiteningBank,
     apply_whitener,
     build_whitener,

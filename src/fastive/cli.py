@@ -27,6 +27,8 @@ from .roomsim import (
     config_dict,
     config_float,
     config_int,
+    config_object,
+    config_unread,
     render,
     scenario_from_dict,
     speech_like_sources,
@@ -247,55 +249,55 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
     are comparable over the same source draws.  The unit of work is one
     mixture (a cell without its prior, and a trial), so trials that differ
     only in prior share its render and reference factorisation; ``jobs``
-    mixtures run at a time.  Every key is parsed before any response is built.
+    mixtures run at a time.  Every key is parsed and every cell built before
+    any response; an unknown key, or ``solver.ref_mic`` (``ref_mic``, ``nu``
+    and ``gg_exponent`` are grid keys), is a ValueError.
     """
-    fs = config_int(grid.get("fs", 16000), "fs")
-    duration = config_float(grid.get("duration_seconds", 3.0), "duration_seconds")
+    cfg = dict(grid)  # popped as parsed; summary.json echoes grid as given
+    fs = config_int(cfg.pop("fs", 16000), "fs")
+    duration = config_float(cfg.pop("duration_seconds", 3.0), "duration_seconds")
     num_samples = int(round(duration * fs))
-    trials = config_int(grid.get("trials", 10), "trials")
-    base_seed = config_int(grid.get("seed", 0), "seed")
-    mod_hz = config_float(grid.get("mod_hz", 4.0), "mod_hz")
-    stft_grid = {**dataclasses.asdict(StftConfig()),
-                 **config_dict(grid.get("stft", {}), "stft")}
-    solver_grid = {**dataclasses.asdict(SolverConfig()),
-                   **config_dict(grid.get("solver", {}), "solver")}
-
-    stft_cfg = StftConfig(config_int(stft_grid["fft_size"], "stft.fft_size"),
-                          config_int(stft_grid["hop_size"], "stft.hop_size"),
-                          stft_grid["window"])
-    solver_cfg = SolverConfig(
-        max_iter=config_int(solver_grid["max_iter"], "solver.max_iter"),
-        tol=config_float(solver_grid["tol"], "solver.tol"),
-        ref_mic=config_int(grid.get("ref_mic", SolverConfig.ref_mic), "ref_mic"),
-    )
+    trials = config_int(cfg.pop("trials", 10), "trials")
+    base_seed = config_int(cfg.pop("seed", 0), "seed")
+    mod_hz = config_float(cfg.pop("mod_hz", 4.0), "mod_hz")
+    stft_cfg = config_object(StftConfig, cfg.pop("stft", {}), "stft")
+    ref_mic = config_int(cfg.pop("ref_mic", SolverConfig.ref_mic), "ref_mic")
     # each trial sets the prior's kind, so an unknown prior is an in-band error
-    model = ContrastModel(
-        nu=config_float(grid.get("nu", ContrastModel.nu), "nu"),
-        gg_exponent=config_float(
-            grid.get("gg_exponent", ContrastModel.gg_exponent), "gg_exponent"))
-    rank = None if grid.get("rank") is None else config_int(grid["rank"], "rank")
-    filter_len = config_int(grid.get("filter_len", DEFAULT_FILTER_LEN), "filter_len")
+    solver_cfg = config_object(
+        SolverConfig, cfg.pop("solver", {}), "solver", ref_mic=ref_mic,
+        prior=ContrastModel(
+            nu=config_float(cfg.pop("nu", ContrastModel.nu), "nu"),
+            gg_exponent=config_float(
+                cfg.pop("gg_exponent", ContrastModel.gg_exponent), "gg_exponent")))
+    rank = cfg.pop("rank", None)
+    if rank is not None and (rank := config_int(rank, "rank")) < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
+    filter_len = config_int(cfg.pop("filter_len", DEFAULT_FILTER_LEN), "filter_len")
+    if filter_len < 1:
+        raise ValueError(f"filter_len must be >= 1, got {filter_len}")
 
     axes = (
-        [config_int(v, "num_sources") for v in _as_list(grid.get("num_sources", 2))],
-        [config_int(v, "num_mics") for v in _as_list(grid.get("num_mics", 2))],
+        [config_int(v, "num_sources") for v in _as_list(cfg.pop("num_sources", 2))],
+        [config_int(v, "num_mics") for v in _as_list(cfg.pop("num_mics", 2))],
         [config_float(v, "input_sir_db")
-         for v in _as_list(grid.get("input_sir_db", 10.0))],
+         for v in _as_list(cfg.pop("input_sir_db", 10.0))],
     )
-    priors = [str(v) for v in _as_list(grid.get("prior", ContrastModel.kind))]
+    priors = [str(v) for v in _as_list(cfg.pop("prior", ContrastModel.kind))]
 
-    # cell axes pick the geometry; the grid's room, soi_index and ref_mic
-    # go through the scenario schema, so every cell is checked before any trial
-    geometry_cfg = {k: grid[k] for k in ("room", "soi_index", "ref_mic")
-                    if k in grid}
-    scenarios = {
-        (n_src, n_mic): scenario_from_dict(
-            {**geometry_cfg, "num_sources": n_src, "num_mics": n_mic})[0]
-        for n_src, n_mic in sorted(set(itertools.product(*axes[:2])))
-    }
     # every cell is a prefix of the default layout in the grid's room, and
-    # the cells are a cross product, so the largest key holds all responses
-    rirs = compute_rirs(scenarios[max(scenarios)], fs)
+    # the cells are a cross product, so the largest cell holds every cell's
+    # geometry and responses; building each cell's scenario checks it
+    largest = scenario_from_dict({
+        "room": cfg.pop("room", {}), "soi_index": cfg.pop("soi_index", 0),
+        "ref_mic": ref_mic, "num_sources": max(axes[0]), "num_mics": max(axes[1]),
+    })[0]
+    config_unread(cfg, "grid")
+    scenarios = {
+        (n, m): replace(largest, source_positions=largest.source_positions[:n],
+                        mic_positions=largest.mic_positions[:m])
+        for n, m in itertools.product(*axes[:2])
+    }
+    rirs = compute_rirs(largest, fs)
 
     def run_mixture(mixture):
         """One mixture under every prior: its sources are drawn, it is
@@ -318,7 +320,8 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
                         replace(scenario, source_signals=tuple(sources),
                                 input_sir_db=sir, seed=seed),
                         fs, rirs=[per_source[:n_mic] for per_source in rirs[:n_src]])
-                solver = replace(solver_cfg, prior=replace(model, kind=prior_kind))
+                solver = replace(solver_cfg,
+                                 prior=replace(solver_cfg.prior, kind=prior_kind))
                 result = extract(mixture_set.mixture, solver, stft_cfg, rank=rank)
                 # every prior's output has the same length (the STFT is
                 # grid-wide), so one factorisation scores them all

@@ -166,15 +166,14 @@ def back_project(w, bank):
     return np.einsum("krm,kr->km", bank.whitener.conj(), w)
 
 
-def estimate_mixing_vector(cov_bank, w_eff):
+def estimate_mixing_vector(cov, w_eff):
     """Steering vector of the extracted source per bin, [K, M].
 
-    ``h^k = C^k w_eff / (w_eff^H C^k w_eff)`` with the original-domain
-    covariance, so that ``x ~ h y + interference`` and ``h_m y`` is the
-    source image at mic m.  Exactly silent bins yield h = 0; bins with
+    ``h^k = C^k w_eff / (w_eff^H C^k w_eff)`` with ``C = cov``, the [K, M, M]
+    original-domain covariance, so that ``x ~ h y + interference`` and
+    ``h_m y`` is the source image at mic m.  Exactly silent bins yield h = 0; bins with
     positive power but vanishing output power are an error.
     """
-    cov = cov_bank.cov
     cw = np.einsum("kmn,kn->km", cov, w_eff)
     denom = np.einsum("km,km->k", w_eff.conj(), cw).real
     trace = np.einsum("kmm->k", cov).real

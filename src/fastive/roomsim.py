@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -436,21 +437,48 @@ def config_floats(value, name):
         for i, v in enumerate(config_tuple(value, name)))
 
 
+def config_unread(cfg, kind, prefix=""):
+    """ValueError naming a key left in ``cfg`` after its parser popped its own."""
+    if cfg:
+        raise ValueError(f"{prefix}{next(iter(cfg))} is not a {kind} key")
+
+
+def config_object(cls, value, name, **given):
+    """``cls(**given, **parsed)`` with each key of the JSON object ``value``
+    parsed by its field's annotation: int, float, a tuple of floats, else
+    passed through; ``null`` is kept where the annotation allows None.  A
+    key that is not a field, or that ``given`` sets, is a ValueError."""
+    cfg = config_dict(value, name)
+    hints = typing.get_type_hints(cls)
+    parsers = {int: config_int, float: config_float, tuple: config_floats}
+    for f in fields(cls):
+        if f.name in cfg and f.name not in given:
+            raw, hint = cfg.pop(f.name), hints[f.name]
+            kinds = typing.get_args(hint) or (hint,)
+            parse = parsers.get(kinds[0])
+            keep = parse is None or raw is None and type(None) in kinds
+            given[f.name] = raw if keep else parse(raw, f"{name}.{f.name}")
+    config_unread(cfg, name, f"{name}.")
+    return cls(**given)
+
+
 def scenario_from_dict(cfg, base_dir=None):
     """Build a Scenario from the documented JSON schema.
 
     Returns ``(scenario, fs, resolved)`` where ``resolved`` is the fully
     expanded configuration (geometry and defaults filled in) suitable for
-    provenance echo.
+    provenance echo; it feeds back in as ``cfg``.  A key outside the schema
+    is a ValueError.
 
     Schema keys (all optional unless noted):
 
     ``fs``               sample rate, default 16000
-    ``room``             {dimensions, rt60, speed_of_sound, rir_seconds, max_order}
+    ``room``             RoomSpec fields: {dimensions, rt60, speed_of_sound,
+                         rir_seconds, max_order}
     ``num_sources``      count drawn from the default talker spots (default 2)
     ``num_mics``         count drawn from the default array (default 2)
-    ``source_positions`` explicit [N, 3], overrides num_sources
-    ``mic_positions``    explicit [M, 3], overrides num_mics
+    ``source_positions`` explicit [N, 3], overrides num_sources unless null
+    ``mic_positions``    explicit [M, 3], overrides num_mics unless null
     ``sources``          {"kind": "synthetic", "duration_seconds", "mod_hz"}
                          or {"kind": "wav", "paths": [...]}
     ``soi_index``        target source index, default 0
@@ -459,58 +487,53 @@ def scenario_from_dict(cfg, base_dir=None):
     ``seed``             RNG seed for synthetic sources, default 0
     """
     base_dir = Path(base_dir) if base_dir is not None else Path(".")
-    fs = config_int(cfg.get("fs", 16000), "fs")
-    room_cfg = config_dict(cfg.get("room", {}), "room")
-    room = RoomSpec(
-        dimensions=config_floats(room_cfg.get("dimensions", ROOM_DIMENSIONS),
-                                 "room.dimensions"),
-        rt60=config_float(room_cfg.get("rt60", DEFAULT_RT60), "room.rt60"),
-        speed_of_sound=config_float(
-            room_cfg.get("speed_of_sound", SPEED_OF_SOUND), "room.speed_of_sound"),
-        rir_seconds=(None if room_cfg.get("rir_seconds") is None
-                     else config_float(room_cfg["rir_seconds"], "room.rir_seconds")),
-        max_order=(None if room_cfg.get("max_order") is None
-                   else config_int(room_cfg["max_order"], "room.max_order")),
-    )
+    cfg = dict(cfg)
+    fs = config_int(cfg.pop("fs", 16000), "fs")
+    room = config_object(RoomSpec, cfg.pop("room", {}), "room")
     template = default_geometry()
-    if "source_positions" in cfg:
-        source_positions = config_floats(cfg["source_positions"], "source_positions")
+    n, source_positions = cfg.pop("num_sources", 2), cfg.pop("source_positions", None)
+    if source_positions is not None:
+        source_positions = config_floats(source_positions, "source_positions")
+    elif (n := config_int(n, "num_sources")) > len(template.source_positions):
+        raise ValueError(
+            f"num_sources {n} exceeds the {len(template.source_positions)} "
+            "default talker spots; give source_positions explicitly")
     else:
-        n = config_int(cfg.get("num_sources", 2), "num_sources")
-        if n > len(template.source_positions):
-            raise ValueError(
-                f"num_sources {n} exceeds the {len(template.source_positions)} "
-                "default talker spots; give source_positions explicitly"
-            )
         source_positions = template.source_positions[:n]
-    if "mic_positions" in cfg:
-        mic_positions = config_floats(cfg["mic_positions"], "mic_positions")
+    m, mic_positions = cfg.pop("num_mics", 2), cfg.pop("mic_positions", None)
+    if mic_positions is not None:
+        mic_positions = config_floats(mic_positions, "mic_positions")
+    elif (m := config_int(m, "num_mics")) > len(template.mic_positions):
+        raise ValueError(
+            f"num_mics {m} exceeds the {len(template.mic_positions)}-mic "
+            "default array; give mic_positions explicitly")
     else:
-        m = config_int(cfg.get("num_mics", 2), "num_mics")
-        if m > len(template.mic_positions):
-            raise ValueError(
-                f"num_mics {m} exceeds the {len(template.mic_positions)}-mic "
-                "default array; give mic_positions explicitly"
-            )
         mic_positions = template.mic_positions[:m]
 
-    seed = config_int(cfg.get("seed", 0), "seed")
-    sources_cfg = config_dict(cfg.get("sources", {"kind": "synthetic"}), "sources")
-    kind = sources_cfg.get("kind", "synthetic")
+    input_sir_db = cfg.pop("input_sir_db", None)
+    scenario = Scenario(
+        room=room,
+        source_positions=source_positions,
+        mic_positions=mic_positions,
+        soi_index=config_int(cfg.pop("soi_index", 0), "soi_index"),
+        input_sir_db=(None if input_sir_db is None
+                      else config_float(input_sir_db, "input_sir_db")),
+        seed=config_int(cfg.pop("seed", 0), "seed"),
+        ref_mic=config_int(cfg.pop("ref_mic", 0), "ref_mic"),
+    )
+    sources_cfg = config_dict(cfg.pop("sources", {}), "sources")
+    config_unread(cfg, "scenario")
+    kind = sources_cfg.pop("kind", "synthetic")
     if kind == "synthetic":
-        duration = config_float(sources_cfg.get("duration_seconds", 3.0),
+        duration = config_float(sources_cfg.pop("duration_seconds", 3.0),
                                 "sources.duration_seconds")
-        mod_hz = config_float(sources_cfg.get("mod_hz", 4.0), "sources.mod_hz")
+        mod_hz = config_float(sources_cfg.pop("mod_hz", 4.0), "sources.mod_hz")
+        sources = {"kind": kind, "duration_seconds": duration, "mod_hz": mod_hz}
         signals = speech_like_sources(
-            len(source_positions), int(round(duration * fs)), fs, seed, mod_hz
+            len(source_positions), int(round(duration * fs)), fs, scenario.seed, mod_hz
         )
-        sources_resolved = {
-            "kind": "synthetic",
-            "duration_seconds": duration,
-            "mod_hz": mod_hz,
-        }
     elif kind == "wav":
-        paths = config_tuple(sources_cfg["paths"], "sources.paths")
+        paths = config_tuple(sources_cfg.pop("paths"), "sources.paths")
         if not all(isinstance(p, str) for p in paths):
             raise ValueError(
                 f"sources.paths must be a list of strings, got {list(paths)!r}")
@@ -520,33 +543,11 @@ def scenario_from_dict(cfg, base_dir=None):
                 f"{len(paths)} WAV paths for {len(source_positions)} sources"
             )
         signals = [load_wav(p) for p in paths]
-        sources_resolved = {"kind": "wav", "paths": paths}
+        sources = {"kind": kind, "paths": paths}
     else:
         raise ValueError(f"unknown sources kind {kind!r}")
+    config_unread(sources_cfg, "sources", "sources.")
 
-    scenario = Scenario(
-        room=room,
-        source_positions=source_positions,
-        mic_positions=mic_positions,
-        source_signals=tuple(signals),
-        soi_index=config_int(cfg.get("soi_index", 0), "soi_index"),
-        input_sir_db=(
-            None if cfg.get("input_sir_db") is None
-            else config_float(cfg["input_sir_db"], "input_sir_db")
-        ),
-        seed=seed,
-        ref_mic=config_int(cfg.get("ref_mic", 0), "ref_mic"),
-    )
-    resolved = {
-        "fs": fs,
-        "room": asdict(room),
-        "source_positions": [list(p) for p in source_positions],
-        "mic_positions": [list(p) for p in mic_positions],
-        "sources": sources_resolved,
-        "soi_index": scenario.soi_index,
-        "input_sir_db": scenario.input_sir_db,
-        "ref_mic": scenario.ref_mic,
-        "seed": seed,
-    }
-    return scenario, fs, resolved
-
+    resolved = {"fs": fs, **asdict(scenario), "sources": sources}
+    del resolved["source_signals"]
+    return replace(scenario, source_signals=tuple(signals)), fs, resolved

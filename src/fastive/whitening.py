@@ -26,13 +26,6 @@ EPS_COV_ABS = 1e-30
 
 
 @dataclass
-class CovarianceBank:
-    """Per-bin spatial covariance ``cov[k] = (1/T) sum_t x x^H``, [K, M, M]."""
-
-    cov: np.ndarray
-
-
-@dataclass
 class WhiteningBank:
     """Eigenstructure and whitener per bin.
 
@@ -47,7 +40,7 @@ class WhiteningBank:
 
 
 def estimate_covariance(spec):
-    """Sample covariance per bin from a Spectrogram; needs >= 2 frames.
+    """Sample covariance per bin, [K, M, M], of a Spectrogram; needs >= 2 frames.
 
     Uses the 1/T convention (``C^k = x^k^T conj(x^k) / T`` with ``x^k`` the
     [T, M] frames of bin k, one batched matmul) and re-symmetrizes to be
@@ -58,12 +51,11 @@ def estimate_covariance(spec):
     if num_frames < 2:
         raise ValueError(f"insufficient frames: got {num_frames}, need >= 2")
     cov = np.matmul(x.transpose(0, 2, 1), x.conj()) / num_frames
-    cov = 0.5 * (cov + cov.conj().transpose(0, 2, 1))
-    return CovarianceBank(cov)
+    return 0.5 * (cov + cov.conj().transpose(0, 2, 1))
 
 
-def build_whitener(bank, rank=None):
-    """Whitening matrices for every bin of a CovarianceBank.
+def build_whitener(cov, rank=None):
+    """Whitening matrices for every bin of a [K, M, M] covariance stack.
 
     ``rank`` selects how many principal components to keep (default: all).
     A diagonal shift of ``EPS_COV_REL * trace/M + EPS_COV_ABS`` guards the
@@ -74,9 +66,9 @@ def build_whitener(bank, rank=None):
     eigenvector's largest-magnitude component (first occurrence on ties) is
     made real and positive, so the decomposition is deterministic.
     """
-    cov = np.asarray(bank.cov, dtype=np.complex128)
+    cov = np.asarray(cov, dtype=np.complex128)
     if cov.ndim != 3 or cov.shape[1] != cov.shape[2]:
-        raise ValueError(f"matrix must be square, got bank shape {cov.shape}")
+        raise ValueError(f"matrix must be square, got shape {cov.shape}")
     m = cov.shape[1]
     if rank is None:
         rank = m

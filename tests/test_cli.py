@@ -179,6 +179,7 @@ def test_bench_grid(tmp_path, capsys):
         assert rec["iterations"] >= 1
 
     summary = json.loads((out / "summary.json").read_text())
+    assert summary["grid"] == json.loads(grid_path.read_text())
     assert summary["manifest"]["command"] == "bench"
     assert summary["manifest"]["seed"] == 3
     [cell] = summary["cells"]
@@ -276,7 +277,9 @@ def test_bench_renders_and_factors_each_mixture_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("override", ["filter_len=[1]", "rank=[1]", "nu=[1]",
-                                      "mod_hz=[1]"])
+                                      "mod_hz=[1]", "filter_len=0", "rank=0",
+                                      "stft.fftsize=512", "solver.max_iters=1",
+                                      "solver.ref_mic=1", "trial=3"])
 def test_bench_parses_every_key_before_building_responses(tmp_path, monkeypatch,
                                                           override):
     calls = []
@@ -354,6 +357,9 @@ def test_main_returns_2_on_bad_input(tmp_path, capsys):
         ('sources={"kind": "wav", "paths": 5}', "sources.paths must be a list, got 5"),
         ('sources={"kind": "wav", "paths": [1, 2]}',
          "sources.paths must be a list of strings, got [1, 2]"),
+        ("room.rt_60=0.9", "room.rt_60 is not a room key"),
+        ("num_mic=4", "num_mic is not a scenario key"),
+        ("sources.duration=1", "sources.duration is not a sources key"),
     ):
         assert main(["simulate", str(scene), "-o", str(tmp_path / "sim"),
                      "--set", override]) == 2
@@ -372,6 +378,12 @@ def test_main_returns_2_on_bad_input(tmp_path, capsys):
         ("stft.window=kaiser", "bad config: unknown window 'kaiser'"),
         ("nu=-1", "nu must be positive"),
         ("gg_exponent=2", "gg_exponent must lie in (0, 1)"),
+        ("stft.fftsize=512", "stft.fftsize is not a stft key"),
+        ("solver.max_iters=1", "solver.max_iters is not a solver key"),
+        ("solver.ref_mic=1", "solver.ref_mic is not a solver key"),
+        ("trial=3", "trial is not a grid key"),
+        ("filter_len=0", "filter_len must be >= 1, got 0"),
+        ("rank=0", "rank must be >= 1, got 0"),
     ):
         assert main(["bench", str(grid), "-o", str(tmp_path / "bench"),
                      "--set", override]) == 2

@@ -11,7 +11,7 @@ requested mixing ratio exactly.
 import itertools
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -24,13 +24,16 @@ from fastive.roomsim import (
     RoomSpec,
     Scenario,
     compute_rirs,
+    config_object,
     default_geometry,
     reflection_coefficient,
     render,
     scenario_from_dict,
     speech_like_sources,
 )
-from fastive.stft import AudioBuffer, save_wav
+from fastive.extractor import SolverConfig
+from fastive.priors import KINDS, ContrastModel
+from fastive.stft import WINDOW_KINDS, AudioBuffer, StftConfig, save_wav
 
 FS = 16000
 
@@ -447,6 +450,8 @@ def test_scenario_from_dict_overrides_and_errors(tmp_path):
     assert scenario.input_sir_db == 5.0
     assert resolved["seed"] == 9
 
+    # null positions, as the README lists them, fall back to the counts
+    assert scenario_from_dict({"num_mics": 3, "mic_positions": None})[0].num_mics == 3
     with pytest.raises(ValueError, match="num_sources"):
         scenario_from_dict({"num_sources": 7})
     with pytest.raises(ValueError, match="num_mics"):
@@ -477,3 +482,53 @@ def test_load_scenario_round_trip(tmp_path):
     rebuilt, _, _ = scenario_from_dict(resolved)
     assert rebuilt.source_positions == scenario.source_positions
     assert rebuilt.mic_positions == scenario.mic_positions
+
+
+@st.composite
+def config_objects(draw):
+    """``(name, obj, given)``: a valid StftConfig, RoomSpec or SolverConfig,
+    its config key, and the fields a caller passes as ``given``."""
+    name = draw(st.sampled_from(["stft", "room", "solver"]))
+    if name == "stft":
+        fft_size = 2 ** draw(st.integers(3, 12))
+        return name, StftConfig(fft_size, fft_size // draw(st.sampled_from([4, 8])),
+                                draw(st.sampled_from(WINDOW_KINDS))), {}
+    if name == "room":
+        return name, RoomSpec(
+            dimensions=tuple(draw(st.floats(0.1, 50.0)) for _ in range(3)),
+            rt60=draw(st.floats(0.0, 3.0)),
+            speed_of_sound=draw(st.floats(1.0, 1000.0)),
+            rir_seconds=draw(st.none() | st.floats(1e-3, 2.0)),
+            max_order=draw(st.none() | st.integers(0, 50))), {}
+    prior = ContrastModel(kind=draw(st.sampled_from(KINDS)),
+                          nu=draw(st.floats(0.1, 100.0)),
+                          gg_exponent=draw(st.floats(0.01, 0.99)))
+    return name, SolverConfig(prior=prior, max_iter=draw(st.integers(1, 1000)),
+                              tol=draw(st.floats(1e-12, 1.0)),
+                              ref_mic=draw(st.integers(0, 15))), {"prior": prior}
+
+
+@settings(deadline=None)
+@given(case=config_objects())
+def test_config_object_reads_back_its_json(case):
+    # so an extract report's stft block or a simulate echo's room feeds back in
+    name, obj, given_fields = case
+    cfg = json.loads(json.dumps(asdict(obj)))
+    for key in given_fields:
+        del cfg[key]
+    assert config_object(type(obj), cfg, name, **given_fields) == obj
+
+
+@settings(deadline=None)
+@example(case=("solver", SolverConfig(), {"prior": ContrastModel()}), key="prior",
+         value={})
+@given(case=config_objects(), key=st.text(min_size=1),
+       value=st.none() | st.integers() | st.text())
+def test_config_object_rejects_a_key_that_is_not_a_field(case, key, value):
+    # a field the caller sets through ``given`` is not a key either
+    name, obj, given_fields = case
+    assume(key in given_fields or key not in {f.name for f in fields(obj)})
+    cfg = {k: v for k, v in asdict(obj).items() if k not in given_fields}
+    with pytest.raises(ValueError) as info:
+        config_object(type(obj), {**cfg, key: value}, name, **given_fields)
+    assert str(info.value) == f"{name}.{key} is not a {name} key"

@@ -15,7 +15,6 @@ from fastive.stft import Spectrogram, StftConfig
 from fastive.whitening import (
     EPS_COV_ABS,
     EPS_COV_REL,
-    CovarianceBank,
     apply_whitener,
     build_whitener,
     estimate_covariance,
@@ -31,8 +30,8 @@ def random_spec(seed, num_bins=5, num_frames=200, num_channels=3):
 
 
 def one_bin(matrix):
-    """A single-bin CovarianceBank holding ``matrix``."""
-    return CovarianceBank(np.asarray(matrix, dtype=complex)[None])
+    """A single-bin covariance stack holding ``matrix``."""
+    return np.asarray(matrix, dtype=complex)[None]
 
 
 def shift_of(matrix):
@@ -116,11 +115,11 @@ def test_eig_input_guards():
     # one bad bin among good ones is enough
     bad = np.stack([np.eye(2), [[1.0, 1e-3], [0.0, 1.0]]]).astype(complex)
     with pytest.raises(ValueError, match="not Hermitian"):
-        build_whitener(CovarianceBank(bad))
+        build_whitener(bad)
     with pytest.raises(ValueError, match="square"):
-        build_whitener(CovarianceBank(np.zeros((1, 2, 3), dtype=complex)))
+        build_whitener(np.zeros((1, 2, 3), dtype=complex))
     with pytest.raises(ValueError, match="square"):
-        build_whitener(CovarianceBank(np.zeros((2, 2), dtype=complex)))
+        build_whitener(np.zeros((2, 2), dtype=complex))
     # a deviation inside the 1e-8 relative tolerance is accepted
     near = np.array([[1.0, 1e-10], [0.0, 1.0]], dtype=complex)
     assert np.all(np.isfinite(build_whitener(one_bin(near)).whitener))
@@ -131,9 +130,9 @@ def test_estimate_covariance_hand_case():
     x1 = np.array([1.0 + 0.0j, 1.0j])
     x2 = np.array([1.0 + 0.0j, -1.0j])
     spec = Spectrogram(np.stack([x1, x2])[None, :, :], StftConfig(1, 1, "rect"), 8000)
-    bank = estimate_covariance(spec)
-    np.testing.assert_allclose(bank.cov[0], np.eye(2), atol=1e-15)
-    hermitian_dev = bank.cov - bank.cov.conj().transpose(0, 2, 1)
+    cov = estimate_covariance(spec)
+    np.testing.assert_allclose(cov[0], np.eye(2), atol=1e-15)
+    hermitian_dev = cov - cov.conj().transpose(0, 2, 1)
     assert np.max(np.abs(hermitian_dev)) == 0.0
 
 
@@ -145,23 +144,23 @@ def test_estimate_covariance_needs_frames():
 
 def test_whitener_whitens():
     spec = random_spec(0)
-    bank = estimate_covariance(spec)
-    wb = build_whitener(bank)
-    q, c = wb.whitener, bank.cov
+    c = estimate_covariance(spec)
+    wb = build_whitener(c)
+    q = wb.whitener
     ident = np.einsum("krm,kmn,ksn->krs", q, c, q.conj())
     eye = np.broadcast_to(np.eye(3), ident.shape)
     assert np.max(np.abs(ident - eye)) < 1e-8
 
     white = apply_whitener(spec, wb)
-    wcov = estimate_covariance(white).cov
+    wcov = estimate_covariance(white)
     assert np.max(np.abs(wcov - eye)) < 1e-8
 
 
 def test_whitener_whitens_beyond_sixteen_mics():
     spec = random_spec(6, num_channels=20)
-    bank = estimate_covariance(spec)
-    wb = build_whitener(bank)
-    q, c = wb.whitener, bank.cov
+    c = estimate_covariance(spec)
+    wb = build_whitener(c)
+    q = wb.whitener
     ident = np.einsum("krm,kmn,ksn->krs", q, c, q.conj())
     assert np.max(np.abs(ident - np.eye(20))) < 1e-8
     assert np.all(np.diff(wb.eigvals, axis=1) <= 0)
@@ -183,7 +182,7 @@ def test_whitener_properties_on_random_banks(num_channels, num_bins, gain, seed)
     cov = 0.5 * (cov + cov.conj().transpose(0, 2, 1))
     eye = np.eye(num_channels)
 
-    wb = build_whitener(CovarianceBank(cov))
+    wb = build_whitener(cov)
     q = wb.whitener
     ident = np.einsum("krm,kmn,ksn->krs", q, cov, q.conj())
     assert np.max(np.abs(ident - eye)) < 1e-8
@@ -194,7 +193,7 @@ def test_whitener_properties_on_random_banks(num_channels, num_bins, gain, seed)
 
     # Q^H Q is the inverse of the shifted covariance, whatever basis the
     # solver picks on near-ties, so it scales exactly as 1/gain
-    scaled = build_whitener(CovarianceBank(gain * cov)).whitener
+    scaled = build_whitener(gain * cov).whitener
     inv = np.einsum("krm,krn->kmn", q.conj(), q)
     inv_scaled = np.einsum("krm,krn->kmn", scaled.conj(), scaled)
     err = np.linalg.norm(gain * inv_scaled - inv, axis=(1, 2))
@@ -212,15 +211,15 @@ def test_whitener_orders_components_by_power():
 
 
 def test_rank_truncation_takes_leading_rows():
-    bank = estimate_covariance(random_spec(2))
-    full = build_whitener(bank)
-    top = build_whitener(bank, rank=2)
+    cov = estimate_covariance(random_spec(2))
+    full = build_whitener(cov)
+    top = build_whitener(cov, rank=2)
     assert top.whitener.shape == (full.whitener.shape[0], 2, 3)
     np.testing.assert_array_equal(top.whitener, full.whitener[:, :2, :])
     with pytest.raises(ValueError, match="rank"):
-        build_whitener(bank, rank=4)
+        build_whitener(cov, rank=4)
     with pytest.raises(ValueError, match="rank"):
-        build_whitener(bank, rank=0)
+        build_whitener(cov, rank=0)
 
 
 def test_silent_bin_stays_finite():
