@@ -23,12 +23,14 @@ from .metrics import DEFAULT_FILTER_LEN, aggregate, evaluate, factor_references
 from .priors import KINDS, ContrastModel
 from .roomsim import (
     MixtureSet,
+    RoomSpec,
     compute_rirs,
     config_dict,
     config_float,
     config_int,
     config_object,
     config_unread,
+    default_geometry,
     render,
     scenario_from_dict,
     speech_like_sources,
@@ -249,15 +251,18 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
     are comparable over the same source draws.  The unit of work is one
     mixture (a cell without its prior, and a trial), so trials that differ
     only in prior share its render and reference factorisation; ``jobs``
-    mixtures run at a time.  Every key is parsed and every cell built before
-    any response; an unknown key, or ``solver.ref_mic`` (``ref_mic``, ``nu``
-    and ``gg_exponent`` are grid keys), is a ValueError.
+    mixtures run at a time.  Each cell is ``default_geometry`` of its counts
+    in the grid's room.  Every key is parsed and every cell built before any
+    response; an unknown key, ``solver.ref_mic`` (``ref_mic``, ``nu`` and
+    ``gg_exponent`` are grid keys), or a value no trial can run with, such
+    as ``trials`` below 1, is a ValueError.
     """
     cfg = dict(grid)  # popped as parsed; summary.json echoes grid as given
-    fs = config_int(cfg.pop("fs", 16000), "fs")
-    duration = config_float(cfg.pop("duration_seconds", 3.0), "duration_seconds")
+    fs = config_int(cfg.pop("fs", 16000), "fs", least=1)
+    duration = config_float(cfg.pop("duration_seconds", 3.0), "duration_seconds",
+                            least=1 / fs)
     num_samples = int(round(duration * fs))
-    trials = config_int(cfg.pop("trials", 10), "trials")
+    trials = config_int(cfg.pop("trials", 10), "trials", least=1)
     base_seed = config_int(cfg.pop("seed", 0), "seed")
     mod_hz = config_float(cfg.pop("mod_hz", 4.0), "mod_hz")
     stft_cfg = config_object(StftConfig, cfg.pop("stft", {}), "stft")
@@ -269,12 +274,10 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
             nu=config_float(cfg.pop("nu", ContrastModel.nu), "nu"),
             gg_exponent=config_float(
                 cfg.pop("gg_exponent", ContrastModel.gg_exponent), "gg_exponent")))
-    rank = cfg.pop("rank", None)
-    if rank is not None and (rank := config_int(rank, "rank")) < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
-    filter_len = config_int(cfg.pop("filter_len", DEFAULT_FILTER_LEN), "filter_len")
-    if filter_len < 1:
-        raise ValueError(f"filter_len must be >= 1, got {filter_len}")
+    if (rank := cfg.pop("rank", None)) is not None:
+        rank = config_int(rank, "rank", least=1)
+    filter_len = config_int(cfg.pop("filter_len", DEFAULT_FILTER_LEN), "filter_len",
+                            least=1)
 
     axes = (
         [config_int(v, "num_sources") for v in _as_list(cfg.pop("num_sources", 2))],
@@ -283,21 +286,18 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
          for v in _as_list(cfg.pop("input_sir_db", 10.0))],
     )
     priors = [str(v) for v in _as_list(cfg.pop("prior", ContrastModel.kind))]
+    room = config_object(RoomSpec, cfg.pop("room", {}), "room")
+    soi_index = config_int(cfg.pop("soi_index", 0), "soi_index")
+    config_unread(cfg, "grid")
 
     # every cell is a prefix of the default layout in the grid's room, and
     # the cells are a cross product, so the largest cell holds every cell's
-    # geometry and responses; building each cell's scenario checks it
-    largest = scenario_from_dict({
-        "room": cfg.pop("room", {}), "soi_index": cfg.pop("soi_index", 0),
-        "ref_mic": ref_mic, "num_sources": max(axes[0]), "num_mics": max(axes[1]),
-    })[0]
-    config_unread(cfg, "grid")
+    # responses; building each cell's scenario checks it
     scenarios = {
-        (n, m): replace(largest, source_positions=largest.source_positions[:n],
-                        mic_positions=largest.mic_positions[:m])
+        (n, m): default_geometry(n, m, room=room, soi_index=soi_index, ref_mic=ref_mic)
         for n, m in itertools.product(*axes[:2])
     }
-    rirs = compute_rirs(largest, fs)
+    rirs = compute_rirs(scenarios[max(axes[0]), max(axes[1])], fs)
 
     def run_mixture(mixture):
         """One mixture under every prior: its sources are drawn, it is

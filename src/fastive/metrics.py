@@ -144,30 +144,19 @@ class References:
                    for ref, row in zip(self.spectra, taps))
         return np.fft.irfft(spec, self.nfft)[:self.num_samples + self.filter_len - 1]
 
-    def decompose(self, estimate):
-        """(target, interference, artifact) parts of ``estimate``; see ``decompose``."""
-        target_taps, interference_taps = self._taps(self._correlate(estimate))
-        target_part = self._filter(target_taps)
-        interference_part = self._filter(interference_taps)
-        artifact_part = np.zeros(self.num_samples + self.filter_len - 1)
-        artifact_part[:self.num_samples] = estimate
-        artifact_part -= target_part + interference_part
-        return target_part, interference_part, artifact_part
 
-
-def decompose(estimate, target_image, interferer_images,
-              filter_len=DEFAULT_FILTER_LEN, references=None):
-    """Split an estimate into target, interference, and artifact parts.
-
-    All inputs are 1-D, equal length (reference-mic images).  Returned
-    parts have length ``n + filter_len - 1``; they are mutually orthogonal
-    and sum to the zero-padded estimate.  ``references`` skips factoring
-    the images: pass ``References(target_image, interferer_images,
-    filter_len)``, built once for every estimate scored against them.
-    """
-    if references is None:
-        references = References(target_image, interferer_images, filter_len)
-    return references.decompose(estimate)
+def decompose(estimate, references):
+    """Split a 1-D estimate into target, interference, and artifact parts
+    against ``References`` of images of its length, built once for every
+    estimate scored against them.  The parts are ``filter_len - 1`` samples
+    longer, mutually orthogonal, and sum to the zero-padded estimate."""
+    target_taps, interference_taps = references._taps(references._correlate(estimate))
+    target_part = references._filter(target_taps)
+    interference_part = references._filter(interference_taps)
+    artifact_part = np.zeros(references.num_samples + references.filter_len - 1)
+    artifact_part[:references.num_samples] = estimate
+    artifact_part -= target_part + interference_part
+    return target_part, interference_part, artifact_part
 
 
 def sir_db(target_part, interference_part):
@@ -199,7 +188,7 @@ def factor_references(truth, num_samples, soi_index=0, ref_mic=0,
 
 def _sir(signal, references):
     """SIR of ``signal`` against factored references, in dB."""
-    parts = decompose(signal, None, (), references=references)
+    parts = decompose(signal, references)
     return sir_db(*parts[:2])
 
 

@@ -7,7 +7,7 @@ Each model supplies a concave contrast G acting on the frame power
 * ``gg``: spherical generalized Gaussian, G(z) = z**p (default p = 1/4)
 * ``t``: spherical Student's t, G(z) = log(1 + z / nu)
 
-Arguments are floored at ``floor`` before evaluation so the power-law
+Arguments are floored at ``FLOOR`` before evaluation so the power-law
 derivatives stay finite at z = 0.  All three satisfy G' > 0 and G'' < 0 on
 z > 0, which keeps the fixed-point update coefficients positive.
 """
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 KINDS = ("ssl", "gg", "t")
+FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,6 @@ class ContrastModel:
     kind: str = "t"
     nu: float = 4.0
     gg_exponent: float = 0.25
-    floor: float = 1e-12
     scale: float = 1.0
 
     def __post_init__(self):
@@ -43,17 +43,15 @@ class ContrastModel:
             raise ValueError("nu must be positive")
         if not 0.0 < self.gg_exponent < 1.0:
             raise ValueError("gg_exponent must lie in (0, 1)")
-        if not self.floor > 0:
-            raise ValueError("floor must be positive")
         if not self.scale > 0:
             raise ValueError("scale must be positive")
 
 
-def _checked(model, z):
+def _checked(z):
     z = np.asarray(z, dtype=np.float64)
     if np.any(z < 0):
         raise ValueError("negative argument to contrast function")
-    return np.maximum(z, model.floor)
+    return np.maximum(z, FLOOR)
 
 
 def _ret(z, out):
@@ -62,7 +60,7 @@ def _ret(z, out):
 
 def g(model, z):
     """Contrast value G(z); z is scalar or array, nonnegative."""
-    zf = _checked(model, z)
+    zf = _checked(z)
     if model.kind == "ssl":
         out = np.sqrt(zf)
     elif model.kind == "gg":
@@ -74,7 +72,7 @@ def g(model, z):
 
 def g_prime(model, z):
     """First derivative G'(z), positive on z > 0."""
-    zf = _checked(model, z)
+    zf = _checked(z)
     if model.kind == "ssl":
         out = 0.5 / np.sqrt(zf)
     elif model.kind == "gg":
@@ -87,7 +85,7 @@ def g_prime(model, z):
 
 def g_double_prime(model, z):
     """Second derivative G''(z), negative on z > 0."""
-    zf = _checked(model, z)
+    zf = _checked(z)
     if model.kind == "ssl":
         out = -0.25 * zf**-1.5
     elif model.kind == "gg":

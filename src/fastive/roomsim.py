@@ -63,7 +63,10 @@ ROOM_DIMENSIONS = (7.0, 5.0, 2.75)
 DEFAULT_RT60 = 0.2
 ARRAY_CENTER = (4.0, 1.0, 1.5)
 MIC_SPACING = 0.0125
-NUM_ARRAY_MICS = 6
+# the 6-mic linear array along x, MIC_SPACING apart and centered at ARRAY_CENTER
+MIC_POSITIONS = tuple(
+    (ARRAY_CENTER[0] + (m - 2.5) * MIC_SPACING, *ARRAY_CENTER[1:]) for m in range(6)
+)
 # talker positions, all >= 1 m from the array center and >= 0.5 m from walls
 SOURCE_POSITIONS = (
     (2.0, 3.0, 1.5),
@@ -106,13 +109,14 @@ class RoomSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Room, geometry, signals, and mixing control for one simulated take;
-    raises ValueError when built unless every source and mic lies strictly
-    inside the room, apart from each other, and the indices are in range."""
+    """Room, geometry, signals, and mixing control for one simulated take,
+    by default the whole default layout (``default_geometry()``); raises
+    ValueError when built unless every source and mic lies strictly inside
+    the room, apart from each other, and the indices are in range."""
 
     room: RoomSpec = field(default_factory=RoomSpec)
     source_positions: tuple = SOURCE_POSITIONS
-    mic_positions: tuple = ()
+    mic_positions: tuple = MIC_POSITIONS
     source_signals: tuple = ()
     soi_index: int = 0
     input_sir_db: float | None = None
@@ -374,44 +378,54 @@ def speech_like_sources(num_sources, num_samples, fs, seed, mod_hz=4.0):
     return out
 
 
-def default_geometry():
-    """Scenario template: the battery shoebox, 6 talker spots, and the
-    6-mic linear array (spacing 1.25 cm) centered at ``ARRAY_CENTER``.
-
-    Slice ``source_positions``/``mic_positions`` and attach signals to use.
-    """
-    cx, cy, cz = ARRAY_CENTER
-    mics = tuple(
-        (cx + (m - (NUM_ARRAY_MICS - 1) / 2.0) * MIC_SPACING, cy, cz)
-        for m in range(NUM_ARRAY_MICS)
-    )
-    return Scenario(
-        room=RoomSpec(),
-        source_positions=SOURCE_POSITIONS,
-        mic_positions=mics,
-        source_signals=(),
-    )
-
-
-def config_float(value, name):
-    """``value`` as a float; ValueError naming the key ``name`` unless numeric."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
+def default_geometry(num_sources=len(SOURCE_POSITIONS), num_mics=len(MIC_POSITIONS),
+                     **fields):
+    """Scenario of the first ``num_sources`` of ``SOURCE_POSITIONS`` and
+    ``num_mics`` of ``MIC_POSITIONS``, with ``fields`` set (positions given
+    there win); ``default_geometry() == Scenario()``.  A count below 1
+    talker or 2 mics, or beyond the layout, is a ValueError naming it."""
+    if num_sources < 1:
+        raise ValueError(f"num_sources must be >= 1, got {num_sources}")
+    if num_sources > len(SOURCE_POSITIONS):
+        raise ValueError(
+            f"num_sources {num_sources} exceeds the {len(SOURCE_POSITIONS)} "
+            "default talker spots; give source_positions explicitly")
+    if num_mics < 2:
+        raise ValueError(f"num_mics must be >= 2, got {num_mics}")
+    if num_mics > len(MIC_POSITIONS):
+        raise ValueError(
+            f"num_mics {num_mics} exceeds the {len(MIC_POSITIONS)}-mic "
+            "default array; give mic_positions explicitly")
+    return Scenario(**{"source_positions": SOURCE_POSITIONS[:num_sources],
+                       "mic_positions": MIC_POSITIONS[:num_mics], **fields})
 
 
-def config_int(value, name):
-    """``value`` as an int; ValueError naming the key ``name`` unless integral."""
-    if isinstance(value, int):
-        return int(value)
+def config_float(value, name, least=None):
+    """``value`` as a float; ValueError naming the key ``name`` unless numeric
+    and, when ``least`` is given, finite and at least ``least``."""
     try:
         number = float(value)
     except (TypeError, ValueError):
-        number = math.nan
-    if not number.is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(number)
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    if least is not None and not least <= number < math.inf:
+        raise ValueError(f"{name} must be finite and >= {least:g}, got {value!r}")
+    return number
+
+
+def config_int(value, name, least=None):
+    """``value`` as an int; ValueError naming the key ``name`` unless integral
+    and, when ``least`` is given, at least ``least``."""
+    if not isinstance(value, int):
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            number = math.nan
+        if not number.is_integer():
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = number
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {int(value)}")
+    return int(value)
 
 
 def config_dict(value, name):
@@ -467,20 +481,21 @@ def scenario_from_dict(cfg, base_dir=None):
 
     Returns ``(scenario, fs, resolved)`` where ``resolved`` is the fully
     expanded configuration (geometry and defaults filled in) suitable for
-    provenance echo; it feeds back in as ``cfg``.  A key outside the schema
-    is a ValueError.
+    provenance echo; it feeds back in as ``cfg``.  The scenario is one
+    ``default_geometry`` call, which checks the counts even beside explicit
+    positions.  A key outside the schema is a ValueError.
 
     Schema keys (all optional unless noted):
 
-    ``fs``               sample rate, default 16000
+    ``fs``               sample rate, at least 1, default 16000
     ``room``             RoomSpec fields: {dimensions, rt60, speed_of_sound,
                          rir_seconds, max_order}
-    ``num_sources``      count drawn from the default talker spots (default 2)
-    ``num_mics``         count drawn from the default array (default 2)
+    ``num_sources``      first N default talker spots, 1 to 6 (default 2)
+    ``num_mics``         first M default array mics, 2 to 6 (default 2)
     ``source_positions`` explicit [N, 3], overrides num_sources unless null
     ``mic_positions``    explicit [M, 3], overrides num_mics unless null
     ``sources``          {"kind": "synthetic", "duration_seconds", "mod_hz"}
-                         or {"kind": "wav", "paths": [...]}
+                         or {"kind": "wav", "paths": [...]}; at least 1/fs s
     ``soi_index``        target source index, default 0
     ``input_sir_db``     requested input SIR, null to leave natural mixing
     ``ref_mic``          reference mic for SIR and rescaling, default 0
@@ -488,33 +503,16 @@ def scenario_from_dict(cfg, base_dir=None):
     """
     base_dir = Path(base_dir) if base_dir is not None else Path(".")
     cfg = dict(cfg)
-    fs = config_int(cfg.pop("fs", 16000), "fs")
-    room = config_object(RoomSpec, cfg.pop("room", {}), "room")
-    template = default_geometry()
-    n, source_positions = cfg.pop("num_sources", 2), cfg.pop("source_positions", None)
-    if source_positions is not None:
-        source_positions = config_floats(source_positions, "source_positions")
-    elif (n := config_int(n, "num_sources")) > len(template.source_positions):
-        raise ValueError(
-            f"num_sources {n} exceeds the {len(template.source_positions)} "
-            "default talker spots; give source_positions explicitly")
-    else:
-        source_positions = template.source_positions[:n]
-    m, mic_positions = cfg.pop("num_mics", 2), cfg.pop("mic_positions", None)
-    if mic_positions is not None:
-        mic_positions = config_floats(mic_positions, "mic_positions")
-    elif (m := config_int(m, "num_mics")) > len(template.mic_positions):
-        raise ValueError(
-            f"num_mics {m} exceeds the {len(template.mic_positions)}-mic "
-            "default array; give mic_positions explicitly")
-    else:
-        mic_positions = template.mic_positions[:m]
-
+    fs = config_int(cfg.pop("fs", 16000), "fs", least=1)
+    positions = {key: config_floats(value, key)
+                 for key in ("source_positions", "mic_positions")
+                 if (value := cfg.pop(key, None)) is not None}
     input_sir_db = cfg.pop("input_sir_db", None)
-    scenario = Scenario(
-        room=room,
-        source_positions=source_positions,
-        mic_positions=mic_positions,
+    scenario = default_geometry(
+        config_int(cfg.pop("num_sources", 2), "num_sources"),
+        config_int(cfg.pop("num_mics", 2), "num_mics"),
+        room=config_object(RoomSpec, cfg.pop("room", {}), "room"),
+        **positions,
         soi_index=config_int(cfg.pop("soi_index", 0), "soi_index"),
         input_sir_db=(None if input_sir_db is None
                       else config_float(input_sir_db, "input_sir_db")),
@@ -526,11 +524,11 @@ def scenario_from_dict(cfg, base_dir=None):
     kind = sources_cfg.pop("kind", "synthetic")
     if kind == "synthetic":
         duration = config_float(sources_cfg.pop("duration_seconds", 3.0),
-                                "sources.duration_seconds")
+                                "sources.duration_seconds", least=1 / fs)
         mod_hz = config_float(sources_cfg.pop("mod_hz", 4.0), "sources.mod_hz")
         sources = {"kind": kind, "duration_seconds": duration, "mod_hz": mod_hz}
         signals = speech_like_sources(
-            len(source_positions), int(round(duration * fs)), fs, scenario.seed, mod_hz
+            scenario.num_sources, int(round(duration * fs)), fs, scenario.seed, mod_hz
         )
     elif kind == "wav":
         paths = config_tuple(sources_cfg.pop("paths"), "sources.paths")
@@ -538,9 +536,9 @@ def scenario_from_dict(cfg, base_dir=None):
             raise ValueError(
                 f"sources.paths must be a list of strings, got {list(paths)!r}")
         paths = [str(base_dir / p) for p in paths]
-        if len(paths) != len(source_positions):
+        if len(paths) != scenario.num_sources:
             raise ValueError(
-                f"{len(paths)} WAV paths for {len(source_positions)} sources"
+                f"{len(paths)} WAV paths for {scenario.num_sources} sources"
             )
         signals = [load_wav(p) for p in paths]
         sources = {"kind": kind, "paths": paths}

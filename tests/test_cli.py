@@ -7,7 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from fastive import cli, metrics
+from fastive import cli, metrics, roomsim
 from fastive.cli import apply_overrides, build_parser, main
 from fastive.extractor import STAGES, SolverConfig
 from fastive.priors import ContrastModel
@@ -249,10 +249,12 @@ def test_bench_sharing_matches_single_geometry_grids(tmp_path, monkeypatch):
 
 
 def test_bench_renders_and_factors_each_mixture_once(tmp_path, monkeypatch):
-    # 2 geometries x 2 trials are 4 mixtures; the 2 priors make 8 trials
+    # 2 geometries x 2 trials are 4 mixtures; the 2 priors make 8 trials.
+    # Sources are counted wherever they are drawn: one set per mixture
     calls = {}
-    for module, name in ((cli, "speech_like_sources"), (cli, "render"),
-                         (cli, "factor_references"), (metrics, "decompose")):
+    for module, name in ((roomsim, "speech_like_sources"), (cli, "speech_like_sources"),
+                         (cli, "render"), (cli, "factor_references"),
+                         (metrics, "decompose")):
         calls[name] = 0
 
         def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
@@ -279,7 +281,10 @@ def test_bench_renders_and_factors_each_mixture_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("override", ["filter_len=[1]", "rank=[1]", "nu=[1]",
                                       "mod_hz=[1]", "filter_len=0", "rank=0",
                                       "stft.fftsize=512", "solver.max_iters=1",
-                                      "solver.ref_mic=1", "trial=3"])
+                                      "solver.ref_mic=1", "trial=3",
+                                      "num_sources=-1", "num_sources=[-1,2]",
+                                      "fs=0", "duration_seconds=0",
+                                      "duration_seconds=-1", "trials=-1"])
 def test_bench_parses_every_key_before_building_responses(tmp_path, monkeypatch,
                                                           override):
     calls = []
@@ -360,6 +365,10 @@ def test_main_returns_2_on_bad_input(tmp_path, capsys):
         ("room.rt_60=0.9", "room.rt_60 is not a room key"),
         ("num_mic=4", "num_mic is not a scenario key"),
         ("sources.duration=1", "sources.duration is not a sources key"),
+        ("num_sources=-1", "num_sources must be >= 1, got -1"),
+        ("num_mics=-1", "num_mics must be >= 2, got -1"),
+        ("sources.duration_seconds=0",
+         "sources.duration_seconds must be finite and >= 6.25e-05, got 0"),
     ):
         assert main(["simulate", str(scene), "-o", str(tmp_path / "sim"),
                      "--set", override]) == 2
@@ -384,6 +393,13 @@ def test_main_returns_2_on_bad_input(tmp_path, capsys):
         ("trial=3", "trial is not a grid key"),
         ("filter_len=0", "filter_len must be >= 1, got 0"),
         ("rank=0", "rank must be >= 1, got 0"),
+        ("num_sources=[-1,2]", "num_sources must be >= 1, got -1"),
+        ("fs=0", "fs must be >= 1, got 0"),
+        ("duration_seconds=0",
+         "duration_seconds must be finite and >= 6.25e-05, got 0"),
+        ("duration_seconds=-1",
+         "duration_seconds must be finite and >= 6.25e-05, got -1"),
+        ("trials=-1", "trials must be >= 1, got -1"),
     ):
         assert main(["bench", str(grid), "-o", str(tmp_path / "bench"),
                      "--set", override]) == 2

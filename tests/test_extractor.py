@@ -402,9 +402,8 @@ def test_extract_times_its_stages():
     wall = time.perf_counter() - start
     assert tuple(result.timings) == STAGES
     assert all(t >= 0.0 for t in result.timings.values())
-    assert sum(result.timings.values()) <= wall
-    assert result.runtime_seconds == pytest.approx(
-        result.timings["solve"] + result.timings["rescale"])
+    # runtime_seconds is the whole call: every stage plus the input checks
+    assert sum(result.timings.values()) <= result.runtime_seconds <= wall
 
 
 def instantaneous_trial(seed, kind, dominance_db=10.0, duration=3.0):

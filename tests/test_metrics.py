@@ -29,7 +29,7 @@ def test_perfect_estimate_has_no_interference_or_artifact():
     rng = np.random.default_rng(0)
     target = rng.normal(size=400)
     interferer = rng.normal(size=400)
-    t, i, a = decompose(target, target, [interferer], filter_len=16)
+    t, i, a = decompose(target, References(target, [interferer], 16))
     energy = np.sum(target**2)
     assert np.sum(i**2) < 1e-20 * energy
     assert np.sum(a**2) < 1e-20 * energy
@@ -45,7 +45,7 @@ def test_delayed_scaled_estimate_stays_in_the_target_span():
     interferer = rng.normal(size=300)
     delayed = np.zeros(300)
     delayed[3:] = 0.8 * target[:-3]
-    t, i, a = decompose(delayed, target, [interferer], filter_len=8)
+    t, i, a = decompose(delayed, References(target, [interferer], 8))
     energy = np.sum(delayed**2)
     assert np.sum(i**2) < 1e-20 * energy
     assert np.sum(a**2) < 1e-20 * energy
@@ -57,7 +57,7 @@ def test_parts_are_orthogonal_and_complete():
     target = rng.normal(size=300)
     interferer = rng.normal(size=300)
     est = rng.normal(size=300)
-    parts = decompose(est, target, [interferer], filter_len=8)
+    parts = decompose(est, References(target, [interferer], 8))
     assert all(p.size == 307 for p in parts)
     scale = np.sum(est**2)
     for i in range(3):
@@ -73,7 +73,7 @@ def test_decompose_without_interferers():
     rng = np.random.default_rng(4)
     target = rng.normal(size=200)
     est = rng.normal(size=200)
-    t, i, a = decompose(est, target, [], filter_len=8)
+    t, i, a = decompose(est, References(target, [], 8))
     np.testing.assert_array_equal(i, 0.0)
     padded = np.zeros(207)
     padded[:200] = est
@@ -83,15 +83,15 @@ def test_decompose_without_interferers():
 def test_decompose_guards():
     target = np.ones(50)
     with pytest.raises(ValueError, match="1-D"):
-        decompose(np.ones((50, 1)), target, [])
+        decompose(np.ones((50, 1)), References(target, []))
     with pytest.raises(ValueError, match="equal length"):
-        decompose(np.ones(50), np.ones(40), [])
+        decompose(np.ones(50), References(np.ones(40), []))
     with pytest.raises(ValueError, match="equal length"):
-        decompose(np.ones(50), target, [np.ones(40)])
+        decompose(np.ones(50), References(target, [np.ones(40)]))
     with pytest.raises(ValueError, match="degenerate reference"):
-        decompose(np.ones(50), np.zeros(50), [])
+        decompose(np.ones(50), References(np.zeros(50), []))
     with pytest.raises(ValueError, match="filter_len"):
-        decompose(np.ones(50), target, [], filter_len=0)
+        decompose(np.ones(50), References(target, [], filter_len=0))
 
 
 def test_sir_arithmetic():
@@ -201,9 +201,8 @@ def test_factored_sir_matches_least_squares(seed, num_refs, filter_len, n, leak)
         + 0.1 * rng.normal(size=n)
     references = References(target, interferers, filter_len)
     for signal in (mixture, estimate):
-        shared = decompose(signal, target, interferers, filter_len,
-                           references=references)
-        fresh = decompose(signal, target, interferers, filter_len)
+        shared = decompose(signal, references)
+        fresh = decompose(signal, References(target, interferers, filter_len))
         for a, b in zip(shared, fresh):
             np.testing.assert_array_equal(a, b)
         assert sir_db(*shared[:2]) == pytest.approx(
@@ -222,7 +221,7 @@ def test_singular_gram_falls_back_to_least_squares(second):
         "none": [], "duplicate": [interferer], "silent": [np.zeros(n)]}[second]
     references = References(target, interferers, 64)
     assert (references.factor is None) == (second != "none")
-    parts = decompose(estimate, target, interferers, 64, references=references)
+    parts = decompose(estimate, references)
     assert sir_db(*parts[:2]) == pytest.approx(10.527080287131, abs=1e-9)
 
 

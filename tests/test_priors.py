@@ -72,7 +72,7 @@ def test_self_term_closed_forms():
 
 
 def test_zero_argument_is_floored():
-    model = ContrastModel(kind="ssl", floor=1e-12)
+    model = ContrastModel(kind="ssl")
     assert g_prime(model, 0.0) == 0.5 / np.sqrt(1e-12)
     assert np.isfinite(g_double_prime(model, 0.0))
 
@@ -108,7 +108,5 @@ def test_model_validation():
         ContrastModel(kind="t", nu=0.0)
     with pytest.raises(ValueError, match="gg_exponent"):
         ContrastModel(kind="gg", gg_exponent=1.0)
-    with pytest.raises(ValueError, match="floor"):
-        ContrastModel(floor=0.0)
     with pytest.raises(ValueError, match="scale"):
         ContrastModel(scale=-1.0)

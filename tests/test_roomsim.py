@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 
 from fastive.roomsim import (
     KERNEL_TAPS,
+    MIC_POSITIONS,
+    SOURCE_POSITIONS,
     MixtureSet,
     RoomSpec,
     Scenario,
@@ -404,6 +406,7 @@ def test_speech_like_sources_are_seeded_and_unit_power():
 
 def test_default_geometry_layout():
     scen = default_geometry()
+    assert Scenario() == scen
     mics = np.asarray(scen.mic_positions)
     assert mics.shape == (6, 3)
     np.testing.assert_allclose(np.diff(mics[:, 0]), 0.0125, atol=1e-12)
@@ -419,6 +422,29 @@ def test_default_geometry_layout():
         mic_positions=scen.mic_positions[:2],
         source_signals=tuple(speech_like_sources(2, 1000, FS, 0)),
     )
+
+
+@settings(deadline=None)
+@given(n=st.integers(-3, 8), m=st.integers(-3, 8))
+def test_counts_take_the_same_prefix_in_both_builders(n, m):
+    """default_geometry and the scenario schema accept the same counts, and
+    both take the first n talker spots and m array mics."""
+    def build(make):
+        try:
+            return make()
+        except ValueError:
+            return None
+
+    geometry = build(lambda: default_geometry(n, m))
+    scenario = build(lambda: scenario_from_dict({
+        "num_sources": n, "num_mics": m,
+        "sources": {"duration_seconds": 0.01}})[0])
+    assert (geometry is None) == (scenario is None)
+    if geometry is not None:
+        for built in (geometry, scenario):
+            assert built.source_positions == SOURCE_POSITIONS[:n]
+            assert built.mic_positions == MIC_POSITIONS[:m]
+            assert (built.num_sources, built.num_mics) == (n, m)
 
 
 def test_scenario_from_dict_defaults():
