@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .stft import (  # noqa: F401
     AudioBuffer,
-    Spectrogram,
     StftConfig,
     analyze,
     load_wav,

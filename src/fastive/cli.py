@@ -255,7 +255,8 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
     in the grid's room.  Every key is parsed and every cell built before any
     response; an unknown key, ``solver.ref_mic`` (``ref_mic``, ``nu`` and
     ``gg_exponent`` are grid keys), or a value no trial can run with, such
-    as ``trials`` below 1, is a ValueError.
+    as ``trials`` below 1, is a ValueError.  ``manifest``, if given, goes
+    into summary.json with the grid's seed.
     """
     cfg = dict(grid)  # popped as parsed; summary.json echoes grid as given
     fs = config_int(cfg.pop("fs", 16000), "fs", least=1)
@@ -263,7 +264,7 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
                             least=1 / fs)
     num_samples = int(round(duration * fs))
     trials = config_int(cfg.pop("trials", 10), "trials", least=1)
-    base_seed = config_int(cfg.pop("seed", 0), "seed")
+    base_seed = config_int(cfg.pop("seed", 0), "seed", least=0)
     mod_hz = config_float(cfg.pop("mod_hz", 4.0), "mod_hz")
     stft_cfg = config_object(StftConfig, cfg.pop("stft", {}), "stft")
     ref_mic = config_int(cfg.pop("ref_mic", SolverConfig.ref_mic), "ref_mic")
@@ -374,15 +375,15 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
         if reports:
             summary.update(aggregate(reports))
         summaries.append(summary)
-        rate = summary.get("success_rate")
-        mean_imp = summary.get("mean_sirimp_db")
+        errors = summary["errors"]
         print(f"{cell_id}: "
-              + (f"success {summary.get('num_successes', 0)}/{trials}"
-                 f" ({rate:.0%})" if rate is not None else "no results")
-              + (f", mean SIRimp {mean_imp:.2f} dB" if mean_imp is not None
-                 else "")
+              + (f"success {summary['num_successes']}/{summary['num_trials']}"
+                 f" ({summary['success_rate']:.0%})" if reports else "no results")
+              + (f", {errors} error{'s' * (errors > 1)}" if errors else "")
+              + (f", mean SIRimp {summary['mean_sirimp_db']:.2f} dB"
+                 if summary.get("mean_sirimp_db") is not None else "")
               + (f", mean runtime {summary['mean_runtime_s'] * 1e3:.0f} ms"
-                 if "mean_runtime_s" in summary else ""))
+                 if reports else ""))
 
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -393,7 +394,8 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
     summary_path = outdir / "summary.json"
     with open(summary_path, "w") as f:
         json.dump({
-            "manifest": (manifest.to_dict() if manifest else None),
+            "manifest": (replace(manifest, seed=base_seed).to_dict()
+                         if manifest else None),
             "grid": grid,
             "cells": summaries,
         }, f, indent=2)
@@ -403,6 +405,7 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
 
 
 def cmd_bench(args):
+    jobs = config_int(args.jobs, "--jobs", least=1)
     path = Path(args.grid)
     grid = _load_config(path)
     apply_overrides(grid, args.overrides)
@@ -410,9 +413,8 @@ def cmd_bench(args):
         grid["seed"] = args.seed
     manifest = RunManifest(command="bench", config_path=str(path),
                            overrides=args.overrides,
-                           output_dir=str(args.output_dir),
-                           seed=config_int(grid.get("seed", 0), "seed"))
-    run_grid(grid, args.output_dir, jobs=args.jobs, manifest=manifest)
+                           output_dir=str(args.output_dir))
+    run_grid(grid, args.output_dir, jobs=jobs, manifest=manifest)
     return 0
 
 

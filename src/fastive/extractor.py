@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import priors
-from .stft import AudioBuffer, Spectrogram, StftConfig, analyze, synthesize
+from .stft import AudioBuffer, StftConfig, analyze, synthesize
 from .whitening import (
     EPS_COV_ABS,
     apply_whitener,
@@ -95,19 +95,19 @@ class ExtractionResult:
     timings: dict = field(default_factory=dict)
 
 
-def apply_demixer(spec, w):
-    """Demixed output ``y[k, t] = w^k^H x[k, t]`` as a [K, T] array, one
-    batched matmul over the [K, M, T] transpose of ``spec.data``."""
-    return np.matmul(w.conj()[:, None, :], spec.data.transpose(0, 2, 1))[:, 0, :]
+def apply_demixer(x, w):
+    """Demixed output ``y[k, t] = w^k^H x[k, t]`` of a [K, T, M] spectrum as
+    a [K, T] array, one batched matmul over its [K, M, T] transpose."""
+    return np.matmul(w.conj()[:, None, :], x.transpose(0, 2, 1))[:, 0, :]
 
 
-def _update_terms(white_spec, w, model):
+def _update_terms(white, w, model):
     """Cost at w (the one place it is computed) and the (a, b) coefficients;
     ``a`` and ``b`` contract over T, with unit stride on ``apply_whitener`` output.
     ``-b`` is the cost's conjugate gradient: dC/du = -2 Re b, dC/dv = -2 Im b."""
-    x = white_spec.data.transpose(0, 2, 1)
+    x = white.transpose(0, 2, 1)
     num_frames = x.shape[2]
-    y = apply_demixer(white_spec, w)
+    y = apply_demixer(white, w)
     power = np.abs(y) ** 2
     r = power.sum(axis=0)
     cost = float(-np.mean(priors.g(model, r)))
@@ -118,13 +118,13 @@ def _update_terms(white_spec, w, model):
     return cost, a, b
 
 
-def iterate_once(white_spec, state, model):
+def iterate_once(white, state, model):
     """One simultaneous fixed-point update of all bins, with renormalization.
 
     Returns a new DemixState; the incoming objective value is appended to
     the cost history.
     """
-    cost, a, b = _update_terms(white_spec, state.w, model)
+    cost, a, b = _update_terms(white, state.w, model)
     w_new = a[:, None] * state.w - b
     norms = np.linalg.norm(w_new, axis=1)
     if np.any(norms == 0.0):
@@ -145,14 +145,14 @@ def convergence_delta(w_new, w_old):
     return float(np.max(1.0 - inner))
 
 
-def solve(white_spec, config):
-    """Iterate from the one-hot start ``w^k = e_1`` (the top principal
-    component per bin) until converged or max_iter."""
-    state = DemixState(w=np.zeros((white_spec.num_bins, white_spec.num_channels),
-                                  dtype=np.complex128))
+def solve(white, config):
+    """Iterate on whitened [K, T, R] data from the one-hot start ``w^k = e_1``
+    (the top principal component per bin) until converged or max_iter."""
+    num_bins, _, rank = white.shape
+    state = DemixState(w=np.zeros((num_bins, rank), dtype=np.complex128))
     state.w[:, 0] = 1.0
     for _ in range(config.max_iter):
-        new_state = iterate_once(white_spec, state, config.prior)
+        new_state = iterate_once(white, state, config.prior)
         delta = convergence_delta(new_state.w, state.w)
         state = new_state
         if delta < config.tol:
@@ -248,8 +248,7 @@ def extract(audio, config=None, stft_config=None, rank=None):
     state.w_effective = rescale(w_eff, h, config.ref_mic)
     marks.append(time.perf_counter())
     out = apply_demixer(spec, state.w_effective)
-    out_spec = Spectrogram(out[:, :, None], stft_config, spec.sample_rate_hz)
-    out_audio = synthesize(out_spec)
+    out_audio = synthesize(out[:, :, None], stft_config, audio.sample_rate_hz)
     marks.append(time.perf_counter())
     timings = {stage: marks[i + 1] - marks[i] for i, stage in enumerate(STAGES)}
     return ExtractionResult(

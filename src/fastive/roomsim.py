@@ -378,26 +378,28 @@ def speech_like_sources(num_sources, num_samples, fs, seed, mod_hz=4.0):
     return out
 
 
-def default_geometry(num_sources=len(SOURCE_POSITIONS), num_mics=len(MIC_POSITIONS),
-                     **fields):
+def default_geometry(num_sources=None, num_mics=None, **fields):
     """Scenario of the first ``num_sources`` of ``SOURCE_POSITIONS`` and
-    ``num_mics`` of ``MIC_POSITIONS``, with ``fields`` set (positions given
-    there win); ``default_geometry() == Scenario()``.  A count below 1
-    talker or 2 mics, or beyond the layout, is a ValueError naming it."""
-    if num_sources < 1:
-        raise ValueError(f"num_sources must be >= 1, got {num_sources}")
-    if num_sources > len(SOURCE_POSITIONS):
-        raise ValueError(
-            f"num_sources {num_sources} exceeds the {len(SOURCE_POSITIONS)} "
-            "default talker spots; give source_positions explicitly")
-    if num_mics < 2:
-        raise ValueError(f"num_mics must be >= 2, got {num_mics}")
-    if num_mics > len(MIC_POSITIONS):
-        raise ValueError(
-            f"num_mics {num_mics} exceeds the {len(MIC_POSITIONS)}-mic "
-            "default array; give mic_positions explicitly")
-    return Scenario(**{"source_positions": SOURCE_POSITIONS[:num_sources],
-                       "mic_positions": MIC_POSITIONS[:num_mics], **fields})
+    ``num_mics`` of ``MIC_POSITIONS`` (all for None), with ``fields`` set;
+    ``default_geometry() == Scenario()``.  A count beside positions given in
+    ``fields`` must equal their number; one that slices the layout below 1
+    talker or 2 mics, or beyond it, is a ValueError naming it."""
+    for name, count, key, spots, least, extent in (
+            ("num_sources", num_sources, "source_positions", SOURCE_POSITIONS, 1,
+             f"the {len(SOURCE_POSITIONS)} default talker spots"),
+            ("num_mics", num_mics, "mic_positions", MIC_POSITIONS, 2,
+             f"the {len(MIC_POSITIONS)}-mic default array")):
+        if key in fields:
+            if count not in (None, len(fields[key])):
+                raise ValueError(f"{name} {count} disagrees with the "
+                                 f"{len(fields[key])} {key} given")
+        elif count is not None and count < least:
+            raise ValueError(f"{name} must be >= {least}, got {count}")
+        elif count is not None and count > len(spots):
+            raise ValueError(f"{name} {count} exceeds {extent}; give {key} explicitly")
+        else:
+            fields[key] = spots[:count]
+    return Scenario(**fields)
 
 
 def config_float(value, name, least=None):
@@ -482,8 +484,9 @@ def scenario_from_dict(cfg, base_dir=None):
     Returns ``(scenario, fs, resolved)`` where ``resolved`` is the fully
     expanded configuration (geometry and defaults filled in) suitable for
     provenance echo; it feeds back in as ``cfg``.  The scenario is one
-    ``default_geometry`` call, which checks the counts even beside explicit
-    positions.  A key outside the schema is a ValueError.
+    ``default_geometry`` call, which checks each count against the default
+    layout, or against the explicit positions given beside it.  A key
+    outside the schema is a ValueError.
 
     Schema keys (all optional unless noted):
 
@@ -492,8 +495,8 @@ def scenario_from_dict(cfg, base_dir=None):
                          rir_seconds, max_order}
     ``num_sources``      first N default talker spots, 1 to 6 (default 2)
     ``num_mics``         first M default array mics, 2 to 6 (default 2)
-    ``source_positions`` explicit [N, 3], overrides num_sources unless null
-    ``mic_positions``    explicit [M, 3], overrides num_mics unless null
+    ``source_positions`` explicit [N, 3] unless null; num_sources, if given, is N
+    ``mic_positions``    explicit [M, 3] unless null; num_mics, if given, is M
     ``sources``          {"kind": "synthetic", "duration_seconds", "mod_hz"}
                          or {"kind": "wav", "paths": [...]}; at least 1/fs s
     ``soi_index``        target source index, default 0
@@ -507,16 +510,20 @@ def scenario_from_dict(cfg, base_dir=None):
     positions = {key: config_floats(value, key)
                  for key in ("source_positions", "mic_positions")
                  if (value := cfg.pop(key, None)) is not None}
+    # a count defaults to 2 only where no positions stand in for it
+    counts = {name: config_int(cfg.pop(name, 2), name)
+              for name, key in (("num_sources", "source_positions"),
+                                ("num_mics", "mic_positions"))
+              if name in cfg or key not in positions}
     input_sir_db = cfg.pop("input_sir_db", None)
     scenario = default_geometry(
-        config_int(cfg.pop("num_sources", 2), "num_sources"),
-        config_int(cfg.pop("num_mics", 2), "num_mics"),
+        **counts,
         room=config_object(RoomSpec, cfg.pop("room", {}), "room"),
         **positions,
         soi_index=config_int(cfg.pop("soi_index", 0), "soi_index"),
         input_sir_db=(None if input_sir_db is None
                       else config_float(input_sir_db, "input_sir_db")),
-        seed=config_int(cfg.pop("seed", 0), "seed"),
+        seed=config_int(cfg.pop("seed", 0), "seed", least=0),
         ref_mic=config_int(cfg.pop("ref_mic", 0), "ref_mic"),
     )
     sources_cfg = config_dict(cfg.pop("sources", {}), "sources")

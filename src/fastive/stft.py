@@ -5,8 +5,9 @@ Conventions
 * Frames are left-aligned: frame ``t`` covers samples
   ``[t * hop_size, t * hop_size + fft_size)``.  No centering, no padding;
   trailing samples that do not fill a frame are dropped by analysis.
-* Spectra are one-sided (``K = fft_size // 2 + 1`` bins) with the unscaled
-  forward transform of ``numpy.fft.rfft``.  Frame-wise Parseval therefore
+* Spectra are plain complex arrays ``[K bins, T frames, M channels]``,
+  one-sided (``K = fft_size // 2 + 1``), with the unscaled forward transform
+  of ``numpy.fft.rfft``.  Frame-wise Parseval therefore
   reads ``sum |x_w|^2 = (1/fft_size) * sum_onesided weight * |X|^2`` with
   weight 2 on every bin except DC and Nyquist.
 * Windows are periodic (DFT-even).  Synthesis is weighted overlap-add with
@@ -88,39 +89,6 @@ class StftConfig:
         return self.fft_size // 2 + 1
 
 
-@dataclass
-class Spectrogram:
-    """One-sided STFT tensor ``[K bins, T frames, M channels]`` plus its config."""
-
-    data: np.ndarray
-    config: StftConfig
-    sample_rate_hz: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.complex128)
-        if arr.ndim != 3:
-            raise ValueError("data must be [K, T, M]")
-        if arr.shape[0] != self.config.num_bins:
-            raise ValueError(
-                f"bin count {arr.shape[0]} inconsistent with fft_size "
-                f"{self.config.fft_size}"
-            )
-        self.data = arr
-        self.sample_rate_hz = int(self.sample_rate_hz)
-
-    @property
-    def num_bins(self):
-        return self.data.shape[0]
-
-    @property
-    def num_frames(self):
-        return self.data.shape[1]
-
-    @property
-    def num_channels(self):
-        return self.data.shape[2]
-
-
 def make_window(kind, size):
     """Periodic analysis window of the given kind and length."""
     if kind == "hann":
@@ -160,8 +128,8 @@ def analyze(audio, config):
 
     Returns
     -------
-    Spectrogram
-        ``[K, T, M]`` with ``T = (num_samples - fft_size) // hop_size + 1``.
+    numpy.ndarray
+        complex ``[K, T, M]`` with ``T = (num_samples - fft_size) // hop_size + 1``.
     """
     n = audio.num_samples
     if n < config.fft_size:
@@ -175,24 +143,29 @@ def analyze(audio, config):
     frames = sliding_window_view(audio.samples, config.fft_size, axis=0)
     frames = frames[:: config.hop_size][:num_frames]
     spec = np.fft.rfft(frames * window, axis=-1)
-    return Spectrogram(spec.transpose(2, 0, 1), config, audio.sample_rate_hz)
+    return spec.transpose(2, 0, 1)
 
 
-def synthesize(spec):
-    """Inverse STFT by weighted overlap-add.
+def synthesize(spec, config, sample_rate_hz):
+    """Inverse STFT of a ``[K, T, M]`` spectrum by weighted overlap-add.
 
-    Returns an AudioBuffer of ``(T - 1) * hop_size + fft_size`` samples.
+    ``K`` must be ``config.num_bins``.  Returns an AudioBuffer at
+    ``sample_rate_hz`` of ``(T - 1) * hop_size + fft_size`` samples.
     Reconstruction of unmodified spectra is exact up to rounding wherever at
     least one window overlaps; with COLA windows that is every sample, with
     tapered windows the first/last samples where the window vanishes come
     back as zeros.
     """
-    config = spec.config
-    num_frames = spec.num_frames
-    num_channels = spec.num_channels
+    if spec.ndim != 3:
+        raise ValueError(f"spectrum must be [K, T, M], got shape {spec.shape}")
+    if spec.shape[0] != config.num_bins:
+        raise ValueError(
+            f"bin count {spec.shape[0]} inconsistent with fft_size {config.fft_size}"
+        )
+    _, num_frames, num_channels = spec.shape
     window = make_window(config.window, config.fft_size)
 
-    frames = np.fft.irfft(spec.data, n=config.fft_size, axis=0)  # [fft, T, M]
+    frames = np.fft.irfft(spec, n=config.fft_size, axis=0)  # [fft, T, M]
     frames *= window[:, None, None]
 
     out_len = (num_frames - 1) * config.hop_size + config.fft_size
@@ -206,7 +179,7 @@ def synthesize(spec):
     good = den > _DENOM_FLOOR * den.max()
     out = np.zeros_like(num)
     out[good] = num[good] / den[good, None]
-    return AudioBuffer(out, spec.sample_rate_hz)
+    return AudioBuffer(out, sample_rate_hz)
 
 
 def load_wav(path):

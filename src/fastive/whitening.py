@@ -6,9 +6,11 @@ eigendecomposition of the (regularized) spatial covariance, so that
 All bins are decomposed by one batched LAPACK call (``np.linalg.eigh``);
 a stable descending sort and a fixed phase convention on top of it make the
 eigenvectors reproducible bit-for-bit across runs.
-Covariance and whitening are batched ``np.matmul`` calls (one BLAS call
-per bin); whitened data is stored frame-contiguous as [K, R, T] and exposed
-as its [K, T, R] transpose, so contractions over T run with unit stride.
+Spectra are plain complex arrays [K bins, T frames, M channels], as
+``stft.analyze`` returns them.  Covariance and whitening are batched
+``np.matmul`` calls (one BLAS call per bin); whitened data is stored
+frame-contiguous as [K, R, T] and returned as its [K, T, R] transposed view,
+so contractions over T run with unit stride.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .stft import Spectrogram
 
 # relative diagonal shift applied before decomposition, plus an absolute
 # floor so even an exactly silent bin yields a finite d**(-1/2)
@@ -39,14 +39,15 @@ class WhiteningBank:
     whitener: np.ndarray
 
 
-def estimate_covariance(spec):
-    """Sample covariance per bin, [K, M, M], of a Spectrogram; needs >= 2 frames.
+def estimate_covariance(x):
+    """Sample covariance per bin, [K, M, M], of a [K, T, M] spectrum; >= 2 frames.
 
     Uses the 1/T convention (``C^k = x^k^T conj(x^k) / T`` with ``x^k`` the
     [T, M] frames of bin k, one batched matmul) and re-symmetrizes to be
     exactly Hermitian.
     """
-    x = spec.data
+    if x.ndim != 3:
+        raise ValueError(f"spectrum must be [K, T, M], got shape {x.shape}")
     num_frames = x.shape[1]
     if num_frames < 2:
         raise ValueError(f"insufficient frames: got {num_frames}, need >= 2")
@@ -94,22 +95,20 @@ def build_whitener(cov, rank=None):
     return WhiteningBank(eigvecs, eigvals, whitener)
 
 
-def apply_whitener(spec, bank):
-    """Project a Spectrogram onto its whitened principal components.
+def apply_whitener(x, bank):
+    """Project a [K, T, M] spectrum onto its whitened principal components.
 
     Output has ``rank`` channels: ``out[k, t] = Q^k @ x[k, t]``, computed as
     one batched matmul ``Q^k @ x^k^T`` into a contiguous [K, R, T] array
-    whose [K, T, R] transpose becomes the returned Spectrogram's data.
+    and returned as its [K, T, R] transposed view.
     """
-    x = spec.data
     q = bank.whitener
     if x.shape[0] != q.shape[0]:
         raise ValueError(
-            f"bin count mismatch: spectrogram {x.shape[0]}, whitener {q.shape[0]}"
+            f"bin count mismatch: spectrum {x.shape[0]}, whitener {q.shape[0]}"
         )
     if x.shape[2] != q.shape[2]:
         raise ValueError(
-            f"channel mismatch: spectrogram {x.shape[2]}, whitener {q.shape[2]}"
+            f"channel mismatch: spectrum {x.shape[2]}, whitener {q.shape[2]}"
         )
-    out = np.matmul(q, x.transpose(0, 2, 1))
-    return Spectrogram(out.transpose(0, 2, 1), spec.config, spec.sample_rate_hz)
+    return np.matmul(q, x.transpose(0, 2, 1)).transpose(0, 2, 1)

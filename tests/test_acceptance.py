@@ -34,7 +34,7 @@ from fastive.roomsim import (
     render,
     speech_like_sources,
 )
-from fastive.stft import AudioBuffer, Spectrogram, StftConfig, analyze, synthesize
+from fastive.stft import AudioBuffer, StftConfig, analyze, synthesize
 from fastive.whitening import (
     EPS_COV_ABS,
     EPS_COV_REL,
@@ -55,12 +55,6 @@ def announce(request, index, label, passed, detail):
         reporter.write_line(line)
     print(line)
     assert passed, line
-
-
-def spec_of(data):
-    k = data.shape[0]
-    cfg = StftConfig(1, 1, "rect") if k == 1 else StftConfig(2 * (k - 1), k - 1, "rect")
-    return Spectrogram(data, cfg, FS)
 
 
 # ----------------------------------------------------------------------
@@ -151,10 +145,9 @@ def test_04_runtime_scaling(request):
              f"{t6 * 1e3:.0f} ms (M=6), ratio {ratio:.2f} <= 2.5")
 
 
-def reference_update(spec, w, model):
+def reference_update(x, w, model):
     """Literal per-bin transcription of the update rule, kept independent
     of the vectorized implementation."""
-    x = spec.data
     num_bins, num_frames, rank = x.shape
     y = np.array([[np.vdot(w[k], x[k, t]) for t in range(num_frames)]
                   for k in range(num_bins)])
@@ -183,13 +176,12 @@ def test_05_update_rule_oracle(request):
         num_frames = int(rng.integers(10, 51))
         data = rng.normal(size=(num_bins, num_frames, rank)) \
             + 1j * rng.normal(size=(num_bins, num_frames, rank))
-        spec = spec_of(data)
         w0 = rng.normal(size=(num_bins, rank)) + 1j * rng.normal(size=(num_bins, rank))
         w0 /= np.linalg.norm(w0, axis=1, keepdims=True)
         for kind in ALL_KINDS:
             model = ContrastModel(kind=kind)
-            got = iterate_once(spec, DemixState(w=w0.copy()), model).w
-            ref = reference_update(spec, w0, model)
+            got = iterate_once(data, DemixState(w=w0.copy()), model).w
+            ref = reference_update(data, w0, model)
             worst = max(worst, float(np.max(np.abs(got - ref))))
             cases += 1
     announce(request, 5, "update-rule oracle",
@@ -206,10 +198,9 @@ def test_06_gradient_suite(request):
         num_frames = int(rng.integers(8, 33))
         data = rng.normal(size=(num_bins, num_frames, rank)) \
             + 1j * rng.normal(size=(num_bins, num_frames, rank))
-        spec = spec_of(data)
         w = rng.normal(size=(num_bins, rank)) + 1j * rng.normal(size=(num_bins, rank))
         model = ContrastModel(kind=ALL_KINDS[trial % 3])
-        analytic = -_update_terms(spec, w, model)[2]
+        analytic = -_update_terms(data, w, model)[2]
         eps = 1e-6
         fd = np.zeros_like(analytic)
         for k in range(num_bins):
@@ -219,8 +210,8 @@ def test_06_gradient_suite(request):
                     wp[k, m] += eps * direction
                     wm = w.copy()
                     wm[k, m] -= eps * direction
-                    d = (_update_terms(spec, wp, model)[0]
-                         - _update_terms(spec, wm, model)[0]) / (2 * eps)
+                    d = (_update_terms(data, wp, model)[0]
+                         - _update_terms(data, wm, model)[0]) / (2 * eps)
                     fd[k, m] += 0.5 * d * direction
         rel = np.linalg.norm(fd - analytic) / np.linalg.norm(analytic)
         worst_grad = max(worst_grad, float(rel))
@@ -251,8 +242,7 @@ def test_07_whitening_suite(request):
     for num_channels in (2, 3, 6):
         data = rng.normal(size=(5, 300, num_channels)) \
             + 1j * rng.normal(size=(5, 300, num_channels))
-        spec = spec_of(data)
-        c = estimate_covariance(spec)
+        c = estimate_covariance(data)
         wb = build_whitener(c)
         q = wb.whitener
         ident = np.einsum("krm,kmn,ksn->krs", q, c, q.conj())
@@ -290,7 +280,7 @@ def test_08_scaling_resolution(request):
             + 1j * rng.normal(size=(num_frames, num_sources))
         qmat, _ = np.linalg.qr(raw)
         sources[k] = np.sqrt(num_frames) * qmat  # sample covariance exactly I
-    spec = spec_of(np.einsum("kmn,ktn->ktm", mixing, sources))
+    spec = np.einsum("kmn,ktn->ktm", mixing, sources)
     cov = estimate_covariance(spec)
 
     w_eff = np.empty((num_bins, num_mics), dtype=complex)
@@ -315,7 +305,7 @@ def test_09_stft_round_trip(request):
     rng = np.random.default_rng(29)
     config = StftConfig(2048, 512, "hann")
     audio = AudioBuffer(rng.normal(size=(3 * FS, 2)), FS)
-    out = synthesize(analyze(audio, config))
+    out = synthesize(analyze(audio, config), config, FS)
     interior = slice(config.fft_size, out.num_samples - config.fft_size)
     err = np.linalg.norm(out.samples[interior] - audio.samples[interior])
     rel = float(err / np.linalg.norm(audio.samples[interior]))
@@ -355,7 +345,6 @@ def test_10_simulator_physics(request):
 def test_11_prior_scale_invariance(request):
     rng = np.random.default_rng(9)
     data = rng.normal(size=(3, 40, 2)) + 1j * rng.normal(size=(3, 40, 2))
-    spec = spec_of(data)
     worst = 0.0
     for kind in ALL_KINDS:
         base = ContrastModel(kind=kind)
@@ -363,8 +352,8 @@ def test_11_prior_scale_invariance(request):
         s1 = DemixState(w=np.tile([[1.0 + 0.0j, 0.0]], (3, 1)))
         s2 = DemixState(w=np.tile([[1.0 + 0.0j, 0.0]], (3, 1)))
         for _ in range(15):
-            s1 = iterate_once(spec, s1, base)
-            s2 = iterate_once(spec, s2, scaled)
+            s1 = iterate_once(data, s1, base)
+            s2 = iterate_once(data, s2, scaled)
             worst = max(worst, float(np.max(np.abs(s1.w - s2.w))))
     announce(request, 11, "prior scale invariance",
              worst < 1e-12,

@@ -207,17 +207,21 @@ def test_bench_parallel_matches_serial(tmp_path):
     }
     grid_path = tmp_path / "grid.json"
     grid_path.write_text(json.dumps(grid))
-    assert main(["bench", str(grid_path), "-o", str(tmp_path / "serial")]) == 0
-    assert main(["bench", str(grid_path), "-o", str(tmp_path / "par"),
-                 "--jobs", "2"]) == 0
+    assert main(["bench", str(grid_path), "-o", str(tmp_path / "serial"),
+                 "--jobs", "1"]) == 0
     serial = (tmp_path / "serial" / "records.jsonl").read_text().splitlines()
-    par = (tmp_path / "par" / "records.jsonl").read_text().splitlines()
-    assert len(serial) == len(par) == 8
-    for a, b in zip(serial, par):
-        ra, rb = json.loads(a), json.loads(b)
-        assert ra["scenario_id"] == rb["scenario_id"]
-        assert ra["input_sir_db"] == pytest.approx(rb["input_sir_db"], abs=1e-9)
-        assert ra["output_sir_db"] == pytest.approx(rb["output_sir_db"], abs=1e-9)
+    assert len(serial) == 8
+    for jobs in ("2", "3"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["bench", str(grid_path), "-o", str(out), "--jobs", jobs]) == 0
+        par = (out / "records.jsonl").read_text().splitlines()
+        assert len(par) == 8
+        # whole records agree, scenario ids and SIRs included; only the
+        # wall time may differ
+        for a, b in zip(serial, par):
+            ra, rb = json.loads(a), json.loads(b)
+            del ra["runtime_s"], rb["runtime_s"]
+            assert ra == rb
 
 
 def test_bench_sharing_matches_single_geometry_grids(tmp_path, monkeypatch):
@@ -284,7 +288,8 @@ def test_bench_renders_and_factors_each_mixture_once(tmp_path, monkeypatch):
                                       "solver.ref_mic=1", "trial=3",
                                       "num_sources=-1", "num_sources=[-1,2]",
                                       "fs=0", "duration_seconds=0",
-                                      "duration_seconds=-1", "trials=-1"])
+                                      "duration_seconds=-1", "trials=-1",
+                                      "seed=-1"])
 def test_bench_parses_every_key_before_building_responses(tmp_path, monkeypatch,
                                                           override):
     calls = []
@@ -311,6 +316,34 @@ def test_bench_records_trial_errors_in_band(tmp_path):
     assert "unknown prior" in record["error"]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["cells"][0]["errors"] == 1
+
+
+def test_bench_cell_line_counts_over_the_trials_that_reported(tmp_path, capsys,
+                                                              monkeypatch):
+    # trial 0 raises inside extract; trial 1 reports, so the line reads
+    # its successes over 1 report and names the 1 error
+    calls = []
+
+    def failing_first(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise RuntimeError("trial 0 fails")
+        return extract(*args, **kwargs)
+    extract = cli.extract
+    monkeypatch.setattr(cli, "extract", failing_first)
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({
+        "duration_seconds": 0.5, "trials": 2, "prior": "t",
+        "stft": {"fft_size": 512, "hop_size": 128}, "filter_len": 64,
+    }))
+    out = tmp_path / "bench"
+    assert main(["bench", str(grid_path), "-o", str(out)]) == 0
+    [cell] = json.loads((out / "summary.json").read_text())["cells"]
+    assert (cell["trials"], cell["errors"], cell["num_trials"]) == (2, 1, 1)
+    [line] = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("N2_M2_sir10_t:")]
+    assert (f"success {cell['num_successes']}/1 ({cell['success_rate']:.0%}), "
+            "1 error, mean" in line)
 
 
 @pytest.mark.parametrize("key, message", [
@@ -369,10 +402,19 @@ def test_main_returns_2_on_bad_input(tmp_path, capsys):
         ("num_mics=-1", "num_mics must be >= 2, got -1"),
         ("sources.duration_seconds=0",
          "sources.duration_seconds must be finite and >= 6.25e-05, got 0"),
+        ("seed=-1", "seed must be >= 0, got -1"),
+        ("source_positions=[[1,1,1.5],[2,1,1.5],[3,1,1.5]]",
+         "num_sources 2 disagrees with the 3 source_positions given"),
+        ("mic_positions=[[1,4,1],[2,4,1],[3,4,1]]",
+         "num_mics 2 disagrees with the 3 mic_positions given"),
     ):
         assert main(["simulate", str(scene), "-o", str(tmp_path / "sim"),
                      "--set", override]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+    assert main(["simulate", str(scene), "-o", str(tmp_path / "sim"),
+                 "--seed", "-1"]) == 2
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
 
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"duration_seconds": 0.5, "trials": 1}))
@@ -400,9 +442,16 @@ def test_main_returns_2_on_bad_input(tmp_path, capsys):
         ("duration_seconds=-1",
          "duration_seconds must be finite and >= 6.25e-05, got -1"),
         ("trials=-1", "trials must be >= 1, got -1"),
+        ("seed=-1", "seed must be >= 0, got -1"),
     ):
         assert main(["bench", str(grid), "-o", str(tmp_path / "bench"),
                      "--set", override]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "bench").exists()
+    for flags, message in ((["--seed", "-1"], "seed must be >= 0, got -1"),
+                           (["--jobs", "0"], "--jobs must be >= 1, got 0"),
+                           (["--jobs", "-3"], "--jobs must be >= 1, got -3")):
+        assert main(["bench", str(grid), "-o", str(tmp_path / "bench"), *flags]) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "bench").exists()
 

@@ -30,17 +30,10 @@ from fastive.extractor import (
 from fastive.metrics import evaluate
 from fastive.priors import ContrastModel, g, g_double_prime, g_prime
 from fastive.roomsim import AudioBuffer, MixtureSet, speech_like_sources
-from fastive.stft import Spectrogram, StftConfig
+from fastive.stft import StftConfig
 from fastive.whitening import apply_whitener, build_whitener, estimate_covariance
 
 ALL_KINDS = ("ssl", "gg", "t")
-
-
-def spec_of(data):
-    """Wrap a [K, T, R] array; K = 1 uses the single-bin config."""
-    k = data.shape[0]
-    cfg = StftConfig(1, 1, "rect") if k == 1 else StftConfig(2 * (k - 1), k - 1, "rect")
-    return Spectrogram(data, cfg, 16000)
 
 
 def random_instance(seed, num_bins, num_frames, rank):
@@ -49,14 +42,13 @@ def random_instance(seed, num_bins, num_frames, rank):
         + 1j * rng.normal(size=(num_bins, num_frames, rank))
     w = rng.normal(size=(num_bins, rank)) + 1j * rng.normal(size=(num_bins, rank))
     w /= np.linalg.norm(w, axis=1, keepdims=True)
-    return spec_of(data), w
+    return data, w
 
 
-def reference_update(spec, w, model):
+def reference_update(x, w, model):
     """Unvectorized one-step update, written directly from the rule:
     per bin, a = mean[G' + |y|^2 G''], b = mean[conj(y) G' x], then
     normalize a w - b."""
-    x = spec.data
     num_bins, num_frames, rank = x.shape
     y = np.array([[np.vdot(w[k], x[k, t]) for t in range(num_frames)]
                   for k in range(num_bins)])
@@ -80,7 +72,7 @@ def test_apply_demixer_matches_loop():
     y = apply_demixer(spec, w)
     for k in range(2):
         for t in range(3):
-            np.testing.assert_allclose(y[k, t], np.vdot(w[k], spec.data[k, t]),
+            np.testing.assert_allclose(y[k, t], np.vdot(w[k], spec[k, t]),
                                        atol=1e-15)
 
 
@@ -106,7 +98,7 @@ def test_contractions_match_einsum(num_bins, num_frames, num_channels, kind,
     rng = np.random.default_rng(seed)
     shape = (num_bins, num_frames, num_channels)
     x = gains * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-    spec = spec_of(x.copy())
+    spec = x.copy()
     ax = np.abs(x)
 
     cov = estimate_covariance(spec)
@@ -117,13 +109,13 @@ def test_contractions_match_einsum(num_bins, num_frames, num_channels, kind,
     bank = build_whitener(estimate_covariance(spec), rank=rank)
     q = bank.whitener
     white = apply_whitener(spec, bank)
-    assert white.data.shape == (num_bins, num_frames, rank)
+    assert white.shape == (num_bins, num_frames, rank)
     ref_white = np.einsum("krm,ktm->ktr", q, x)
-    assert_within(white.data, ref_white, np.einsum("krm,ktm->ktr", np.abs(q), ax))
+    assert_within(white, ref_white, np.einsum("krm,ktm->ktr", np.abs(q), ax))
 
     w = rng.normal(size=(num_bins, rank)) + 1j * rng.normal(size=(num_bins, rank))
     w /= np.linalg.norm(w, axis=1, keepdims=True)
-    xw = white.data
+    xw = white
     aw = np.abs(xw)
     y = np.einsum("kr,ktr->kt", w.conj(), xw)
     assert_within(apply_demixer(white, w), y,
@@ -142,10 +134,10 @@ def test_contractions_match_einsum(num_bins, num_frames, num_channels, kind,
                   np.einsum("kt,ktr->kr", np.abs(y * gp), aw) / num_frames)
 
     # writing through the data views reaches the contractions
-    spec.data[:] = 2.0 * spec.data
+    spec[:] = 2.0 * spec
     assert_within(estimate_covariance(spec), 4.0 * ref,
                   4.0 * np.einsum("ktm,ktn->kmn", ax, ax) / num_frames)
-    white.data[:] = ref_white
+    white[:] = ref_white
     assert_within(apply_demixer(white, w), np.einsum("kr,ktr->kt", w.conj(), ref_white),
                   np.einsum("kr,ktr->kt", np.abs(w), np.abs(ref_white)))
 
@@ -189,7 +181,7 @@ def stationary_instance():
     half = rng.normal(size=20) + 1j * rng.normal(size=20)
     ch1 = np.repeat(half, 2)
     ch2 = np.tile([0.7 + 0.2j, -(0.7 + 0.2j)], 20)
-    return spec_of(np.stack([ch1, ch2], axis=1)[None, :, :])
+    return np.stack([ch1, ch2], axis=1)[None, :, :]
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -217,7 +209,7 @@ def separable_instance(seed=42, num_frames=5000):
     raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, _ = np.linalg.qr(raw)
     x = np.stack([s1, s2], axis=1) @ q.T
-    return spec_of(x[None, :, :]), q, s1
+    return x[None, :, :], q, s1
 
 
 @pytest.mark.parametrize("kind", ["ssl", "t"])
@@ -240,7 +232,7 @@ def test_solve_captures_a_dominant_source(kind):
     s2 = (rng.normal(size=num_frames) + 1j * rng.normal(size=num_frames)) / np.sqrt(2.0)
     raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, _ = np.linalg.qr(raw)
-    spec = spec_of((np.stack([s1, s2], axis=1) @ q.T)[None, :, :])
+    spec = (np.stack([s1, s2], axis=1) @ q.T)[None, :, :]
 
     bank = build_whitener(estimate_covariance(spec))
     white = apply_whitener(spec, bank)
@@ -281,7 +273,7 @@ def exact_mixture(seed, num_bins=6, num_mics=3, num_sources=2, num_frames=64):
         qmat, _ = np.linalg.qr(raw)
         sources[k] = np.sqrt(num_frames) * qmat
     data = np.einsum("kmn,ktn->ktm", mixing, sources)
-    return spec_of(data), mixing, sources
+    return data, mixing, sources
 
 
 def exact_demixer(mixing):
@@ -316,7 +308,7 @@ def test_rescaled_output_is_the_source_image_at_the_reference():
 
 def test_mixing_vector_silent_bin_yields_zero():
     spec, mixing, _ = exact_mixture(23)
-    spec.data[4] = 0.0
+    spec[4] = 0.0
     cov = estimate_covariance(spec)
     h = estimate_mixing_vector(cov, exact_demixer(mixing))
     np.testing.assert_array_equal(h[4], 0.0)
@@ -326,7 +318,7 @@ def test_rescale_warns_when_source_invisible_at_reference():
     spec, mixing, sources = exact_mixture(24)
     # rebuild the mixture so bin 2's source 1 is invisible at mic 0
     mixing[2, 0, 0] = 0.0
-    spec.data[:] = np.einsum("kmn,ktn->ktm", mixing, sources)
+    spec[:] = np.einsum("kmn,ktn->ktm", mixing, sources)
     cov = estimate_covariance(spec)
     w_eff = exact_demixer(mixing)
     h = estimate_mixing_vector(cov, w_eff)
@@ -350,8 +342,7 @@ def test_mixing_vector_rejects_null_output():
     rng = np.random.default_rng(26)
     data = np.zeros((1, 50, 2), dtype=complex)
     data[:, :, 0] = rng.normal(size=(1, 50)) + 1j * rng.normal(size=(1, 50))
-    spec = spec_of(data)
-    cov = estimate_covariance(spec)
+    cov = estimate_covariance(data)
     with pytest.raises(ValueError, match="degenerate output power"):
         estimate_mixing_vector(cov, np.array([[0.0, 1.0 + 0.0j]]))
 

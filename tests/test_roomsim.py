@@ -486,6 +486,28 @@ def test_scenario_from_dict_overrides_and_errors(tmp_path):
         scenario_from_dict({"sources": {"kind": "mic_array"}})
 
 
+def test_counts_beside_explicit_positions_must_agree_with_them():
+    talkers = [[1.0 + 0.7 * i, 3.5, 1.5] for i in range(7)]
+    array = [[1.0, 0.5, 1.0], [1.5, 0.5, 1.0], [2.0, 0.5, 1.0]]
+    short = {"duration_seconds": 0.01}
+    # positions beyond the default layout build, with or without their count
+    for cfg, counts in (({"source_positions": talkers}, (7, 2)),
+                        ({"num_sources": 7, "source_positions": talkers}, (7, 2)),
+                        ({"num_mics": 3, "mic_positions": array}, (2, 3))):
+        scenario = scenario_from_dict({**cfg, "sources": short})[0]
+        assert (scenario.num_sources, scenario.num_mics) == counts
+    assert default_geometry(mic_positions=array).num_sources == len(SOURCE_POSITIONS)
+    for count, positions, key in (
+            ({"num_sources": 3}, {"source_positions": talkers[:2]}, "num_sources"),
+            ({"num_sources": -1}, {"source_positions": talkers[:2]}, "num_sources"),
+            ({"num_mics": 2}, {"mic_positions": array}, "num_mics")):
+        message = f"{key} {count[key]} disagrees with the"
+        with pytest.raises(ValueError, match=message):
+            scenario_from_dict({**count, **positions, "sources": short})
+        with pytest.raises(ValueError, match=message):
+            default_geometry(**count, **positions)
+
+
 def test_scenario_from_dict_wav_sources(tmp_path):
     for i in range(2):
         sig = speech_like_sources(1, 4000, FS, i)[0]
