@@ -8,12 +8,15 @@ once and then updates all bins simultaneously:
     w^k <- mean_t[G'(r_t) + |y_t^k|^2 G''(r_t)] * w^k
            - mean_t[conj(y_t^k) G'(r_t) x~_t^k]
 
-followed by per-bin renormalization to unit length.  The contractions over
-frames (``y``, ``b`` and the output) are batched ``np.matmul`` calls, one
-BLAS call per bin, on the frame-contiguous [K, R, T] whitened data; ``a`` is
-a matvec of the per-bin power with G''.  Convergence is declared when
-``max_k (1 - |<w_new^k, w_old^k>|)`` drops below the tolerance, which
-ignores the irrelevant global phase per bin.
+followed by per-bin renormalization to unit length.  Per iteration, a
+batched ``np.matmul`` (one BLAS call per bin) over the frame-contiguous
+[K, R, T] whitened data gives ``y``; ``np.abs(y)`` is squared in place into
+the power, whose column sums are ``r`` and whose matvec with G''(r) is
+``a``; ``y`` is overwritten in place with ``conj(y) G'(r)``, and a second
+batched matmul of the whitened data with it gives ``b``.  ``y`` and the
+power are the only [K, T] arrays an iteration makes.  Convergence is
+declared when ``max_k (1 - |<w_new^k, w_old^k>|)`` drops below the
+tolerance, which ignores the irrelevant global phase per bin.
 
 The per-bin scaling left undetermined by the unit-norm constraint is
 resolved by back-projecting into the microphone domain, estimating the
@@ -104,17 +107,23 @@ def apply_demixer(x, w):
 def _update_terms(white, w, model):
     """Cost at w (the one place it is computed) and the (a, b) coefficients;
     ``a`` and ``b`` contract over T, with unit stride on ``apply_whitener`` output.
-    ``-b`` is the cost's conjugate gradient: dC/du = -2 Re b, dC/dv = -2 Im b."""
+    ``-b`` is the cost's conjugate gradient: dC/du = -2 Re b, dC/dv = -2 Im b.
+
+    ``power`` is squared in place, and ``y``, which ``apply_demixer`` returns
+    fresh, is overwritten with ``conj(y) G'``; ``white`` and ``w`` are only read."""
     x = white.transpose(0, 2, 1)
     num_frames = x.shape[2]
     y = apply_demixer(white, w)
-    power = np.abs(y) ** 2
+    power = np.abs(y)
+    np.square(power, out=power)
     r = power.sum(axis=0)
     cost = float(-np.mean(priors.g(model, r)))
     gp = priors.g_prime(model, r)
     gpp = priors.g_double_prime(model, r)
     a = gp.mean() + power @ gpp / num_frames
-    b = np.matmul(x, (y.conj() * gp)[:, :, None])[:, :, 0] / num_frames
+    np.conjugate(y, out=y)
+    y *= gp
+    b = np.matmul(x, y[:, :, None])[:, :, 0] / num_frames
     return cost, a, b
 
 

@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .stft import AudioBuffer, load_wav
 
@@ -296,6 +296,18 @@ def compute_rirs(scenario, fs):
     ]
 
 
+def _convolve(signal, rir):
+    """Full linear convolution of two 1-D arrays, bit for bit as
+    ``scipy.signal.fftconvolve`` computes it (a real FFT at the next fast
+    length, or a plain product when one side is a single sample), without
+    importing ``scipy.signal``, which takes longer than the whole package."""
+    if min(signal.size, rir.size) == 1:
+        return signal * rir
+    n = signal.size + rir.size - 1
+    nfft = next_fast_len(n, True)
+    return irfft(rfft(signal, nfft) * rfft(rir, nfft), nfft)[:n]
+
+
 def render(scenario, fs, rirs=None):
     """Simulate a scenario into a MixtureSet.
 
@@ -332,7 +344,7 @@ def render(scenario, fs, rirs=None):
         padded[: sig.num_samples] = sig.samples[:, 0]
         img = np.zeros((out_len, num_mics))
         for m in range(num_mics):
-            y = fftconvolve(padded, rirs[s][m])
+            y = _convolve(padded, rirs[s][m])
             img[: y.size, m] = y
         images.append(img)
 

@@ -15,6 +15,10 @@ Conventions
   windows, which reconstructs exactly wherever that sum is positive.
   The constant-overlap-add check is applied to the squared window because
   that is the quantity the synthesis normalizer folds down.
+  Synthesis inverts all frames at once on a frame-major copy of the
+  spectrum and overlap-adds in ``ceil(fft_size / hop_size)`` block adds,
+  one per hop-long segment of a frame, each sample still summing its
+  frames in ascending order as a frame-by-frame overlap-add does.
 """
 
 from __future__ import annotations
@@ -163,19 +167,28 @@ def synthesize(spec, config, sample_rate_hz):
             f"bin count {spec.shape[0]} inconsistent with fft_size {config.fft_size}"
         )
     _, num_frames, num_channels = spec.shape
-    window = make_window(config.window, config.fft_size)
+    fft, hop = config.fft_size, config.hop_size
+    window = make_window(config.window, fft)
 
-    frames = np.fft.irfft(spec, n=config.fft_size, axis=0)  # [fft, T, M]
-    frames *= window[:, None, None]
-
-    out_len = (num_frames - 1) * config.hop_size + config.fft_size
-    num = np.zeros((out_len, num_channels))
-    den = np.zeros(out_len)
+    frames = np.fft.irfft(  # [T, M, fft], each frame contiguous
+        np.ascontiguousarray(spec.transpose(1, 2, 0)), n=fft, axis=-1
+    )
+    frames *= window
+    # segment j (samples [j hop, (j + 1) hop)) of frame t lands in output
+    # block t + j, so adding segments from last to first sums each sample's
+    # frames in ascending t
+    num_segments = -(-fft // hop)
+    num = np.zeros((num_frames + num_segments - 1, hop, num_channels))
+    den = np.zeros((num_frames + num_segments - 1, hop))
     w2 = window**2
-    for t in range(num_frames):
-        start = t * config.hop_size
-        num[start:start + config.fft_size] += frames[:, t, :]
-        den[start:start + config.fft_size] += w2
+    for j in reversed(range(num_segments)):
+        seg = slice(j * hop, (j + 1) * hop)
+        width = w2[seg].size
+        num[j:j + num_frames, :width] += frames[:, :, seg].transpose(0, 2, 1)
+        den[j:j + num_frames, :width] += w2[seg]
+    out_len = (num_frames - 1) * hop + fft
+    num = num.reshape(-1, num_channels)[:out_len]
+    den = den.reshape(-1)[:out_len]
     good = den > _DENOM_FLOOR * den.max()
     out = np.zeros_like(num)
     out[good] = num[good] / den[good, None]

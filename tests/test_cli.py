@@ -2,7 +2,11 @@
 scenarios, override parsing, and failure exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +54,17 @@ def test_parser_covers_all_subcommands():
         extra = ["--mixture", "m.wav", "--target", "t.wav"] \
             if cmd == "evaluate" else []
         assert build_parser().parse_args([cmd, positional] + extra).command == cmd
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    """scipy.signal takes longer to import than the whole package; the
+    renderer convolves through scipy.fft instead."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import fastive.cli, sys; assert 'scipy.signal' not in sys.modules"],
+        env=env, check=True, timeout=120,
+    )
 
 
 def test_simulate_extract_evaluate_pipeline(tmp_path, capsys):

@@ -153,6 +153,27 @@ def test_iterate_once_matches_reference(kind):
     np.testing.assert_allclose(np.linalg.norm(got.w, axis=1), 1.0, atol=1e-12)
 
 
+@settings(deadline=None, max_examples=40)
+@given(num_bins=st.integers(1, 9), num_frames=st.integers(2, 40),
+       num_channels=st.integers(2, 6), kind=st.sampled_from(ALL_KINDS),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_an_iteration_leaves_its_inputs_alone(num_bins, num_frames, num_channels,
+                                              kind, seed, data):
+    """_update_terms works in place on its own temporaries: neither it nor
+    iterate_once writes to the whitened data or the incoming w."""
+    rank = data.draw(st.integers(1, num_channels), label="rank")
+    spec, _ = random_instance(seed, num_bins, num_frames, num_channels)
+    white = apply_whitener(spec, build_whitener(estimate_covariance(spec), rank=rank))
+    _, w = random_instance(seed + 1, num_bins, 1, rank)
+    state = DemixState(w=w)
+    model = ContrastModel(kind=kind)
+    white_before, w_before = white.tobytes(), w.tobytes()
+    _update_terms(white, state.w, model)
+    assert white.tobytes() == white_before and state.w.tobytes() == w_before
+    iterate_once(white, state, model)
+    assert white.tobytes() == white_before and state.w.tobytes() == w_before
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_gradient_matches_finite_differences(kind):
     spec, w = random_instance(2, 2, 16, 2)

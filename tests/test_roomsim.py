@@ -349,6 +349,27 @@ def test_render_reuses_precomputed_responses():
     np.testing.assert_array_equal(a.mixture.samples, b.mixture.samples)
 
 
+def test_render_convolves_as_fftconvolve_does():
+    """Every image of the default geometry is, bit for bit, scipy's
+    fftconvolve of its source with its response; so is a 1-tap response,
+    which scipy multiplies directly."""
+    from scipy.signal import fftconvolve
+
+    scen = default_geometry()
+    scen = replace(scen, source_signals=tuple(
+        speech_like_sources(scen.num_sources, 4000, FS, 0)))
+    rirs = compute_rirs(scen, FS)
+    images = render(scen, FS, rirs=rirs).images
+    for s, sig in enumerate(scen.source_signals):
+        for m, rir in enumerate(rirs[s]):
+            y = fftconvolve(sig.samples[:, 0], rir)
+            assert np.array_equal(images[s].samples[: y.size, m], y)
+    one_tap = [[np.array([0.3])] * scen.num_mics] * scen.num_sources
+    images = render(scen, FS, rirs=one_tap).images
+    assert np.array_equal(images[1].samples[:, 0],
+                          fftconvolve(scen.source_signals[1].samples[:, 0], [0.3]))
+
+
 def test_render_validation():
     scen = two_by_two_scenario()
     with pytest.raises(ValueError, match="signals for"):

@@ -82,6 +82,48 @@ def test_every_config_that_builds_reconstructs(case, window):
     np.testing.assert_allclose(out[interior], x[interior], rtol=0, atol=1e-12)
 
 
+def reference_overlap_add(spec, config):
+    """Weighted overlap-add written frame by frame: each sample sums its
+    frames' contributions in ascending frame order."""
+    fft, hop = config.fft_size, config.hop_size
+    window = make_window(config.window, fft)
+    _, num_frames, num_channels = spec.shape
+    frames = np.fft.irfft(spec, n=fft, axis=0) * window[:, None, None]
+    num = np.zeros(((num_frames - 1) * hop + fft, num_channels))
+    den = np.zeros(num.shape[0])
+    for t in range(num_frames):
+        num[t * hop:t * hop + fft] += frames[:, t, :]
+        den[t * hop:t * hop + fft] += window**2
+    good = den > 1e-12 * den.max()
+    out = np.zeros_like(num)
+    out[good] = num[good] / den[good, None]
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@example(case=(2048, 512), window="hann", num_frames=9, num_channels=1)
+@example(case=(33, 2), window="hann", num_frames=7, num_channels=2)
+@example(case=(9, 2), window="sqrt_hann", num_frames=1, num_channels=3)
+@example(case=(40, 1), window="hann", num_frames=4, num_channels=1)
+@example(case=(8, 8), window="rect", num_frames=5, num_channels=2)
+@given(case=FFT_AND_HOP, window=st.sampled_from(WINDOW_KINDS),
+       num_frames=st.integers(1, 12), num_channels=st.integers(1, 3))
+def test_synthesize_equals_a_per_frame_overlap_add(case, window, num_frames,
+                                                   num_channels):
+    """Bit for bit, for every config that builds, including a hop that does
+    not divide the frame."""
+    fft, hop = case
+    try:
+        config = StftConfig(fft, hop, window)
+    except ValueError:
+        return
+    rng = np.random.default_rng(fft * 1000 + hop)
+    shape = (config.num_bins, num_frames, num_channels)
+    spec = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    out = synthesize(spec, config, 8000).samples
+    assert np.array_equal(out, reference_overlap_add(spec, config))
+
+
 def test_frames_are_left_aligned():
     """An impulse at sample ``hop`` shows up at offset hop in frame 0 and
     offset 0 in frame 1."""
