@@ -22,7 +22,6 @@ from .priors import (  # noqa: F401
     g_prime,
 )
 from .whitening import (  # noqa: F401
-    WhiteningBank,
     apply_whitener,
     build_whitener,
     estimate_covariance,

@@ -14,7 +14,7 @@ import itertools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -38,18 +38,11 @@ from .roomsim import (
 from .stft import WINDOW_KINDS, StftConfig, load_wav, save_wav
 
 
-@dataclass
-class RunManifest:
+def run_manifest(command, config_path, output_dir, overrides=(), seed=None):
     """Provenance block embedded in every output artifact."""
-
-    command: str
-    config_path: str | None = None
-    overrides: list = dataclasses.field(default_factory=list)
-    output_dir: str = "."
-    seed: int | None = None
-
-    def to_dict(self):
-        return {"tool": f"fastive {__version__}", **dataclasses.asdict(self)}
+    return {"tool": f"fastive {__version__}", "command": command,
+            "config_path": config_path, "overrides": list(overrides),
+            "output_dir": output_dir, "seed": seed}
 
 
 def _add_solver_flags(p):
@@ -157,9 +150,7 @@ def cmd_extract(args):
     wav_path = outdir / f"{stem}_extracted.wav"
     save_wav(wav_path, result.audio, fmt=args.wav_format)
     report = {
-        "manifest": RunManifest(
-            command="extract", config_path=str(args.input),
-            output_dir=str(outdir)).to_dict(),
+        "manifest": run_manifest("extract", str(args.input), str(outdir)),
         "config": {"solver": dataclasses.asdict(solver),
                    "stft": dataclasses.asdict(stft_cfg), "rank": args.rank},
         "input_wav": str(args.input),
@@ -207,10 +198,8 @@ def cmd_simulate(args):
         save_wav(p, img)
         image_paths.append(str(p))
     echo = {
-        "manifest": RunManifest(
-            command="simulate", config_path=str(path),
-            overrides=args.overrides, output_dir=str(outdir),
-            seed=resolved["seed"]).to_dict(),
+        "manifest": run_manifest("simulate", str(path), str(outdir),
+                                 args.overrides, resolved["seed"]),
         "scenario": resolved,
         "mixture_wav": str(mix_path),
         "image_wavs": image_paths,
@@ -394,8 +383,7 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
     summary_path = outdir / "summary.json"
     with open(summary_path, "w") as f:
         json.dump({
-            "manifest": (replace(manifest, seed=base_seed).to_dict()
-                         if manifest else None),
+            "manifest": {**manifest, "seed": base_seed} if manifest else None,
             "grid": grid,
             "cells": summaries,
         }, f, indent=2)
@@ -411,9 +399,7 @@ def cmd_bench(args):
     apply_overrides(grid, args.overrides)
     if args.seed is not None:
         grid["seed"] = args.seed
-    manifest = RunManifest(command="bench", config_path=str(path),
-                           overrides=args.overrides,
-                           output_dir=str(args.output_dir))
+    manifest = run_manifest("bench", str(path), str(args.output_dir), args.overrides)
     run_grid(grid, args.output_dir, jobs=jobs, manifest=manifest)
     return 0
 

@@ -22,8 +22,8 @@ The per-bin scaling left undetermined by the unit-norm constraint is
 resolved by back-projecting into the microphone domain, estimating the
 mixing (steering) vector of the extracted source from the original-domain
 covariance, and rescaling so the output equals the source image at a chosen
-reference microphone.  These three stages pass plain [K, M] arrays;
-``extract`` stores the final vectors in ``DemixState.w_effective``.
+reference microphone.  Like every stage of ``extract``, these three pass
+plain arrays; ``extract`` demixes with the rescaled [K, M] vectors.
 """
 
 from __future__ import annotations
@@ -71,13 +71,10 @@ class DemixState:
     """Solver state.
 
     w : [K, R] unit-norm demixing vectors on whitened data
-    w_effective : [K, M] rescaled microphone-domain vectors, set by extract
-    cost_history : objective value at the start of each iteration
+    cost_history : objective value at the start of each iteration run
     """
 
     w: np.ndarray
-    w_effective: np.ndarray | None = None
-    iteration: int = 0
     converged: bool = False
     cost_history: list = field(default_factory=list)
 
@@ -142,7 +139,6 @@ def iterate_once(white, state, model):
     w_new = w_new / norms[:, None]
     return DemixState(
         w=w_new,
-        iteration=state.iteration + 1,
         converged=state.converged,
         cost_history=state.cost_history + [cost],
     )
@@ -170,9 +166,9 @@ def solve(white, config):
     return state
 
 
-def back_project(w, bank):
-    """Compose the whitener into microphone-domain vectors ``w_eff = Q^H w``, [K, M]."""
-    return np.einsum("krm,kr->km", bank.whitener.conj(), w)
+def back_project(w, q):
+    """Microphone-domain vectors ``w_eff = Q^H w``, [K, M], of whitener ``q``."""
+    return np.einsum("krm,kr->km", q.conj(), w)
 
 
 def estimate_mixing_vector(cov, w_eff):
@@ -246,17 +242,17 @@ def extract(audio, config=None, stft_config=None, rank=None):
     marks.append(time.perf_counter())
     cov = estimate_covariance(spec)
     marks.append(time.perf_counter())
-    bank = build_whitener(cov, rank=rank)
+    q = build_whitener(cov, rank=rank)
     marks.append(time.perf_counter())
-    white = apply_whitener(spec, bank)
+    white = apply_whitener(spec, q)
     marks.append(time.perf_counter())
     state = solve(white, config)
     marks.append(time.perf_counter())
-    w_eff = back_project(state.w, bank)
+    w_eff = back_project(state.w, q)
     h = estimate_mixing_vector(cov, w_eff)
-    state.w_effective = rescale(w_eff, h, config.ref_mic)
+    w_eff = rescale(w_eff, h, config.ref_mic)
     marks.append(time.perf_counter())
-    out = apply_demixer(spec, state.w_effective)
+    out = apply_demixer(spec, w_eff)
     out_audio = synthesize(out[:, :, None], stft_config, audio.sample_rate_hz)
     marks.append(time.perf_counter())
     timings = {stage: marks[i + 1] - marks[i] for i, stage in enumerate(STAGES)}
@@ -264,6 +260,6 @@ def extract(audio, config=None, stft_config=None, rank=None):
         audio=out_audio,
         state=state,
         runtime_seconds=marks[-1] - start,
-        iterations_used=state.iteration,
+        iterations_used=len(state.cost_history),
         timings=timings,
     )

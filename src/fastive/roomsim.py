@@ -415,26 +415,29 @@ def default_geometry(num_sources=None, num_mics=None, **fields):
 
 
 def config_float(value, name, least=None):
-    """``value`` as a float; ValueError naming the key ``name`` unless numeric
-    and, when ``least`` is given, finite and at least ``least``."""
+    """``value`` as a float; ValueError naming the key ``name`` unless a finite
+    number, not a boolean, and, when ``least`` is given, at least ``least``."""
     try:
         number = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
-    if least is not None and not least <= number < math.inf:
-        raise ValueError(f"{name} must be finite and >= {least:g}, got {value!r}")
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or isinstance(value, bool):  # JSON true is not 1.0
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(number) or least is not None and number < least:
+        bound = "" if least is None else f" and >= {least:g}"
+        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
     return number
 
 
 def config_int(value, name, least=None):
-    """``value`` as an int; ValueError naming the key ``name`` unless integral
-    and, when ``least`` is given, at least ``least``."""
-    if not isinstance(value, int):
+    """``value`` as an int; ValueError naming the key ``name`` unless integral,
+    not a boolean, and, when ``least`` is given, at least ``least``."""
+    if not isinstance(value, int) or isinstance(value, bool):
         try:
             number = float(value)
         except (TypeError, ValueError):
             number = math.nan
-        if not number.is_integer():
+        if isinstance(value, bool) or not number.is_integer():
             raise ValueError(f"{name} must be an integer, got {value!r}")
         value = number
     if least is not None and value < least:

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.io import wavfile
 
 COLA_TOL = 1e-6
 WINDOW_KINDS = ("hann", "sqrt_hann", "rect")
@@ -201,6 +200,9 @@ def load_wav(path):
     16-bit PCM is scaled to ``[-1, 1)`` by 1/32768; 32-bit float is taken
     as-is.  Sample rate comes from the header.
     """
+    # imported here: loading scipy.io costs more than the rest of the package
+    from scipy.io import wavfile
+
     rate, data = wavfile.read(path)
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / 32768.0
@@ -218,6 +220,8 @@ def save_wav(path, audio, fmt="float32"):
 
     PCM output clips to the representable range.
     """
+    from scipy.io import wavfile
+
     data = audio.samples
     if data.shape[1] == 1:
         data = data[:, 0]

@@ -5,7 +5,10 @@ eigendecomposition of the (regularized) spatial covariance, so that
 ``Q^k C^k Q^k^H = I`` and the retained components are ordered by power.
 All bins are decomposed by one batched LAPACK call (``np.linalg.eigh``);
 a stable descending sort and a fixed phase convention on top of it make the
-eigenvectors reproducible bit-for-bit across runs.
+eigenvectors reproducible bit-for-bit across runs.  The whitener is a plain
+[K, R, M] array: row i of ``Q^k`` is ``d_i^(-1/2) u_i^H``, so each retained
+eigenpair is recoverable from it as ``d_i = 1 / ||q_i||^2`` and
+``u_i = q_i^H sqrt(d_i)``.
 Spectra are plain complex arrays [K bins, T frames, M channels], as
 ``stft.analyze`` returns them.  Covariance and whitening are batched
 ``np.matmul`` calls (one BLAS call per bin); whitened data is stored
@@ -15,28 +18,12 @@ so contractions over T run with unit stride.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # relative diagonal shift applied before decomposition, plus an absolute
 # floor so even an exactly silent bin yields a finite d**(-1/2)
 EPS_COV_REL = 1e-10
 EPS_COV_ABS = 1e-30
-
-
-@dataclass
-class WhiteningBank:
-    """Eigenstructure and whitener per bin.
-
-    eigvecs : [K, M, M]  unitary columns, descending eigenvalue order
-    eigvals : [K, M]     post-regularization, descending
-    whitener : [K, R, M] rows are d**(-1/2) * u^H for the top R components
-    """
-
-    eigvecs: np.ndarray
-    eigvals: np.ndarray
-    whitener: np.ndarray
 
 
 def estimate_covariance(x):
@@ -56,7 +43,8 @@ def estimate_covariance(x):
 
 
 def build_whitener(cov, rank=None):
-    """Whitening matrices for every bin of a [K, M, M] covariance stack.
+    """Whitening matrices ``Q``, [K, R, M], for every bin of a [K, M, M]
+    covariance stack; row i of ``Q^k`` is ``d_i^(-1/2) u_i^H``.
 
     ``rank`` selects how many principal components to keep (default: all).
     A diagonal shift of ``EPS_COV_REL * trace/M + EPS_COV_ABS`` guards the
@@ -89,20 +77,19 @@ def build_whitener(cov, rank=None):
     peak = np.argmax(np.abs(eigvecs), axis=1)[:, None, :]
     phase = np.take_along_axis(eigvecs, peak, axis=1)
     eigvecs *= phase.conj() / np.abs(phase)
-    whitener = (
+    return (
         eigvals[:, :rank, None] ** -0.5 * eigvecs[:, :, :rank].conj().transpose(0, 2, 1)
     )
-    return WhiteningBank(eigvecs, eigvals, whitener)
 
 
-def apply_whitener(x, bank):
+def apply_whitener(x, q):
     """Project a [K, T, M] spectrum onto its whitened principal components.
 
-    Output has ``rank`` channels: ``out[k, t] = Q^k @ x[k, t]``, computed as
-    one batched matmul ``Q^k @ x^k^T`` into a contiguous [K, R, T] array
-    and returned as its [K, T, R] transposed view.
+    Output has ``rank`` channels: ``out[k, t] = Q^k @ x[k, t]`` for the
+    [K, R, M] whitener ``q``, computed as one batched matmul ``Q^k @ x^k^T``
+    into a contiguous [K, R, T] array and returned as its [K, T, R]
+    transposed view.
     """
-    q = bank.whitener
     if x.shape[0] != q.shape[0]:
         raise ValueError(
             f"bin count mismatch: spectrum {x.shape[0]}, whitener {q.shape[0]}"

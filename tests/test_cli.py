@@ -58,11 +58,13 @@ def test_parser_covers_all_subcommands():
 
 def test_cli_import_leaves_scipy_signal_unloaded():
     """scipy.signal takes longer to import than the whole package; the
-    renderer convolves through scipy.fft instead."""
+    renderer convolves through scipy.fft instead.  scipy.io is loaded only
+    when a WAV is read or written."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     subprocess.run(
         [sys.executable, "-c",
-         "import fastive.cli, sys; assert 'scipy.signal' not in sys.modules"],
+         "import fastive.cli, sys; assert 'scipy.signal' not in sys.modules; "
+         "assert 'scipy.io' not in sys.modules"],
         env=env, check=True, timeout=120,
     )
 
@@ -304,7 +306,9 @@ def test_bench_renders_and_factors_each_mixture_once(tmp_path, monkeypatch):
                                       "num_sources=-1", "num_sources=[-1,2]",
                                       "fs=0", "duration_seconds=0",
                                       "duration_seconds=-1", "trials=-1",
-                                      "seed=-1"])
+                                      "seed=-1", "mod_hz=NaN",
+                                      "input_sir_db=Infinity", "trials=true",
+                                      "seed=true"])
 def test_bench_parses_every_key_before_building_responses(tmp_path, monkeypatch,
                                                           override):
     calls = []
@@ -398,7 +402,11 @@ def test_main_returns_2_on_bad_input(tmp_path, capsys):
         ("room.max_order=2.5", "room.max_order must be an integer, got 2.5"),
         ("room.rt60=[1]", "room.rt60 must be a number, got [1]"),
         ("room.rir_seconds=[1]", "room.rir_seconds must be a number, got [1]"),
-        ("room.rt60=1e400", "rt60 must be finite and nonnegative"),
+        ("room.rt60=1e400", "room.rt60 must be finite, got inf"),
+        ("room.rt60=1" + "0" * 400, "room.rt60 must be a number, got 1000"),
+        ("room.rt60=true", "room.rt60 must be a number, got True"),
+        ("sources.mod_hz=NaN", "sources.mod_hz must be finite, got nan"),
+        ("input_sir_db=Infinity", "input_sir_db must be finite, got inf"),
         ("num_mics=[2]", "num_mics must be an integer, got [2]"),
         ("room.dimensions=5", "room.dimensions must be a list, got 5"),
         ("source_positions=[1,2]", "source_positions must be [N, 3]"),
@@ -418,6 +426,7 @@ def test_main_returns_2_on_bad_input(tmp_path, capsys):
         ("sources.duration_seconds=0",
          "sources.duration_seconds must be finite and >= 6.25e-05, got 0"),
         ("seed=-1", "seed must be >= 0, got -1"),
+        ("seed=true", "seed must be an integer, got True"),
         ("source_positions=[[1,1,1.5],[2,1,1.5],[3,1,1.5]]",
          "num_sources 2 disagrees with the 3 source_positions given"),
         ("mic_positions=[[1,4,1],[2,4,1],[3,4,1]]",
@@ -458,6 +467,11 @@ def test_main_returns_2_on_bad_input(tmp_path, capsys):
          "duration_seconds must be finite and >= 6.25e-05, got -1"),
         ("trials=-1", "trials must be >= 1, got -1"),
         ("seed=-1", "seed must be >= 0, got -1"),
+        ("mod_hz=NaN", "mod_hz must be finite, got nan"),
+        ("input_sir_db=Infinity", "input_sir_db must be finite, got inf"),
+        ("trials=true", "trials must be an integer, got True"),
+        ("seed=true", "seed must be an integer, got True"),
+        ("room.rt60=true", "room.rt60 must be a number, got True"),
     ):
         assert main(["bench", str(grid), "-o", str(tmp_path / "bench"),
                      "--set", override]) == 2

@@ -106,9 +106,8 @@ def test_contractions_match_einsum(num_bins, num_frames, num_channels, kind,
     ref = 0.5 * (ref + ref.conj().transpose(0, 2, 1))
     assert_within(cov, ref, np.einsum("ktm,ktn->kmn", ax, ax) / num_frames)
 
-    bank = build_whitener(estimate_covariance(spec), rank=rank)
-    q = bank.whitener
-    white = apply_whitener(spec, bank)
+    q = build_whitener(estimate_covariance(spec), rank=rank)
+    white = apply_whitener(spec, q)
     assert white.shape == (num_bins, num_frames, rank)
     ref_white = np.einsum("krm,ktm->ktr", q, x)
     assert_within(white, ref_white, np.einsum("krm,ktm->ktr", np.abs(q), ax))
@@ -148,7 +147,6 @@ def test_iterate_once_matches_reference(kind):
     model = ContrastModel(kind=kind)
     got = iterate_once(spec, DemixState(w=w.copy()), model)
     np.testing.assert_allclose(got.w, reference_update(spec, w, model), atol=1e-12)
-    assert got.iteration == 1
     assert len(got.cost_history) == 1
     np.testing.assert_allclose(np.linalg.norm(got.w, axis=1), 1.0, atol=1e-12)
 
@@ -255,8 +253,8 @@ def test_solve_captures_a_dominant_source(kind):
     q, _ = np.linalg.qr(raw)
     spec = (np.stack([s1, s2], axis=1) @ q.T)[None, :, :]
 
-    bank = build_whitener(estimate_covariance(spec))
-    white = apply_whitener(spec, bank)
+    q = build_whitener(estimate_covariance(spec))
+    white = apply_whitener(spec, q)
     state = solve(white, SolverConfig(prior=ContrastModel(kind=kind)))
     y = apply_demixer(white, state.w)[0]
     corr = abs(np.vdot(y, s1)) / (np.linalg.norm(y) * np.linalg.norm(s1))
@@ -273,11 +271,11 @@ def test_solve_starts_from_e1():
 
 def test_back_project_composes_the_whitener():
     spec, _ = random_instance(5, 3, 64, 3)
-    bank = build_whitener(estimate_covariance(spec))
+    q = build_whitener(estimate_covariance(spec))
     w = solve(spec, SolverConfig(max_iter=2, tol=1e-300)).w
-    w_eff = back_project(w, bank)
+    w_eff = back_project(w, q)
     for k in range(3):
-        expected = bank.whitener[k].conj().T @ w[k]
+        expected = q[k].conj().T @ w[k]
         np.testing.assert_allclose(w_eff[k], expected, atol=1e-12)
 
 
@@ -449,8 +447,7 @@ def test_extract_reports_runtime_and_shape():
     assert result.audio.num_channels == 1
     assert result.audio.sample_rate_hz == 16000
     assert result.runtime_seconds > 0.0
-    assert result.iterations_used == result.state.iteration
-    assert result.state.w_effective is not None
+    assert result.iterations_used == len(result.state.cost_history)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -497,6 +497,8 @@ def test_scenario_from_dict_overrides_and_errors(tmp_path):
     assert scenario.input_sir_db == 5.0
     assert resolved["seed"] == 9
 
+    # null input_sir_db means natural mixing
+    assert scenario_from_dict({**cfg, "input_sir_db": None})[0].input_sir_db is None
     # null positions, as the README lists them, fall back to the counts
     assert scenario_from_dict({"num_mics": 3, "mic_positions": None})[0].num_mics == 3
     with pytest.raises(ValueError, match="num_sources"):

@@ -1,9 +1,10 @@
 """Covariance and whitening tests.
 
 The eigendecomposition inside ``build_whitener`` is checked on one-bin
-banks: against the eigenvalues of the regularized matrix, a closed-form 2x2
-case, its phase convention and its reproducibility; whitening is checked by
-the identity it must produce, including as a property over random banks.
+banks, through the eigenpairs its whitener determines: against the
+eigenvalues of the regularized matrix, a closed-form 2x2 case, its phase
+convention and its reproducibility; whitening is checked by the identity it
+must produce, including as a property over random banks.
 """
 
 import numpy as np
@@ -36,9 +37,16 @@ def shift_of(matrix):
     return EPS_COV_REL * np.trace(matrix).real / m + EPS_COV_ABS
 
 
+def eigenpairs(q):
+    """Eigenvalues [K, R] and eigenvectors [K, M, R] of a [K, R, M] whitener:
+    row i of Q is d_i^(-1/2) u_i^H, so d_i = 1/||q_i||^2, u_i = q_i^H sqrt(d_i)."""
+    vals = 1.0 / np.sum(np.abs(q) ** 2, axis=2)
+    return vals, q.conj().transpose(0, 2, 1) * np.sqrt(vals)[:, None, :]
+
+
 def eig(matrix):
-    wb = build_whitener(one_bin(matrix))
-    return wb.eigvals[0], wb.eigvecs[0]
+    vals, vecs = eigenpairs(build_whitener(one_bin(matrix)))
+    return vals[0], vecs[0]
 
 
 def test_eig_closed_form_2x2():
@@ -119,7 +127,7 @@ def test_eig_input_guards():
         build_whitener(np.zeros((2, 2), dtype=complex))
     # a deviation inside the 1e-8 relative tolerance is accepted
     near = np.array([[1.0, 1e-10], [0.0, 1.0]], dtype=complex)
-    assert np.all(np.isfinite(build_whitener(one_bin(near)).whitener))
+    assert np.all(np.isfinite(build_whitener(one_bin(near))))
 
 
 def test_estimate_covariance_hand_case():
@@ -147,13 +155,12 @@ def test_estimate_covariance_needs_a_three_axis_spectrum():
 def test_whitener_whitens():
     spec = random_spec(0)
     c = estimate_covariance(spec)
-    wb = build_whitener(c)
-    q = wb.whitener
+    q = build_whitener(c)
     ident = np.einsum("krm,kmn,ksn->krs", q, c, q.conj())
     eye = np.broadcast_to(np.eye(3), ident.shape)
     assert np.max(np.abs(ident - eye)) < 1e-8
 
-    white = apply_whitener(spec, wb)
+    white = apply_whitener(spec, q)
     wcov = estimate_covariance(white)
     assert np.max(np.abs(wcov - eye)) < 1e-8
 
@@ -161,11 +168,10 @@ def test_whitener_whitens():
 def test_whitener_whitens_beyond_sixteen_mics():
     spec = random_spec(6, num_channels=20)
     c = estimate_covariance(spec)
-    wb = build_whitener(c)
-    q = wb.whitener
+    q = build_whitener(c)
     ident = np.einsum("krm,kmn,ksn->krs", q, c, q.conj())
     assert np.max(np.abs(ident - np.eye(20))) < 1e-8
-    assert np.all(np.diff(wb.eigvals, axis=1) <= 0)
+    assert np.all(np.diff(eigenpairs(q)[0], axis=1) <= 0)
 
 
 @settings(deadline=None)
@@ -184,18 +190,18 @@ def test_whitener_properties_on_random_banks(num_channels, num_bins, gain, seed)
     cov = 0.5 * (cov + cov.conj().transpose(0, 2, 1))
     eye = np.eye(num_channels)
 
-    wb = build_whitener(cov)
-    q = wb.whitener
+    q = build_whitener(cov)
     ident = np.einsum("krm,kmn,ksn->krs", q, cov, q.conj())
     assert np.max(np.abs(ident - eye)) < 1e-8
-    assert np.all(np.diff(wb.eigvals, axis=1) <= 0)
-    peak = np.argmax(np.abs(wb.eigvecs), axis=1)[:, None, :]
-    lead = np.take_along_axis(wb.eigvecs, peak, axis=1)
+    vals, vecs = eigenpairs(q)
+    assert np.all(np.diff(vals, axis=1) <= 0)
+    peak = np.argmax(np.abs(vecs), axis=1)[:, None, :]
+    lead = np.take_along_axis(vecs, peak, axis=1)
     assert np.all(lead.real > 0) and np.all(np.abs(lead.imag) <= 1e-12 * lead.real)
 
     # Q^H Q is the inverse of the shifted covariance, whatever basis the
     # solver picks on near-ties, so it scales exactly as 1/gain
-    scaled = build_whitener(gain * cov).whitener
+    scaled = build_whitener(gain * cov)
     inv = np.einsum("krm,krn->kmn", q.conj(), q)
     inv_scaled = np.einsum("krm,krn->kmn", scaled.conj(), scaled)
     err = np.linalg.norm(gain * inv_scaled - inv, axis=(1, 2))
@@ -204,9 +210,9 @@ def test_whitener_properties_on_random_banks(num_channels, num_bins, gain, seed)
 
 def test_whitener_orders_components_by_power():
     spec = random_spec(1)
-    wb = build_whitener(estimate_covariance(spec))
-    assert np.all(np.diff(wb.eigvals, axis=1) <= 0)
-    white = apply_whitener(spec, wb)
+    q = build_whitener(estimate_covariance(spec))
+    assert np.all(np.diff(eigenpairs(q)[0], axis=1) <= 0)
+    white = apply_whitener(spec, q)
     # every whitened component has unit average power
     power = np.mean(np.abs(white) ** 2, axis=1)
     np.testing.assert_allclose(power, 1.0, atol=1e-8)
@@ -216,8 +222,8 @@ def test_rank_truncation_takes_leading_rows():
     cov = estimate_covariance(random_spec(2))
     full = build_whitener(cov)
     top = build_whitener(cov, rank=2)
-    assert top.whitener.shape == (full.whitener.shape[0], 2, 3)
-    np.testing.assert_array_equal(top.whitener, full.whitener[:, :2, :])
+    assert top.shape == (full.shape[0], 2, 3)
+    np.testing.assert_array_equal(top, full[:, :2, :])
     with pytest.raises(ValueError, match="rank"):
         build_whitener(cov, rank=4)
     with pytest.raises(ValueError, match="rank"):
@@ -227,21 +233,21 @@ def test_rank_truncation_takes_leading_rows():
 def test_silent_bin_stays_finite():
     spec = random_spec(3)
     spec[2] = 0.0
-    wb = build_whitener(estimate_covariance(spec))
-    assert np.all(np.isfinite(wb.whitener))
-    white = apply_whitener(spec, wb)
+    q = build_whitener(estimate_covariance(spec))
+    assert np.all(np.isfinite(q))
+    white = apply_whitener(spec, q)
     np.testing.assert_array_equal(white[2], 0.0)
 
 
 def test_apply_whitener_shape_guards():
     spec = random_spec(4)
-    wb = build_whitener(estimate_covariance(spec))
+    q = build_whitener(estimate_covariance(spec))
     other = random_spec(4, num_bins=3)
     with pytest.raises(ValueError, match="bin count mismatch"):
-        apply_whitener(other, wb)
+        apply_whitener(other, q)
     two_ch = random_spec(4, num_channels=2)
     with pytest.raises(ValueError, match="channel mismatch"):
-        apply_whitener(two_ch, wb)
+        apply_whitener(two_ch, q)
 
 
 def test_regularization_handles_rank_deficiency():
@@ -249,7 +255,7 @@ def test_regularization_handles_rank_deficiency():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(2, 100, 1)) + 1j * rng.normal(size=(2, 100, 1))
     data = np.concatenate([x, x], axis=2)
-    wb = build_whitener(estimate_covariance(data))
-    assert np.all(np.isfinite(wb.whitener))
-    white = apply_whitener(data, wb)
+    q = build_whitener(estimate_covariance(data))
+    assert np.all(np.isfinite(q))
+    white = apply_whitener(data, q)
     assert np.all(np.isfinite(white))
