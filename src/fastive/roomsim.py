@@ -31,14 +31,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import typing
-from dataclasses import asdict, dataclass, field, fields, replace
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
-from .stft import AudioBuffer, load_wav
+from .stft import AudioBuffer
 
 SPEED_OF_SOUND = 343.0
 
@@ -412,162 +410,3 @@ def default_geometry(num_sources=None, num_mics=None, **fields):
         else:
             fields[key] = spots[:count]
     return Scenario(**fields)
-
-
-def config_float(value, name, least=None):
-    """``value`` as a float; ValueError naming the key ``name`` unless a finite
-    number, not a boolean, and, when ``least`` is given, at least ``least``."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or isinstance(value, bool):  # JSON true is not 1.0
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(number) or least is not None and number < least:
-        bound = "" if least is None else f" and >= {least:g}"
-        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
-    return number
-
-
-def config_int(value, name, least=None):
-    """``value`` as an int; ValueError naming the key ``name`` unless integral,
-    not a boolean, and, when ``least`` is given, at least ``least``."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        try:
-            number = float(value)
-        except (TypeError, ValueError):
-            number = math.nan
-        if isinstance(value, bool) or not number.is_integer():
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        value = number
-    if least is not None and value < least:
-        raise ValueError(f"{name} must be >= {least}, got {int(value)}")
-    return int(value)
-
-
-def config_dict(value, name):
-    """``value`` as a dict; ValueError naming the key ``name`` unless an object."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{name} must be an object, got {value!r}")
-    return dict(value)
-
-
-def config_tuple(value, name):
-    """``value`` as a tuple; ValueError naming the key ``name`` unless a list."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{name} must be a list, got {value!r}")
-    return tuple(value)
-
-
-def config_floats(value, name):
-    """``value`` as a tuple of floats, or of such tuples for a nested list;
-    ValueError naming the entry unless every leaf is a number."""
-    return tuple(
-        config_floats(v, f"{name}[{i}]") if isinstance(v, (list, tuple))
-        else config_float(v, f"{name}[{i}]")
-        for i, v in enumerate(config_tuple(value, name)))
-
-
-def config_unread(cfg, kind, prefix=""):
-    """ValueError naming a key left in ``cfg`` after its parser popped its own."""
-    if cfg:
-        raise ValueError(f"{prefix}{next(iter(cfg))} is not a {kind} key")
-
-
-def config_object(cls, value, name, **given):
-    """``cls(**given, **parsed)`` with each key of the JSON object ``value``
-    parsed by its field's annotation: int, float, a tuple of floats, else
-    passed through; ``null`` is kept where the annotation allows None.  A
-    key that is not a field, or that ``given`` sets, is a ValueError."""
-    cfg = config_dict(value, name)
-    hints = typing.get_type_hints(cls)
-    parsers = {int: config_int, float: config_float, tuple: config_floats}
-    for f in fields(cls):
-        if f.name in cfg and f.name not in given:
-            raw, hint = cfg.pop(f.name), hints[f.name]
-            kinds = typing.get_args(hint) or (hint,)
-            parse = parsers.get(kinds[0])
-            keep = parse is None or raw is None and type(None) in kinds
-            given[f.name] = raw if keep else parse(raw, f"{name}.{f.name}")
-    config_unread(cfg, name, f"{name}.")
-    return cls(**given)
-
-
-def scenario_from_dict(cfg, base_dir=None):
-    """Build a Scenario from the documented JSON schema.
-
-    Returns ``(scenario, fs, resolved)`` where ``resolved`` is the fully
-    expanded configuration (geometry and defaults filled in) suitable for
-    provenance echo; it feeds back in as ``cfg``.  The scenario is one
-    ``default_geometry`` call, which checks each count against the default
-    layout, or against the explicit positions given beside it.  A key
-    outside the schema is a ValueError.
-
-    Schema keys (all optional unless noted):
-
-    ``fs``               sample rate, at least 1, default 16000
-    ``room``             RoomSpec fields: {dimensions, rt60, speed_of_sound,
-                         rir_seconds, max_order}
-    ``num_sources``      first N default talker spots, 1 to 6 (default 2)
-    ``num_mics``         first M default array mics, 2 to 6 (default 2)
-    ``source_positions`` explicit [N, 3] unless null; num_sources, if given, is N
-    ``mic_positions``    explicit [M, 3] unless null; num_mics, if given, is M
-    ``sources``          {"kind": "synthetic", "duration_seconds", "mod_hz"}
-                         or {"kind": "wav", "paths": [...]}; at least 1/fs s
-    ``soi_index``        target source index, default 0
-    ``input_sir_db``     requested input SIR, null to leave natural mixing
-    ``ref_mic``          reference mic for SIR and rescaling, default 0
-    ``seed``             RNG seed for synthetic sources, default 0
-    """
-    base_dir = Path(base_dir) if base_dir is not None else Path(".")
-    cfg = dict(cfg)
-    fs = config_int(cfg.pop("fs", 16000), "fs", least=1)
-    positions = {key: config_floats(value, key)
-                 for key in ("source_positions", "mic_positions")
-                 if (value := cfg.pop(key, None)) is not None}
-    # a count defaults to 2 only where no positions stand in for it
-    counts = {name: config_int(cfg.pop(name, 2), name)
-              for name, key in (("num_sources", "source_positions"),
-                                ("num_mics", "mic_positions"))
-              if name in cfg or key not in positions}
-    input_sir_db = cfg.pop("input_sir_db", None)
-    scenario = default_geometry(
-        **counts,
-        room=config_object(RoomSpec, cfg.pop("room", {}), "room"),
-        **positions,
-        soi_index=config_int(cfg.pop("soi_index", 0), "soi_index"),
-        input_sir_db=(None if input_sir_db is None
-                      else config_float(input_sir_db, "input_sir_db")),
-        seed=config_int(cfg.pop("seed", 0), "seed", least=0),
-        ref_mic=config_int(cfg.pop("ref_mic", 0), "ref_mic"),
-    )
-    sources_cfg = config_dict(cfg.pop("sources", {}), "sources")
-    config_unread(cfg, "scenario")
-    kind = sources_cfg.pop("kind", "synthetic")
-    if kind == "synthetic":
-        duration = config_float(sources_cfg.pop("duration_seconds", 3.0),
-                                "sources.duration_seconds", least=1 / fs)
-        mod_hz = config_float(sources_cfg.pop("mod_hz", 4.0), "sources.mod_hz")
-        sources = {"kind": kind, "duration_seconds": duration, "mod_hz": mod_hz}
-        signals = speech_like_sources(
-            scenario.num_sources, int(round(duration * fs)), fs, scenario.seed, mod_hz
-        )
-    elif kind == "wav":
-        paths = config_tuple(sources_cfg.pop("paths"), "sources.paths")
-        if not all(isinstance(p, str) for p in paths):
-            raise ValueError(
-                f"sources.paths must be a list of strings, got {list(paths)!r}")
-        paths = [str(base_dir / p) for p in paths]
-        if len(paths) != scenario.num_sources:
-            raise ValueError(
-                f"{len(paths)} WAV paths for {scenario.num_sources} sources"
-            )
-        signals = [load_wav(p) for p in paths]
-        sources = {"kind": kind, "paths": paths}
-    else:
-        raise ValueError(f"unknown sources kind {kind!r}")
-    config_unread(sources_cfg, "sources", "sources.")
-
-    resolved = {"fs": fs, **asdict(scenario), "sources": sources}
-    del resolved["source_signals"]
-    return replace(scenario, source_signals=tuple(signals)), fs, resolved

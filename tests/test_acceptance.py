@@ -239,6 +239,8 @@ def test_07_whitening_suite(request):
     rng = np.random.default_rng(17)
     worst_white = 0.0
     worst_resid = 0.0
+    worst_phase = 0.0
+    unordered = 0
     for num_channels in (2, 3, 6):
         data = rng.normal(size=(5, 300, num_channels)) \
             + 1j * rng.normal(size=(5, 300, num_channels))
@@ -250,6 +252,10 @@ def test_07_whitening_suite(request):
         # row i of Q is d_i^(-1/2) u_i^H: d_i = 1/||q_i||^2, u_i = q_i^H sqrt(d_i)
         vals = 1.0 / np.sum(np.abs(q) ** 2, axis=2)
         vecs = q.conj().transpose(0, 2, 1) * np.sqrt(vals)[:, None, :]
+        unordered += int(np.sum(np.any(np.diff(vals, axis=1) > 0, axis=1)))
+        # each row's largest-magnitude entry is real and positive: phase 0
+        peak = np.take_along_axis(q, np.argmax(np.abs(q), axis=2)[..., None], axis=2)
+        worst_phase = max(worst_phase, float(np.max(np.abs(np.angle(peak)))))
         for k in range(5):
             trace = np.trace(c[k]).real
             shift = EPS_COV_REL * trace / num_channels + EPS_COV_ABS
@@ -265,9 +271,12 @@ def test_07_whitening_suite(request):
     second = build_whitener(tied.copy()[None])
     deterministic = np.array_equal(first, second)
     announce(request, 7, "whitening suite",
-             worst_white < 1e-8 and worst_resid < 1e-9 and deterministic,
+             worst_white < 1e-8 and worst_resid < 1e-9 and unordered == 0
+             and worst_phase < 1e-12 and deterministic,
              f"|QCQ^H - I| {worst_white:.2e} < 1e-8, eigen residual "
-             f"{worst_resid:.2e} < 1e-9, tied ordering reproducible")
+             f"{worst_resid:.2e} < 1e-9, {unordered}/15 bins out of descending "
+             f"order, row peak phase {worst_phase:.2e} < 1e-12, "
+             "tied ordering reproducible")
 
 
 def test_08_scaling_resolution(request):

@@ -308,7 +308,10 @@ def test_bench_renders_and_factors_each_mixture_once(tmp_path, monkeypatch):
                                       "duration_seconds=-1", "trials=-1",
                                       "seed=-1", "mod_hz=NaN",
                                       "input_sir_db=Infinity", "trials=true",
-                                      "seed=true"])
+                                      "seed=true", 'trials="2"',
+                                      'room.rt60="0.3"', "seed=1_0",
+                                      "num_sources=[]", "num_mics=[]",
+                                      "prior=[]", "input_sir_db=[]"])
 def test_bench_parses_every_key_before_building_responses(tmp_path, monkeypatch,
                                                           override):
     calls = []
@@ -427,6 +430,11 @@ def test_main_returns_2_on_bad_input(tmp_path, capsys):
          "sources.duration_seconds must be finite and >= 6.25e-05, got 0"),
         ("seed=-1", "seed must be >= 0, got -1"),
         ("seed=true", "seed must be an integer, got True"),
+        ('room.rt60="0.3"', "room.rt60 must be a number, got '0.3'"),
+        ('sources.duration_seconds="1"',
+         "sources.duration_seconds must be a number, got '1'"),
+        ("seed=1_0", "seed must be an integer, got '1_0'"),
+        ('num_sources="3"', "num_sources must be an integer, got '3'"),
         ("source_positions=[[1,1,1.5],[2,1,1.5],[3,1,1.5]]",
          "num_sources 2 disagrees with the 3 source_positions given"),
         ("mic_positions=[[1,4,1],[2,4,1],[3,4,1]]",
@@ -472,6 +480,13 @@ def test_main_returns_2_on_bad_input(tmp_path, capsys):
         ("trials=true", "trials must be an integer, got True"),
         ("seed=true", "seed must be an integer, got True"),
         ("room.rt60=true", "room.rt60 must be a number, got True"),
+        ('trials="2"', "trials must be an integer, got '2'"),
+        ('room.rt60="0.3"', "room.rt60 must be a number, got '0.3'"),
+        ("seed=1_0", "seed must be an integer, got '1_0'"),
+        ("num_sources=[]", "num_sources must not be an empty list"),
+        ("num_mics=[]", "num_mics must not be an empty list"),
+        ("prior=[]", "prior must not be an empty list"),
+        ("input_sir_db=[]", "input_sir_db must not be an empty list"),
     ):
         assert main(["bench", str(grid), "-o", str(tmp_path / "bench"),
                      "--set", override]) == 2

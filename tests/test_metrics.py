@@ -164,6 +164,14 @@ def test_evaluate_reuses_given_references(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("soi_index", [-1, 2])
+def test_evaluate_rejects_a_target_index_out_of_range(soi_index):
+    truth = fabricated_truth()
+    with pytest.raises(ValueError, match=f"soi_index {soi_index} out of range"):
+        evaluate(fabricated_result(truth.images[0].samples[:, 0]), truth,
+                 soi_index=soi_index, filter_len=16)
+
+
 def explicit_sir_db(estimate, target, interferers, filter_len):
     """SIR from least squares on the explicit matrix of delayed references."""
     n = estimate.size

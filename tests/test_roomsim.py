@@ -26,13 +26,12 @@ from fastive.roomsim import (
     RoomSpec,
     Scenario,
     compute_rirs,
-    config_object,
     default_geometry,
     reflection_coefficient,
     render,
-    scenario_from_dict,
     speech_like_sources,
 )
+from fastive.cli import config_object, scenario_from_dict
 from fastive.extractor import SolverConfig
 from fastive.priors import KINDS, ContrastModel
 from fastive.stft import WINDOW_KINDS, AudioBuffer, StftConfig, save_wav
@@ -543,6 +542,8 @@ def test_scenario_from_dict_wav_sources(tmp_path):
     with pytest.raises(ValueError, match="WAV paths"):
         scenario_from_dict({"sources": {"kind": "wav", "paths": ["s0.wav"]}},
                            base_dir=tmp_path)
+    with pytest.raises(ValueError, match="sources.paths must be a list, got None"):
+        scenario_from_dict({"sources": {"kind": "wav"}})
 
 
 def test_load_scenario_round_trip(tmp_path):
