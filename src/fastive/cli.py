@@ -367,6 +367,9 @@ def cmd_simulate(args):
 
 
 def cmd_evaluate(args):
+    if not args.interferer:
+        raise ValueError("evaluate needs at least one --interferer "
+                         "(SIR is undefined without interference)")
     estimate = ExtractionResult(load_wav(args.estimate), state=None,
                                 runtime_seconds=0.0, iterations_used=0)
     truth = MixtureSet(load_wav(args.mixture),

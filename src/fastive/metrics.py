@@ -25,6 +25,11 @@ energy of ``z``: |z[:filter_len]|^2 against |z[filter_len:]|^2, with the
 interference part never found as the difference of two projections.
 Once factored, an estimate costs a few FFT correlations and filters and
 three triangular solves.  A singular Gram falls back to least squares.
+
+The transforms are numpy.fft's at the 5-smooth length ``next_fast_len``
+picks.  The factor and the solves come from scipy.linalg, which is
+imported on the first factorisation, so importing this module (or the
+package) loads no scipy: extraction and simulation never pay for it.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.linalg import cholesky, solve_triangular
+
+from .stft import next_fast_len
 
 DEFAULT_FILTER_LEN = 512
 SIR_CAP_DB = 300.0
@@ -91,7 +96,7 @@ class References:
         flen = self.filter_len = filter_len
         self.num_samples = n
         self.input_sir_db = None
-        self.nfft = nfft = next_fast_len(n + flen - 1, real=True)
+        self.nfft = nfft = next_fast_len(n + flen - 1)
         self.spectra = np.fft.rfft(refs, nfft, axis=1)
 
         lags = np.arange(flen)
@@ -104,10 +109,17 @@ class References:
                 block = cc[lag_index]
                 gram[i * flen:(i + 1) * flen, j * flen:(j + 1) * flen] = block
                 gram[j * flen:(j + 1) * flen, i * flen:(i + 1) * flen] = block.T
+        # imported here: loading scipy.linalg takes longer than the rest of
+        # the package, and only scoring needs it
+        from scipy.linalg import cholesky, solve_triangular
+
         try:
             self.factor, self.gram = cholesky(gram, lower=True), None
         except np.linalg.LinAlgError:
             self.factor, self.gram = None, gram
+        # the factor and the correlations of a finite estimate are finite
+        self._solve = functools.partial(solve_triangular, lower=True,
+                                        check_finite=False)
 
     def _correlate(self, estimate):
         """Correlations of ``estimate`` with every delayed reference."""
@@ -129,9 +141,7 @@ class References:
             interference = lstsq(self.gram, cross, rcond=None)[0]
             interference[:flen] -= target
         else:
-            # the factor and the correlations of a finite estimate are finite
-            solve = functools.partial(solve_triangular, lower=True,
-                                      check_finite=False)
+            solve = self._solve
             z = solve(self.factor, cross)
             target = solve(self.factor[:flen, :flen], z[:flen], trans="T")
             z[:flen] = 0.0

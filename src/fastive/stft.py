@@ -1,4 +1,6 @@
-"""STFT analysis/synthesis and WAV input/output for multichannel audio.
+"""STFT analysis/synthesis and WAV input/output for multichannel audio, and
+the fast FFT length (``next_fast_len``) that the renderer and the scorer
+pad their convolutions to.
 
 Conventions
 -----------
@@ -119,6 +121,22 @@ def cola_deviation(window, hop):
     if mean <= 0.0:
         return np.inf
     return np.max(np.abs(acc - mean)) / mean
+
+
+def next_fast_len(n):
+    """Smallest 2·3·5-smooth integer at least ``n >= 1``: a length that
+    pocketfft transforms fast, as ``scipy.fft.next_fast_len(n, real=True)``
+    returns it."""
+    best = 1 << (n - 1).bit_length()
+    # every smooth length below best is p35 * 2**k with p35 = 3**i 5**j < best
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def analyze(audio, config):

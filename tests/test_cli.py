@@ -57,16 +57,33 @@ def test_parser_covers_all_subcommands():
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
-    """scipy.signal takes longer to import than the whole package; the
-    renderer convolves through scipy.fft instead.  scipy.io is loaded only
-    when a WAV is read or written."""
+    """Importing the package and its CLI loads no scipy module: the renderer
+    and the scorer transform with numpy.fft, and scipy.io is loaded only
+    when a WAV is read or written.  Scoring still works in that process,
+    loading scipy.linalg on its first factorisation."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    subprocess.run(
-        [sys.executable, "-c",
-         "import fastive.cli, sys; assert 'scipy.signal' not in sys.modules; "
-         "assert 'scipy.io' not in sys.modules"],
-        env=env, check=True, timeout=120,
-    )
+    script = """
+import sys
+import numpy as np
+import fastive, fastive.cli
+from fastive import metrics
+from fastive.extractor import ExtractionResult
+from fastive.roomsim import MixtureSet
+from fastive.stft import AudioBuffer
+
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+rng = np.random.default_rng(0)
+images = [AudioBuffer(rng.normal(size=(1000, 2)), 16000) for _ in range(2)]
+mixture = AudioBuffer(images[0].samples + images[1].samples, 16000)
+estimate = ExtractionResult(images[0], state=None, runtime_seconds=0.0,
+                            iterations_used=0)
+report = metrics.evaluate(estimate, MixtureSet(mixture, images), filter_len=8)
+assert report.output_sir_db > report.input_sir_db, report
+assert "scipy.linalg" in sys.modules
+"""
+    subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                   timeout=120)
 
 
 def test_simulate_extract_evaluate_pipeline(tmp_path, capsys):
@@ -151,6 +168,22 @@ def test_evaluate_rejects_a_missing_channel(tmp_path, capsys):
                  "--interferer", intf, "--channel", "3"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "out of range" in err
+
+
+def test_evaluate_rejects_a_run_without_interferers(tmp_path, capsys):
+    """Without an interferer the SIR has nothing to measure and would read
+    its cap; the command says so instead of scoring."""
+    rng = np.random.default_rng(1)
+    paths = []
+    for name in ("est", "mix", "tgt"):
+        paths.append(tmp_path / f"{name}.wav")
+        save_wav(paths[-1], AudioBuffer(rng.normal(size=(4000, 2)), 16000))
+    est, mix, tgt = (str(p) for p in paths)
+    assert main(["evaluate", est, "--mixture", mix, "--target", tgt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("error: evaluate needs at least one --interferer (SIR is undefined "
+            "without interference)") in captured.err
 
 
 def test_simulate_seed_and_set_overrides(tmp_path):

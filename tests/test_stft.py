@@ -1,5 +1,5 @@
 """Analysis/synthesis transform tests: window identities, frame alignment,
-Parseval, exact reconstruction, and WAV round trips."""
+Parseval, exact reconstruction, WAV round trips, and the fast FFT length."""
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from fastive.stft import (
     cola_deviation,
     load_wav,
     make_window,
+    next_fast_len,
     save_wav,
     synthesize,
 )
@@ -122,6 +123,25 @@ def test_synthesize_equals_a_per_frame_overlap_add(case, window, num_frames,
     spec = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     out = synthesize(spec, config, 8000).samples
     assert np.array_equal(out, reference_overlap_add(spec, config))
+
+
+def test_next_fast_len_matches_scipy_up_to_2_to_16():
+    """Every length up to 2**16 rounds up to the 5-smooth length scipy
+    picks for a real transform."""
+    from scipy.fft import next_fast_len as scipy_next_fast_len
+
+    for n in range(1, 2**16 + 1):
+        assert next_fast_len(n) == scipy_next_fast_len(n, True), n
+
+
+@settings(deadline=None, max_examples=300)
+@example(n=10**7)
+@example(n=2**23 + 1)
+@given(n=st.integers(1, 10**7))
+def test_next_fast_len_matches_scipy_up_to_1e7(n):
+    from scipy.fft import next_fast_len as scipy_next_fast_len
+
+    assert next_fast_len(n) == scipy_next_fast_len(n, True)
 
 
 def test_frames_are_left_aligned():
