@@ -212,7 +212,7 @@ def _add_solver_flags(p):
     p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     p.add_argument("--tol", type=float, default=SolverConfig.tol)
     p.add_argument("--ref-mic", type=int, default=SolverConfig.ref_mic)
-    p.add_argument("--rank", type=int, default=None,
+    p.add_argument("--rank", type=int, default=SolverConfig.rank,
                    help="principal components kept by whitening (default: all)")
 
 
@@ -288,10 +288,10 @@ def cmd_extract(args):
     model = ContrastModel(kind=args.prior, nu=args.nu,
                           gg_exponent=args.gg_exponent)
     solver = SolverConfig(prior=model, max_iter=args.max_iter, tol=args.tol,
-                          ref_mic=args.ref_mic)
+                          ref_mic=args.ref_mic, rank=args.rank)
     stft_cfg = StftConfig(fft_size=args.fft_size, hop_size=args.hop,
                           window=args.window)
-    result = extract(audio, solver, stft_cfg, rank=args.rank)
+    result = extract(audio, solver, stft_cfg)
 
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -300,8 +300,7 @@ def cmd_extract(args):
     save_wav(wav_path, result.audio, fmt=args.wav_format)
     report = {
         "manifest": run_manifest("extract", str(args.input), str(outdir)),
-        "config": {"solver": asdict(solver),
-                   "stft": asdict(stft_cfg), "rank": args.rank},
+        "config": {"solver": asdict(solver), "stft": asdict(stft_cfg)},
         "input_wav": str(args.input),
         "output_wav": str(wav_path),
         "sample_rate_hz": result.audio.sample_rate_hz,
@@ -370,8 +369,9 @@ def cmd_evaluate(args):
     if not args.interferer:
         raise ValueError("evaluate needs at least one --interferer "
                          "(SIR is undefined without interference)")
+    # a WAV on disk: its extraction was not timed or counted here
     estimate = ExtractionResult(load_wav(args.estimate), state=None,
-                                runtime_seconds=0.0, iterations_used=0)
+                                runtime_seconds=None, iterations_used=None)
     truth = MixtureSet(load_wav(args.mixture),
                        [load_wav(p) for p in (args.target, *args.interferer)])
     report = evaluate(estimate, truth, ref_mic=args.channel,
@@ -401,11 +401,13 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
     mixture (a cell without its prior, and a trial), so trials that differ
     only in prior share its render and reference factorisation; ``jobs``
     mixtures run at a time.  Each cell is ``default_geometry`` of its counts
-    in the grid's room.  Every key is parsed and every cell built before any
-    response; an unknown key, ``solver.ref_mic`` (``ref_mic``, ``nu`` and
-    ``gg_exponent`` are grid keys), or a value no trial can run with, such
-    as ``trials`` below 1, is a ValueError.  ``manifest``, if given, goes
-    into summary.json with the grid's seed.
+    in the grid's room, and ``solver`` sets the ``SolverConfig`` fields
+    ``max_iter``, ``tol`` and ``rank``.  Every key is parsed and every cell
+    built before any response; an unknown key, such as a top-level ``rank``
+    or ``solver.ref_mic`` (``ref_mic``, ``nu`` and ``gg_exponent`` are grid
+    keys), or a value no trial can run with, such as ``trials`` below 1, is
+    a ValueError.  ``manifest``, if given, goes into summary.json with the
+    grid's seed.
     """
     cfg = dict(grid)  # popped as parsed; summary.json echoes grid as given
     fs = config_int(cfg.pop("fs", 16000), "fs", least=1)
@@ -424,8 +426,6 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
             nu=config_float(cfg.pop("nu", ContrastModel.nu), "nu"),
             gg_exponent=config_float(
                 cfg.pop("gg_exponent", ContrastModel.gg_exponent), "gg_exponent")))
-    if (rank := cfg.pop("rank", None)) is not None:
-        rank = config_int(rank, "rank", least=1)
     filter_len = config_int(cfg.pop("filter_len", DEFAULT_FILTER_LEN), "filter_len",
                             least=1)
 
@@ -474,7 +474,7 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
                         fs, rirs=[per_source[:n_mic] for per_source in rirs[:n_src]])
                 solver = replace(solver_cfg,
                                  prior=replace(solver_cfg.prior, kind=prior_kind))
-                result = extract(mixture_set.mixture, solver, stft_cfg, rank=rank)
+                result = extract(mixture_set.mixture, solver, stft_cfg)
                 # every prior's output has the same length (the STFT is
                 # grid-wide), so one factorisation scores them all
                 if references is None:

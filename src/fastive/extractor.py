@@ -14,9 +14,10 @@ batched ``np.matmul`` (one BLAS call per bin) over the frame-contiguous
 the power, whose column sums are ``r`` and whose matvec with G''(r) is
 ``a``; ``y`` is overwritten in place with ``conj(y) G'(r)``, and a second
 batched matmul of the whitened data with it gives ``b``.  ``y`` and the
-power are the only [K, T] arrays an iteration makes.  Convergence is
-declared when ``max_k (1 - |<w_new^k, w_old^k>|)`` drops below the
-tolerance, which ignores the irrelevant global phase per bin.
+power are the only [K, T] arrays an iteration makes.  Each iteration also
+returns its step ``max_k (1 - |<w_new^k, w_old^k>|)``, which ignores the
+irrelevant global phase per bin; the solve stops, converged, at the first
+step below the tolerance, or unconverged after ``max_iter`` iterations.
 
 The per-bin scaling left undetermined by the unit-norm constraint is
 resolved by back-projecting into the microphone domain, estimating the
@@ -56,6 +57,8 @@ class SolverConfig:
     max_iter: int = 100
     tol: float = 1e-6
     ref_mic: int = 0
+    # principal components kept by whitening; None keeps all
+    rank: int | None = None
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -64,19 +67,21 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if self.ref_mic < 0:
             raise ValueError("ref_mic must be nonnegative")
+        if self.rank is not None and self.rank < 1:
+            raise ValueError(f"rank must be >= 1, got {self.rank}")
 
 
 @dataclass
 class DemixState:
-    """Solver state.
+    """Where a solve stopped.
 
     w : [K, R] unit-norm demixing vectors on whitened data
     cost_history : objective value at the start of each iteration run
     """
 
     w: np.ndarray
-    converged: bool = False
-    cost_history: list = field(default_factory=list)
+    converged: bool
+    cost_history: list
 
 
 # stages of ``extract`` in call order, the keys of ExtractionResult.timings
@@ -124,46 +129,38 @@ def _update_terms(white, w, model):
     return cost, a, b
 
 
-def iterate_once(white, state, model):
+def iterate_once(white, w, model):
     """One simultaneous fixed-point update of all bins, with renormalization.
 
-    Returns a new DemixState; the incoming objective value is appended to
-    the cost history.
+    Returns ``(w_new, cost, step)``: the updated [K, R] unit vectors, the
+    objective at the incoming ``w``, and ``max_k (1 - |<w_new^k, w^k>|)``,
+    which is >= 0 and blind to each bin's phase.
     """
-    cost, a, b = _update_terms(white, state.w, model)
-    w_new = a[:, None] * state.w - b
+    cost, a, b = _update_terms(white, w, model)
+    w_new = a[:, None] * w - b
     norms = np.linalg.norm(w_new, axis=1)
     if np.any(norms == 0.0):
         k = int(np.flatnonzero(norms == 0.0)[0])
         raise ValueError(f"degenerate update at bin {k}")
     w_new = w_new / norms[:, None]
-    return DemixState(
-        w=w_new,
-        converged=state.converged,
-        cost_history=state.cost_history + [cost],
-    )
-
-
-def convergence_delta(w_new, w_old):
-    """``max_k (1 - |<w_new^k, w_old^k>|)``; phase-invariant, >= 0 for unit vectors."""
-    inner = np.abs(np.sum(w_new.conj() * w_old, axis=1))
-    return float(np.max(1.0 - inner))
+    step = float(np.max(1.0 - np.abs(np.sum(w_new.conj() * w, axis=1))))
+    return w_new, cost, step
 
 
 def solve(white, config):
     """Iterate on whitened [K, T, R] data from the one-hot start ``w^k = e_1``
-    (the top principal component per bin) until converged or max_iter."""
+    (the top principal component per bin) until a step falls below
+    ``config.tol`` or ``config.max_iter`` steps are taken."""
     num_bins, _, rank = white.shape
-    state = DemixState(w=np.zeros((num_bins, rank), dtype=np.complex128))
-    state.w[:, 0] = 1.0
+    w = np.zeros((num_bins, rank), dtype=np.complex128)
+    w[:, 0] = 1.0
+    costs = []
     for _ in range(config.max_iter):
-        new_state = iterate_once(white, state, config.prior)
-        delta = convergence_delta(new_state.w, state.w)
-        state = new_state
-        if delta < config.tol:
-            state.converged = True
-            break
-    return state
+        w, cost, step = iterate_once(white, w, config.prior)
+        costs.append(cost)
+        if step < config.tol:
+            return DemixState(w, True, costs)
+    return DemixState(w, False, costs)
 
 
 def back_project(w, q):
@@ -183,7 +180,9 @@ def estimate_mixing_vector(cov, w_eff):
     denom = np.einsum("km,km->k", w_eff.conj(), cw).real
     trace = np.einsum("kmm->k", cov).real
     silent = trace <= EPS_COV_ABS
-    bad = ~silent & (denom <= DENOM_TOL * trace)
+    # denom <= ||w_eff||^2 trace, so this ratio test is blind to the input gain
+    norm2 = np.linalg.norm(w_eff, axis=1) ** 2
+    bad = ~silent & (denom <= DENOM_TOL * norm2 * trace)
     if np.any(bad):
         k = int(np.flatnonzero(bad)[0])
         raise ValueError(f"degenerate output power at bin {k}")
@@ -218,7 +217,7 @@ def rescale(w_eff, h, ref_mic):
     return w_eff * scale[:, None]
 
 
-def extract(audio, config=None, stft_config=None, rank=None):
+def extract(audio, config=None, stft_config=None):
     """Full pipeline: STFT, whitening, fixed-point solve, rescale, inverse STFT.
 
     ``runtime_seconds`` is the wall time of the whole call; ``timings``
@@ -242,7 +241,7 @@ def extract(audio, config=None, stft_config=None, rank=None):
     marks.append(time.perf_counter())
     cov = estimate_covariance(spec)
     marks.append(time.perf_counter())
-    q = build_whitener(cov, rank=rank)
+    q = build_whitener(cov, rank=config.rank)
     marks.append(time.perf_counter())
     white = apply_whitener(spec, q)
     marks.append(time.perf_counter())

@@ -24,17 +24,11 @@ FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class ContrastModel:
-    """Prior selection plus its shape parameters.
-
-    ``scale`` multiplies G, G', and G'' by a common positive constant; the
-    normalized solver iterates are invariant to it, so it only matters for
-    reported cost values.
-    """
+    """Prior selection plus its shape parameters."""
 
     kind: str = "t"
     nu: float = 4.0
     gg_exponent: float = 0.25
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -43,8 +37,6 @@ class ContrastModel:
             raise ValueError("nu must be positive")
         if not 0.0 < self.gg_exponent < 1.0:
             raise ValueError("gg_exponent must lie in (0, 1)")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
 
 
 def _checked(z):
@@ -67,7 +59,7 @@ def g(model, z):
         out = zf**model.gg_exponent
     else:
         out = np.log1p(zf / model.nu)
-    return _ret(z, model.scale * out)
+    return _ret(z, out)
 
 
 def g_prime(model, z):
@@ -80,7 +72,7 @@ def g_prime(model, z):
         out = p * zf ** (p - 1.0)
     else:
         out = 1.0 / (model.nu + zf)
-    return _ret(z, model.scale * out)
+    return _ret(z, out)
 
 
 def g_double_prime(model, z):
@@ -93,4 +85,4 @@ def g_double_prime(model, z):
         out = p * (p - 1.0) * zf ** (p - 2.0)
     else:
         out = -1.0 / (model.nu + zf) ** 2
-    return _ret(z, model.scale * out)
+    return _ret(z, out)

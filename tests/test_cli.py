@@ -131,6 +131,8 @@ def test_simulate_extract_evaluate_pipeline(tmp_path, capsys):
     assert record["input_sir_db"] == pytest.approx(10.0, abs=0.5)
     assert record["sirimp_db"] > 0.0
     assert record["success"] is True
+    # a WAV on disk carries no extraction time or iteration count
+    assert record["runtime_s"] is None and record["iterations"] is None
 
 
 def test_extract_report_config_round_trips(tmp_path):
@@ -140,21 +142,22 @@ def test_extract_report_config_round_trips(tmp_path):
     save_wav(wav, AudioBuffer(rng.laplace(size=(8000, 2)), 16000))
     assert main(["extract", str(wav), "-o", str(tmp_path),
                  "--prior", "gg", "--gg-exponent", "0.3", "--max-iter", "5",
-                 "--ref-mic", "1", "--fft-size", "512", "--hop", "128"]) == 0
+                 "--ref-mic", "1", "--rank", "1",
+                 "--fft-size", "512", "--hop", "128"]) == 0
     cfg = json.loads((tmp_path / "noise_report.json").read_text())["config"]
+    assert set(cfg) == {"solver", "stft"}
     solver = SolverConfig(**{**cfg["solver"],
                              "prior": ContrastModel(**cfg["solver"]["prior"])})
     assert solver == SolverConfig(
-        prior=ContrastModel(kind="gg", gg_exponent=0.3), max_iter=5, ref_mic=1)
+        prior=ContrastModel(kind="gg", gg_exponent=0.3), max_iter=5, ref_mic=1,
+        rank=1)
     assert StftConfig(**cfg["stft"]) == StftConfig(fft_size=512, hop_size=128)
-    assert cfg["rank"] is None
 
     # with no flags the CLI runs the library defaults
     default_dir = tmp_path / "defaults"
     assert main(["extract", str(wav), "-o", str(default_dir)]) == 0
     cfg = json.loads((default_dir / "noise_report.json").read_text())["config"]
-    assert cfg == {"solver": asdict(SolverConfig()), "stft": asdict(StftConfig()),
-                   "rank": None}
+    assert cfg == {"solver": asdict(SolverConfig()), "stft": asdict(StftConfig())}
 
 
 def test_evaluate_rejects_a_missing_channel(tmp_path, capsys):
@@ -332,8 +335,9 @@ def test_bench_renders_and_factors_each_mixture_once(tmp_path, monkeypatch):
                    for n in (2, 3) for prior in ("t", "ssl") for t in (0, 1)]
 
 
-@pytest.mark.parametrize("override", ["filter_len=[1]", "rank=[1]", "nu=[1]",
-                                      "mod_hz=[1]", "filter_len=0", "rank=0",
+@pytest.mark.parametrize("override", ["filter_len=[1]", "solver.rank=[1]", "nu=[1]",
+                                      "mod_hz=[1]", "filter_len=0", "solver.rank=0",
+                                      "rank=1",
                                       "stft.fftsize=512", "solver.max_iters=1",
                                       "solver.ref_mic=1", "trial=3",
                                       "num_sources=-1", "num_sources=[-1,2]",
@@ -354,6 +358,23 @@ def test_bench_parses_every_key_before_building_responses(tmp_path, monkeypatch,
     assert main(["bench", str(grid), "-o", str(tmp_path / "bench"),
                  "--set", override]) == 2
     assert calls == []
+
+
+def test_bench_solver_rank_reaches_extract(tmp_path, monkeypatch):
+    seen = []
+
+    def recording(audio, config, stft_config):
+        seen.append(config.rank)
+        return extract(audio, config, stft_config)
+    extract = cli.extract
+    monkeypatch.setattr(cli, "extract", recording)
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({
+        "duration_seconds": 0.5, "trials": 1, "solver": {"rank": 1},
+        "stft": {"fft_size": 512, "hop_size": 128}, "filter_len": 64,
+    }))
+    assert main(["bench", str(grid_path), "-o", str(tmp_path / "bench")]) == 0
+    assert seen == [1]
 
 
 def test_bench_records_trial_errors_in_band(tmp_path):
@@ -485,7 +506,7 @@ def test_main_returns_2_on_bad_input(tmp_path, capsys):
     grid.write_text(json.dumps({"duration_seconds": 0.5, "trials": 1}))
     for override, message in (
         ("trials=[1]", "trials must be an integer, got [1]"),
-        ("rank=[1]", "rank must be an integer, got [1]"),
+        ("solver.rank=[1]", "solver.rank must be an integer, got [1]"),
         ("stft=[1]", "stft must be an object, got [1]"),
         ("solver=[1]", "solver must be an object, got [1]"),
         ('stft={"fft_size": 512, "hop_size": 1024}',
@@ -499,7 +520,8 @@ def test_main_returns_2_on_bad_input(tmp_path, capsys):
         ("solver.ref_mic=1", "solver.ref_mic is not a solver key"),
         ("trial=3", "trial is not a grid key"),
         ("filter_len=0", "filter_len must be >= 1, got 0"),
-        ("rank=0", "rank must be >= 1, got 0"),
+        ("solver.rank=0", "rank must be >= 1, got 0"),
+        ("rank=1", "rank is not a grid key"),
         ("num_sources=[-1,2]", "num_sources must be >= 1, got -1"),
         ("fs=0", "fs must be >= 1, got 0"),
         ("duration_seconds=0",

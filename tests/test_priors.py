@@ -93,14 +93,6 @@ def test_scalar_in_scalar_out():
     assert isinstance(out, np.ndarray) and out.shape == (2,)
 
 
-def test_scale_multiplies_everything():
-    base = ContrastModel(kind="gg")
-    scaled = ContrastModel(kind="gg", scale=3.0)
-    z = np.logspace(-2, 2, 9)
-    for fn in (g, g_prime, g_double_prime):
-        np.testing.assert_allclose(fn(scaled, z), 3.0 * fn(base, z), rtol=1e-15)
-
-
 def test_model_validation():
     with pytest.raises(ValueError, match="unknown prior"):
         ContrastModel(kind="cauchy")
@@ -108,5 +100,3 @@ def test_model_validation():
         ContrastModel(kind="t", nu=0.0)
     with pytest.raises(ValueError, match="gg_exponent"):
         ContrastModel(kind="gg", gg_exponent=1.0)
-    with pytest.raises(ValueError, match="scale"):
-        ContrastModel(scale=-1.0)

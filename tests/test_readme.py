@@ -1,0 +1,52 @@
+"""README's configuration examples stay true: each ``jsonc`` block parses
+the way the text says it does."""
+
+import json
+import re
+from dataclasses import asdict
+from pathlib import Path
+
+import pytest
+
+from fastive import cli
+from fastive.extractor import SolverConfig
+from fastive.stft import StftConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def jsonc_blocks():
+    """The README's ``jsonc`` blocks in order, comments stripped and a bare
+    ``"key": value`` member wrapped into an object."""
+    blocks = re.findall(r"^```jsonc\n(.*?)^```$", README.read_text(),
+                        flags=re.MULTILINE | re.DOTALL)
+    parsed = []
+    for block in blocks:
+        text = re.sub(r"//.*", "", block).strip()
+        parsed.append(json.loads(text if text.startswith("{") else f"{{{text}}}"))
+    return parsed
+
+
+def test_readme_scenario_example_parses():
+    scenario, _, _ = jsonc_blocks()
+    cli.scenario_from_dict(scenario)
+
+
+def test_readme_report_config_example_is_the_default_config():
+    _, report, _ = jsonc_blocks()
+    assert report["config"] == {"solver": asdict(SolverConfig()),
+                                "stft": asdict(StftConfig())}
+
+
+class Parsed(Exception):
+    """Raised where run_grid starts building responses: every key was read."""
+
+
+def test_readme_grid_example_parses(tmp_path, monkeypatch):
+    _, _, grid = jsonc_blocks()
+
+    def stop(*args):
+        raise Parsed
+    monkeypatch.setattr(cli, "compute_rirs", stop)
+    with pytest.raises(Parsed):
+        cli.run_grid(grid, tmp_path / "bench")
