@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import priors
-from .stft import AudioBuffer, StftConfig, analyze, synthesize
+from .stft import AudioBuffer, StftConfig, analyze, check_int, synthesize
 from .whitening import (
     EPS_COV_ABS,
     apply_whitener,
@@ -61,14 +61,12 @@ class SolverConfig:
     rank: int | None = None
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.ref_mic < 0:
-            raise ValueError("ref_mic must be nonnegative")
-        if self.rank is not None and self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
+        check_int(self.max_iter, "max_iter", 1)
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
+        check_int(self.ref_mic, "ref_mic", 0)
+        if self.rank is not None:
+            check_int(self.rank, "rank", 1)
 
 
 @dataclass

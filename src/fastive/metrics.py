@@ -128,8 +128,7 @@ class References:
             raise ValueError("all signals must be 1-D of equal length")
         est_f = np.fft.rfft(est, self.nfft).conj()
         delays = -np.arange(self.filter_len) % self.nfft
-        return np.concatenate([np.fft.irfft(spec * est_f, self.nfft)[delays]
-                               for spec in self.spectra])
+        return np.fft.irfft(self.spectra * est_f, self.nfft, axis=1)[:, delays].ravel()
 
     def _taps(self, cross):
         """Filter taps of the target part [1, filter_len] and of the
@@ -150,8 +149,8 @@ class References:
 
     def _filter(self, taps):
         """Sum of the leading references filtered by ``taps``."""
-        spec = sum(ref * np.fft.rfft(row, self.nfft)
-                   for ref, row in zip(self.spectra, taps))
+        filtered = self.spectra[:len(taps)] * np.fft.rfft(taps, self.nfft, axis=1)
+        spec = filtered.sum(axis=0)
         return np.fft.irfft(spec, self.nfft)[:self.num_samples + self.filter_len - 1]
 
 

@@ -33,8 +33,8 @@ class ContrastModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown prior kind {self.kind!r}")
-        if not self.nu > 0:
-            raise ValueError("nu must be positive")
+        if not 0 < self.nu < np.inf:
+            raise ValueError("nu must be positive and finite")
         if not 0.0 < self.gg_exponent < 1.0:
             raise ValueError("gg_exponent must lie in (0, 1)")
 

@@ -255,17 +255,15 @@ def _source_rirs(room, source_position, mic_positions, fs):
         np.meshgrid(*axes, indexing="ij"), axis=-1
     ).reshape(-1, 3)
 
-    positions, amps = [], []
-    for p in itertools.product((0.0, 1.0), repeat=3):
-        p = np.asarray(p)
-        orders = np.sum(np.abs(grid + p) + np.abs(grid), axis=1)
-        amp = beta**orders
-        if room.max_order is not None:
-            amp = np.where(orders <= room.max_order, amp, 0.0)
-        audible = amp > 0.0
-        positions.append((1.0 - 2.0 * p) * src + 2.0 * grid[audible] * dims)
-        amps.append(amp[audible])
-    positions, amps = np.concatenate(positions), np.concatenate(amps)
+    # the 8 wall parities as [8, 1, 3], broadcast against the [G, 3] lattice
+    parity = np.array(list(itertools.product((0.0, 1.0), repeat=3)))[:, None]
+    orders = np.sum(np.abs(grid + parity) + np.abs(grid), axis=2)
+    amps = beta**orders
+    if room.max_order is not None:
+        amps = np.where(orders <= room.max_order, amps, 0.0)
+    audible = amps > 0.0
+    positions = ((1.0 - 2.0 * parity) * src + 2.0 * grid * dims)[audible]
+    amps = amps[audible]
 
     rirs = []
     for mic, npts in zip(mics, lengths):
@@ -375,6 +373,8 @@ def render(scenario, fs, rirs=None):
 def speech_like_sources(num_sources, num_samples, fs, seed, mod_hz=4.0):
     """Seeded synthetic talkers: i.i.d. Laplacian samples with a slow
     sinusoidal amplitude envelope (random phase per source), unit RMS."""
+    if num_samples < 1:
+        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
     rng = np.random.default_rng(seed)
     t = np.arange(num_samples) / fs
     out = []
@@ -382,10 +382,7 @@ def speech_like_sources(num_sources, num_samples, fs, seed, mod_hz=4.0):
         raw = rng.laplace(0.0, 1.0, num_samples)
         phase = rng.uniform(0.0, 2.0 * np.pi)
         sig = raw * 0.5 * (1.0 + np.sin(2.0 * np.pi * mod_hz * t + phase))
-        rms = float(np.sqrt(np.mean(sig**2)))
-        if rms <= 0:
-            raise ValueError("generated source is silent")
-        out.append(AudioBuffer(sig / rms, fs))
+        out.append(AudioBuffer(sig / np.sqrt(np.mean(sig**2)), fs))
     return out
 
 

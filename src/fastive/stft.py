@@ -25,6 +25,7 @@ Conventions
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +39,21 @@ WINDOW_KINDS = ("hann", "sqrt_hann", "rect")
 _DENOM_FLOOR = 1e-12
 
 
+def check_int(value, name, least):
+    """ValueError naming ``name`` unless ``value`` is an integer (a Python or
+    numpy int, not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass
 class AudioBuffer:
     """Time-domain signal, samples in ``[num_samples, num_channels]``.
 
     One-dimensional input is promoted to a single column.  Samples are kept
-    as float64; values must be finite.
+    as float64; values must be finite.  The rate is an integer of at least 1.
     """
 
     samples: np.ndarray
@@ -57,8 +67,7 @@ class AudioBuffer:
             raise ValueError("samples must be 1-D or [num_samples, num_channels]")
         if not np.all(np.isfinite(arr)):
             raise ValueError("samples must be finite")
-        if int(self.sample_rate_hz) <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+        check_int(self.sample_rate_hz, "sample_rate_hz", 1)
         self.samples = arr
         self.sample_rate_hz = int(self.sample_rate_hz)
 
@@ -78,8 +87,8 @@ class StftConfig:
     window: str = "hann"
 
     def __post_init__(self):
-        if self.fft_size <= 0 or self.hop_size <= 0:
-            raise ValueError("bad config: fft_size and hop_size must be positive")
+        check_int(self.fft_size, "bad config: fft_size", 1)
+        check_int(self.hop_size, "bad config: hop_size", 1)
         if self.hop_size > self.fft_size:
             raise ValueError("bad config: hop_size must not exceed fft_size")
         dev = cola_deviation(make_window(self.window, self.fft_size), self.hop_size)
@@ -113,10 +122,7 @@ def cola_deviation(window, hop):
     normalizer seen by weighted overlap-add in steady state.
     """
     w2 = np.asarray(window, dtype=np.float64) ** 2
-    acc = np.zeros(hop)
-    for start in range(0, w2.size, hop):
-        chunk = w2[start:start + hop]
-        acc[: chunk.size] += chunk
+    acc = np.pad(w2, (0, -w2.size % hop)).reshape(-1, hop).sum(axis=0)
     mean = acc.mean()
     if mean <= 0.0:
         return np.inf

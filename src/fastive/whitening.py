@@ -4,7 +4,7 @@ The whitener for bin k is ``Q^k = diag(d)^(-1/2) @ U^H`` built from the
 eigendecomposition of the (regularized) spatial covariance, so that
 ``Q^k C^k Q^k^H = I`` and the retained components are ordered by power.
 All bins are decomposed by one batched LAPACK call (``np.linalg.eigh``);
-a stable descending sort and a fixed phase convention on top of it make the
+its ascending output read in reverse and a fixed phase convention make the
 eigenvectors reproducible bit-for-bit across runs.  The whitener is a plain
 [K, R, M] array: row i of ``Q^k`` is ``d_i^(-1/2) u_i^H``, so each retained
 eigenpair is recoverable from it as ``d_i = 1 / ||q_i||^2`` and
@@ -51,9 +51,9 @@ def build_whitener(cov, rank=None):
     inverse square root against silent and rank-deficient bins.  Every bin
     must be square and Hermitian to ``1e-8 * max(||C_k||, 1)``.
 
-    Eigenvalues come out descending (stable order on ties).  Each
-    eigenvector's largest-magnitude component (first occurrence on ties) is
-    made real and positive, so the decomposition is deterministic.
+    Eigenvalues come out descending (ties in the reverse of ``eigh``'s order).
+    Each eigenvector's largest-magnitude component (first occurrence on ties)
+    is made real and positive, so the decomposition is deterministic.
     """
     cov = np.asarray(cov, dtype=np.complex128)
     if cov.ndim != 3 or cov.shape[1] != cov.shape[2]:
@@ -70,9 +70,8 @@ def build_whitener(cov, rank=None):
 
     shift = EPS_COV_REL * np.trace(cov, axis1=1, axis2=2).real / m + EPS_COV_ABS
     vals, vecs = np.linalg.eigh(0.5 * (cov + cov_h) + shift[:, None, None] * np.eye(m))
-    order = np.argsort(-vals, axis=1, kind="stable")
-    eigvals = np.maximum(np.take_along_axis(vals, order, axis=1), EPS_COV_ABS)
-    eigvecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
+    eigvals = np.maximum(vals[:, ::-1], EPS_COV_ABS)
+    eigvecs = vecs[:, :, ::-1]
     # deterministic phase: largest-magnitude component real positive
     peak = np.argmax(np.abs(eigvecs), axis=1)[:, None, :]
     phase = np.take_along_axis(eigvecs, peak, axis=1)

@@ -219,7 +219,8 @@ def test_bench_grid(tmp_path, capsys):
         "filter_len": 128,
     }))
     out = tmp_path / "bench"
-    assert main(["bench", str(grid_path), "-o", str(out)]) == 0
+    # a whole number written as a float counts: 2.0 trials are 2
+    assert main(["bench", str(grid_path), "-o", str(out), "--set", "trials=2.0"]) == 0
 
     lines = (out / "records.jsonl").read_text().strip().splitlines()
     assert len(lines) == 2

@@ -386,6 +386,15 @@ def test_solver_config_validation():
         SolverConfig(ref_mic=-1)
     with pytest.raises(ValueError, match="rank must be >= 1, got 0"):
         SolverConfig(rank=0)
+    for name, bad in (("max_iter", 2.5), ("max_iter", True), ("ref_mic", True),
+                      ("rank", 2.5), ("rank", True)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad}"):
+            SolverConfig(**{name: bad})
+    for tol in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            SolverConfig(tol=tol)
+    config = SolverConfig(max_iter=np.int64(5), ref_mic=np.int32(1), rank=np.int16(2))
+    assert (config.max_iter, config.ref_mic, config.rank) == (5, 1, 2)
 
 
 def test_extract_input_guards():

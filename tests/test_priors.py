@@ -96,7 +96,8 @@ def test_scalar_in_scalar_out():
 def test_model_validation():
     with pytest.raises(ValueError, match="unknown prior"):
         ContrastModel(kind="cauchy")
-    with pytest.raises(ValueError, match="nu"):
-        ContrastModel(kind="t", nu=0.0)
+    for nu in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="nu must be positive and finite"):
+            ContrastModel(kind="t", nu=nu)
     with pytest.raises(ValueError, match="gg_exponent"):
         ContrastModel(kind="gg", gg_exponent=1.0)

@@ -388,6 +388,12 @@ def test_render_validation():
                         source_positions=scen.source_positions,
                         mic_positions=scen.mic_positions,
                         source_signals=(stereo, scen.source_signals[1])), FS)
+    target, interferer = scen.source_signals
+    silent = AudioBuffer(np.zeros(target.num_samples), FS)
+    for signals, message in (((silent, interferer), "target image is silent"),
+                             ((target, silent), "interference is silent")):
+        with pytest.raises(ValueError, match=message):
+            render(replace(scen, source_signals=signals, input_sir_db=5.0), FS)
 
 
 def test_scenario_validation():
@@ -408,8 +414,9 @@ def test_scenario_validation():
         Scenario(source_positions=scen.mic_positions[1:2],
                  mic_positions=scen.mic_positions[:2])
     for bad in ({"rt60": math.nan}, {"rt60": math.inf}, {"speed_of_sound": math.inf},
-                {"rir_seconds": math.inf}, {"dimensions": (7.0, math.nan, 3.0)}):
-        with pytest.raises(ValueError, match="finite|three positive"):
+                {"rir_seconds": math.inf}, {"dimensions": (7.0, math.nan, 3.0)},
+                {"max_order": -1}):
+        with pytest.raises(ValueError, match="finite|three positive|nonnegative"):
             RoomSpec(**bad)
 
 
@@ -422,6 +429,8 @@ def test_speech_like_sources_are_seeded_and_unit_power():
     assert not np.array_equal(a[0].samples, c[0].samples)
     for x in a:
         assert np.sqrt(np.mean(x.samples**2)) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="num_samples must be >= 1, got 0"):
+        speech_like_sources(2, 0, FS, 11)
 
 
 def test_default_geometry_layout():

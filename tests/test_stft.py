@@ -47,10 +47,14 @@ def test_cola_fails_for_bad_pairs():
 
 def test_config_validation():
     StftConfig(8, 2, "hann")
-    for bad in ((0, 2), (8, 0), (8, 16), (8, 2, "kaiser"), (8, 3, "hann")):
+    for bad in ((0, 2), (8, 0), (8, 16), (8, 2, "kaiser"), (8, 3, "hann"),
+                (512, 128.0), (True, 1), (8, True)):
         with pytest.raises(ValueError, match="bad config"):
             StftConfig(*bad)
+    with pytest.raises(ValueError, match="fft_size must be an integer, got 512.0"):
+        StftConfig(512.0, 128)
     assert StftConfig(8, 2).num_bins == 5
+    assert StftConfig(np.int64(8), np.int32(2)).num_bins == 5
 
 
 # any size and hop, and often a power of two with a hop that divides it
@@ -222,8 +226,11 @@ def test_audio_buffer_validation():
         AudioBuffer(np.array([0.0, np.nan]), 8000)
     with pytest.raises(ValueError, match="1-D or"):
         AudioBuffer(np.zeros((2, 2, 2)), 8000)
-    with pytest.raises(ValueError, match="sample_rate_hz"):
-        AudioBuffer(np.zeros(5), 0)
+    for rate in (0, 16000.7, True, "16000"):
+        with pytest.raises(ValueError, match="sample_rate_hz"):
+            AudioBuffer(np.zeros(5), rate)
+    rate = AudioBuffer(np.zeros(5), np.int64(8000)).sample_rate_hz
+    assert rate == 8000 and type(rate) is int
 
 
 def test_wav_round_trip(tmp_path):
@@ -240,6 +247,14 @@ def test_wav_round_trip(tmp_path):
     save_wav(p16, audio, fmt="pcm16")
     back = load_wav(p16)
     np.testing.assert_allclose(back.samples, audio.samples, atol=1.0 / 32768.0)
+
+    from scipy.io import wavfile
+    pcm = np.array([[-2**31, 2**31 - 1], [12345, -678]], dtype=np.int32)
+    wavfile.write(tmp_path / "i32.wav", 8000, pcm)
+    np.testing.assert_array_equal(load_wav(tmp_path / "i32.wav").samples, pcm / 2.0**31)
+    wavfile.write(tmp_path / "u8.wav", 8000, np.array([0, 128, 255], dtype=np.uint8))
+    with pytest.raises(ValueError, match="unsupported WAV sample format uint8"):
+        load_wav(tmp_path / "u8.wav")
 
 
 def test_wav_mono_round_trip(tmp_path):
