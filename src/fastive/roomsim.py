@@ -13,12 +13,12 @@ the free-field direct path.
 
 The image lattice, reflection orders and amplitudes depend only on the
 source, so they are built once per source and shared by all its mics; only
-the distances are per mic.  The kernel is evaluated in closed form from
-each image's fractional delay ``f``: the sinc taps are
-``-(-1)**k sin(pi f) / (pi (k - f))`` and the Hann taps follow by angle
-addition from fixed tables, so an image costs three sines and cosines
-instead of two per tap.  Images are deposited in fixed-size chunks, which
-bounds the temporaries whatever the room and reverberation time.
+the distances are per mic.  Every tap of the kernel is a smooth function of
+the image's fractional delay ``f`` in [-1/2, 1/2], and a degree-16 Chebyshev
+series in ``2 f``, fitted once at import, matches the closed form to 2e-15
+of the kernel peak.  So an image costs 17 series terms, each summed into
+its nearest sample, and the 81 taps are expanded once per output sample
+from those sums rather than once per image.
 
 Scenarios bundle a room, source/mic geometry, and source signals; rendering
 convolves each source with its impulse responses, scales the target source
@@ -35,25 +35,34 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stft import AudioBuffer, next_fast_len
+from .stft import AudioBuffer, check_int, next_fast_len
 
 SPEED_OF_SOUND = 343.0
 
 KERNEL_TAPS = 81
 _KERNEL_HALF = (KERNEL_TAPS - 1) // 2
 _KERNEL_HALF_WIDTH = _KERNEL_HALF + 0.5
-# tap offsets k from the nearest sample, and three rows that, weighted by 1,
-# cos(phi) and sin(phi) with phi = pi f / half width, sum to
-# 2 hann(k - f) * -(-1)**k / pi; see _deposit
-_KERNEL_OFFSETS = np.arange(-_KERNEL_HALF, _KERNEL_HALF + 1)
-_SINC_SIGN = -((-1.0) ** _KERNEL_OFFSETS) / np.pi
-_KERNEL_ROWS = np.stack([
-    _SINC_SIGN,
-    _SINC_SIGN * np.cos(np.pi * _KERNEL_OFFSETS / _KERNEL_HALF_WIDTH),
-    _SINC_SIGN * np.sin(np.pi * _KERNEL_OFFSETS / _KERNEL_HALF_WIDTH),
-])
-# images per deposit step: keeps each [chunk, KERNEL_TAPS] temporary at 2.6 MB
-_DEPOSIT_CHUNK = 4096
+# degree of the Chebyshev series in 2 f that gives every tap: 16 is the first
+# degree whose fit error (2e-15 of the kernel peak) is the closed form's own
+# rounding; degree 12 is off by 5e-13
+_SERIES_DEGREE = 16
+
+
+def _fit_kernel_series():
+    """``[_SERIES_DEGREE + 1, KERNEL_TAPS]`` Chebyshev coefficients of each
+    tap as a function of ``x = 2 f`` on [-1, 1], by projection onto the
+    ``n = 64`` first-kind nodes ``x_i = cos(theta_i)``: ``c_d = (2 / n)
+    sum_i cos(d theta_i) tap(x_i / 2)``, with ``c_0`` halved."""
+    nodes = 64
+    theta = np.pi * (np.arange(nodes) + 0.5) / nodes
+    delta = np.arange(-_KERNEL_HALF, _KERNEL_HALF + 1) - 0.5 * np.cos(theta)[:, None]
+    taps = 0.5 * (1.0 + np.cos(np.pi * delta / _KERNEL_HALF_WIDTH)) * np.sinc(delta)
+    coef = 2.0 / nodes * np.cos(np.outer(np.arange(_SERIES_DEGREE + 1), theta)) @ taps
+    coef[0] *= 0.5
+    return coef
+
+
+_KERNEL_SERIES = _fit_kernel_series()
 
 # default battery geometry: shoebox with a compact linear array near one wall
 ROOM_DIMENSIONS = (7.0, 5.0, 2.75)
@@ -94,14 +103,17 @@ class RoomSpec:
         dims = np.asarray(self.dimensions, dtype=np.float64)
         if dims.shape != (3,) or not np.all((dims > 0) & np.isfinite(dims)):
             raise ValueError("room dimensions must be three positive lengths")
+        for name in ("rt60", "speed_of_sound", "rir_seconds"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got a bool")
         if not 0 <= self.rt60 < math.inf:
             raise ValueError("rt60 must be finite and nonnegative")
         if not 0 < self.speed_of_sound < math.inf:
             raise ValueError("speed_of_sound must be finite and positive")
         if self.rir_seconds is not None and not 0 < self.rir_seconds < math.inf:
             raise ValueError("rir_seconds must be finite and positive")
-        if self.max_order is not None and self.max_order < 0:
-            raise ValueError("max_order must be nonnegative")
+        if self.max_order is not None:
+            check_int(self.max_order, "max_order", 0)
 
 
 @dataclass(frozen=True)
@@ -138,9 +150,11 @@ class Scenario:
         if close.size:
             raise ValueError(f"source {close[0, 0]} and mic {close[0, 1]} "
                              "positions coincide")
-        if not 0 <= self.soi_index < srcs.shape[0]:
+        for name in ("soi_index", "ref_mic", "seed"):
+            check_int(getattr(self, name), name, 0)
+        if self.soi_index >= srcs.shape[0]:
             raise ValueError(f"soi_index {self.soi_index} out of range")
-        if not 0 <= self.ref_mic < mics.shape[0]:
+        if self.ref_mic >= mics.shape[0]:
             raise ValueError(f"ref_mic {self.ref_mic} out of range")
 
     @property
@@ -187,36 +201,33 @@ def _deposit(num_samples, centers, amps):
     With ``f = center - round(center)`` the tap at offset ``k`` from the
     nearest sample is
 
-        0.5 (1 + cos(pi (k - f) / W)) * -(-1)**k sin(pi f) / (pi (k - f)),
+        0.5 (1 + cos(pi (k - f) / W)) * sinc(k - f),
 
-    where ``W`` is the window half width; the cosine splits by angle
-    addition, so every tap is a fixed combination of ``_KERNEL_ROWS``
-    divided by ``k - f``.  An image on an exact sample (``f == 0``) is a
-    single tap.  Taps outside ``[0, num_samples)`` are dropped.
+    where ``W`` is the window half width.  Each tap is the series
+    ``sum_d c[d, k] T_d(2 f)`` with ``c = _KERNEL_SERIES``, so the images are
+    first summed per nearest sample, one term ``T_d(2 f) amp`` at a time,
+    and each tap ``k`` is then ``c[:, k]`` applied to those per-sample sums.
+    The cost is 17 terms per image plus ``17 * 81`` products per sample, and
+    no temporary holds one value per image and tap.  Taps outside
+    ``[0, num_samples)`` are dropped.
     """
-    # padded[i] accumulates sample i - _KERNEL_HALF; centers lie in
-    # [0, num_samples + _KERNEL_HALF), so every tap index fits
-    padded = np.zeros(num_samples + _KERNEL_HALF + KERNEL_TAPS)
-    taps = np.arange(KERNEL_TAPS)
-    for start in range(0, centers.size, _DEPOSIT_CHUNK):
-        center = centers[start:start + _DEPOSIT_CHUNK]
-        amp = amps[start:start + _DEPOSIT_CHUNK]
-        nearest = np.round(center)
-        frac = center - nearest
-        scale = 0.5 * amp * np.sin(np.pi * frac)
-        phase = np.pi * frac / _KERNEL_HALF_WIDTH
-        weights = np.stack(
-            [scale, scale * np.cos(phase), scale * np.sin(phase)], axis=1
-        )
-        vals = weights @ _KERNEL_ROWS
-        with np.errstate(invalid="ignore"):  # 0 / 0 at f == 0, k == 0
-            vals /= _KERNEL_OFFSETS - frac[:, None]
-        on_sample = np.flatnonzero(frac == 0.0)
-        vals[on_sample, _KERNEL_HALF] = amp[on_sample]
-        idx = nearest.astype(np.int64)[:, None] + taps
-        padded += np.bincount(
-            idx.ravel(), weights=vals.ravel(), minlength=padded.size
-        )
+    # centers lie in [0, num_samples + _KERNEL_HALF), so the nearest sample
+    # is one of num_samples + _KERNEL_HALF + 1
+    nearest = np.round(centers)
+    x = 2.0 * (centers - nearest)
+    two_x = 2.0 * x
+    bins = nearest.astype(np.intp)
+    sums = np.empty((_SERIES_DEGREE + 1, num_samples + _KERNEL_HALF + 1))
+    # T_{d+1} = 2 x T_d - T_{d-1}, started from T_{-1} = T_1 = x
+    prev, term = x * amps, amps
+    for row in sums:
+        row[:] = np.bincount(bins, weights=term, minlength=row.size)
+        prev, term = term, two_x * term - prev
+    # padded[i] accumulates sample i - _KERNEL_HALF; tap j of nearest sample
+    # n lands on sample n + j - _KERNEL_HALF
+    padded = np.zeros(sums.shape[1] + KERNEL_TAPS - 1)
+    for j in range(KERNEL_TAPS):
+        padded[j:j + sums.shape[1]] += _KERNEL_SERIES[:, j] @ sums
     return padded[_KERNEL_HALF:_KERNEL_HALF + num_samples]
 
 

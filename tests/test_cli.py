@@ -59,8 +59,10 @@ def test_parser_covers_all_subcommands():
 def test_cli_import_leaves_scipy_signal_unloaded():
     """Importing the package and its CLI loads no scipy module: the renderer
     and the scorer transform with numpy.fft, and scipy.io is loaded only
-    when a WAV is read or written.  Scoring still works in that process,
-    loading scipy.linalg on its first factorisation."""
+    when a WAV is read or written.  Nor does it load numpy.polynomial: the
+    room simulator fits its kernel series with plain numpy.  Scoring still
+    works in that process, loading scipy.linalg on its first
+    factorisation."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     script = """
 import sys
@@ -73,6 +75,7 @@ from fastive.stft import AudioBuffer
 
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
+assert "numpy.polynomial" not in sys.modules
 rng = np.random.default_rng(0)
 images = [AudioBuffer(rng.normal(size=(1000, 2)), 16000) for _ in range(2)]
 mixture = AudioBuffer(images[0].samples + images[1].samples, 16000)

@@ -3,7 +3,7 @@
 Free-field responses are pinned against the closed-form point-source
 solution on a geometry whose delays are exact sample counts; the
 reverberant decay is checked with an independent backward-integration
-estimate; the chunked closed-form kernel and the per-source image lattice
+estimate; the Chebyshev-series kernel and the per-source image lattice
 are checked against a direct reference build.  Rendering must hit the
 requested mixing ratio exactly.
 """
@@ -11,6 +11,7 @@ requested mixing ratio exactly.
 import itertools
 import json
 import math
+import re
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -19,6 +20,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fastive.roomsim import (
+    _KERNEL_HALF,
+    _KERNEL_SERIES,
+    _deposit,
     KERNEL_TAPS,
     MIC_POSITIONS,
     SOURCE_POSITIONS,
@@ -225,6 +229,43 @@ def test_responses_match_the_direct_reference(case):
         assert np.max(np.abs(rir - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_kernel_series_reproduces_the_closed_form():
+    """The [degree + 1, taps] table, summed as a Chebyshev series in 2 f by
+    numpy's own evaluator, gives every tap of the direct kernel."""
+    frac = np.linspace(-0.5, 0.5, 10001)
+    delta = np.arange(-_KERNEL_HALF, _KERNEL_HALF + 1)[:, None] - frac
+    closed = 0.5 * (1.0 + np.cos(np.pi * delta / (_KERNEL_HALF + 0.5)))
+    closed *= np.sinc(delta)
+    series = np.polynomial.chebyshev.chebval(2.0 * frac, _KERNEL_SERIES)
+    assert series.shape == closed.shape
+    assert np.max(np.abs(series - closed)) <= 1e-14
+
+
+NUM_SAMPLES = 300
+# the deposit's centers lie in [0, NUM_SAMPLES + _KERNEL_HALF)
+DEPOSIT_CENTERS = {
+    "random": np.random.default_rng(0).uniform(0.0, NUM_SAMPLES + _KERNEL_HALF, 500),
+    "on_sample": np.arange(0.0, NUM_SAMPLES + _KERNEL_HALF, 7.0),
+    # taps fall before sample 0
+    "below_half": np.linspace(0.0, _KERNEL_HALF - 1e-9, 97),
+    # the nearest sample of the upper ones is the last padded slot,
+    # NUM_SAMPLES + _KERNEL_HALF, one past the last whose taps reach the output
+    "last_slot": NUM_SAMPLES + _KERNEL_HALF - np.array(
+        [2.0, 1.3, 0.75, 0.5 + 1e-9, 0.5, 0.5 - 1e-9, 0.25, 1e-9]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEPOSIT_CENTERS))
+def test_deposit_matches_the_direct_kernel(case):
+    centers = DEPOSIT_CENTERS[case]
+    amps = np.random.default_rng(1).uniform(-1.0, 1.0, centers.size)
+    want = np.zeros(NUM_SAMPLES)
+    reference_deposit(want, centers, amps)
+    got = _deposit(NUM_SAMPLES, centers, amps)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_on_sample_case_puts_the_direct_path_on_a_sample():
     room, src, (_, mic) = ON_SAMPLE
     delay = math.dist(src, mic) / room.speed_of_sound * FS
@@ -413,11 +454,39 @@ def test_scenario_validation():
     with pytest.raises(ValueError, match="source 0 and mic 1 positions coincide"):
         Scenario(source_positions=scen.mic_positions[1:2],
                  mic_positions=scen.mic_positions[:2])
+    for bad, message in (
+            ({"soi_index": 0.0}, "soi_index must be an integer, got 0.0"),
+            ({"soi_index": True}, "soi_index must be an integer, got True"),
+            ({"soi_index": -1}, "soi_index must be >= 0, got -1"),
+            ({"ref_mic": True}, "ref_mic must be an integer, got True"),
+            ({"ref_mic": 1.0}, "ref_mic must be an integer, got 1.0"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"seed": -1}, "seed must be >= 0, got -1")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            default_geometry(2, 2, **bad)
+    # numpy integers are integers
+    scenario = default_geometry(2, 2, soi_index=np.int64(1), ref_mic=np.int32(1),
+                                seed=np.uint8(3))
+    assert (scenario.soi_index, scenario.ref_mic, scenario.seed) == (1, 1, 3)
+
+
+def test_room_validation():
     for bad in ({"rt60": math.nan}, {"rt60": math.inf}, {"speed_of_sound": math.inf},
-                {"rir_seconds": math.inf}, {"dimensions": (7.0, math.nan, 3.0)},
-                {"max_order": -1}):
-        with pytest.raises(ValueError, match="finite|three positive|nonnegative"):
+                {"rir_seconds": math.inf}, {"dimensions": (7.0, math.nan, 3.0)}):
+        with pytest.raises(ValueError, match="finite|three positive"):
             RoomSpec(**bad)
+    for bad, message in (
+            ({"max_order": -1}, "max_order must be >= 0, got -1"),
+            ({"max_order": 2.5}, "max_order must be an integer, got 2.5"),
+            ({"max_order": 2.0}, "max_order must be an integer, got 2.0"),
+            ({"max_order": True}, "max_order must be an integer, got True"),
+            ({"rt60": True}, "rt60 must be a number, got a bool"),
+            ({"speed_of_sound": True}, "speed_of_sound must be a number, got a bool"),
+            ({"rir_seconds": False}, "rir_seconds must be a number, got a bool")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RoomSpec(**bad)
+    assert RoomSpec(max_order=np.int64(2)).max_order == 2
+    assert RoomSpec(max_order=0, rt60=np.float64(0.3)).rt60 == 0.3
 
 
 def test_speech_like_sources_are_seeded_and_unit_power():
