@@ -30,7 +30,7 @@ from .roomsim import (
     render,
     speech_like_sources,
 )
-from .stft import WINDOW_KINDS, StftConfig, load_wav, save_wav
+from .stft import WINDOW_KINDS, StftConfig, check_number, load_wav, save_wav
 
 
 def run_manifest(command, config_path, output_dir, overrides=(), seed=None):
@@ -43,12 +43,7 @@ def run_manifest(command, config_path, output_dir, overrides=(), seed=None):
 def config_float(value, name, least=None):
     """``value`` as a float; ValueError naming the key ``name`` unless a finite
     number, not a bool or str, and, when ``least`` is given, at least ``least``."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or isinstance(value, (bool, str)):  # true is not 1.0
-        raise ValueError(f"{name} must be a number, got {value!r}")
+    number = check_number(value, name)
     if not math.isfinite(number) or least is not None and number < least:
         bound = "" if least is None else f" and >= {least:g}"
         raise ValueError(f"{name} must be finite{bound}, got {value!r}")

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import priors
-from .stft import AudioBuffer, StftConfig, analyze, check_int, synthesize
+from .stft import AudioBuffer, StftConfig, analyze, check_int, check_number, synthesize
 from .whitening import (
     EPS_COV_ABS,
     apply_whitener,
@@ -61,8 +61,10 @@ class SolverConfig:
     rank: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.prior, priors.ContrastModel):
+            raise ValueError(f"prior must be a ContrastModel, got {self.prior!r}")
         check_int(self.max_iter, "max_iter", 1)
-        if not 0 < self.tol < np.inf:
+        if not 0 < check_number(self.tol, "tol") < np.inf:
             raise ValueError("tol must be positive and finite")
         check_int(self.ref_mic, "ref_mic", 0)
         if self.rank is not None:

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .stft import check_number
+
 KINDS = ("ssl", "gg", "t")
 FLOOR = 1e-12
 
@@ -33,9 +35,9 @@ class ContrastModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown prior kind {self.kind!r}")
-        if not 0 < self.nu < np.inf:
+        if not 0 < check_number(self.nu, "nu") < np.inf:
             raise ValueError("nu must be positive and finite")
-        if not 0.0 < self.gg_exponent < 1.0:
+        if not 0.0 < check_number(self.gg_exponent, "gg_exponent") < 1.0:
             raise ValueError("gg_exponent must lie in (0, 1)")
 
 

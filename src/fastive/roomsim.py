@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stft import AudioBuffer, check_int, next_fast_len
+from .stft import AudioBuffer, check_int, check_number, next_fast_len
 
 SPEED_OF_SOUND = 343.0
 
@@ -100,17 +100,16 @@ class RoomSpec:
     max_order: int | None = None
 
     def __post_init__(self):
-        dims = np.asarray(self.dimensions, dtype=np.float64)
-        if dims.shape != (3,) or not np.all((dims > 0) & np.isfinite(dims)):
+        if np.shape(self.dimensions) != (3,) or not all(
+                0 < check_number(v, f"dimensions[{i}]") < math.inf
+                for i, v in enumerate(self.dimensions)):
             raise ValueError("room dimensions must be three positive lengths")
-        for name in ("rt60", "speed_of_sound", "rir_seconds"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, got a bool")
-        if not 0 <= self.rt60 < math.inf:
+        if not 0 <= check_number(self.rt60, "rt60") < math.inf:
             raise ValueError("rt60 must be finite and nonnegative")
-        if not 0 < self.speed_of_sound < math.inf:
+        if not 0 < check_number(self.speed_of_sound, "speed_of_sound") < math.inf:
             raise ValueError("speed_of_sound must be finite and positive")
-        if self.rir_seconds is not None and not 0 < self.rir_seconds < math.inf:
+        if self.rir_seconds is not None and not (
+                0 < check_number(self.rir_seconds, "rir_seconds") < math.inf):
             raise ValueError("rir_seconds must be finite and positive")
         if self.max_order is not None:
             check_int(self.max_order, "max_order", 0)
@@ -412,10 +411,11 @@ def default_geometry(num_sources=None, num_mics=None, **fields):
             if count not in (None, len(fields[key])):
                 raise ValueError(f"{name} {count} disagrees with the "
                                  f"{len(fields[key])} {key} given")
-        elif count is not None and count < least:
-            raise ValueError(f"{name} must be >= {least}, got {count}")
-        elif count is not None and count > len(spots):
-            raise ValueError(f"{name} {count} exceeds {extent}; give {key} explicitly")
-        else:
-            fields[key] = spots[:count]
+            continue
+        if count is not None:
+            check_int(count, name, least)
+            if count > len(spots):
+                raise ValueError(
+                    f"{name} {count} exceeds {extent}; give {key} explicitly")
+        fields[key] = spots[:count]
     return Scenario(**fields)

@@ -48,6 +48,18 @@ def check_int(value, name, least):
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
+def check_number(value, name):
+    """``value`` as a float; ValueError naming ``name`` unless ``value`` is a
+    real number (a Python or numpy int or float, not a bool) within the float
+    range."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an int past the largest float
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass
 class AudioBuffer:
     """Time-domain signal, samples in ``[num_samples, num_channels]``.

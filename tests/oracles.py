@@ -1,0 +1,73 @@
+"""Loop-by-loop references, independent of the vectorized code, that the
+unit tests and the acceptance gate both check against.  Not a test file:
+pytest puts ``tests/`` on the import path, so ``from oracles import ...``."""
+
+import numpy as np
+
+from fastive.extractor import _update_terms
+from fastive.priors import g_double_prime, g_prime
+
+
+def reference_update(x, w, model):
+    """Unvectorized one-step update, written directly from the rule:
+    per bin, a = mean[G' + |y|^2 G''], b = mean[conj(y) G' x], then
+    normalize a w - b."""
+    num_bins, num_frames, rank = x.shape
+    y = np.array([[np.vdot(w[k], x[k, t]) for t in range(num_frames)]
+                  for k in range(num_bins)])
+    r = np.array([sum(abs(y[k, t]) ** 2 for k in range(num_bins))
+                  for t in range(num_frames)])
+    out = np.zeros_like(w)
+    for k in range(num_bins):
+        a = np.mean([g_prime(model, r[t]) + abs(y[k, t]) ** 2
+                     * g_double_prime(model, r[t]) for t in range(num_frames)])
+        b = np.zeros(rank, dtype=complex)
+        for t in range(num_frames):
+            b += np.conj(y[k, t]) * g_prime(model, r[t]) * x[k, t]
+        b /= num_frames
+        v = a * w[k] - b
+        out[k] = v / np.linalg.norm(v)
+    return out
+
+
+def finite_difference_gradient(x, w, model, eps=1e-6):
+    """Gradient of the cost ``_update_terms(x, w, model)[0]`` with respect to
+    conj(w), from central differences along the real and the imaginary axis
+    of every entry of ``w``: (d/dRe + i d/dIm) / 2."""
+    fd = np.zeros_like(w)
+    for index in np.ndindex(w.shape):
+        for direction in (1.0, 1.0j):
+            step = np.zeros_like(w)
+            step[index] = eps * direction
+            d = (_update_terms(x, w + step, model)[0]
+                 - _update_terms(x, w - step, model)[0]) / (2 * eps)
+            fd[index] += 0.5 * d * direction
+    return fd
+
+
+def exact_mixture(seed, num_bins=6, num_mics=3, num_sources=2, num_frames=64):
+    """Known per-bin mixing with sources whose sample covariance is the
+    identity exactly, so the data covariance is exactly H H^H."""
+    rng = np.random.default_rng(seed)
+    mixing = rng.normal(size=(num_bins, num_mics, num_sources)) \
+        + 1j * rng.normal(size=(num_bins, num_mics, num_sources))
+    sources = np.empty((num_bins, num_frames, num_sources), dtype=complex)
+    for k in range(num_bins):
+        raw = rng.normal(size=(num_frames, num_sources)) \
+            + 1j * rng.normal(size=(num_frames, num_sources))
+        qmat, _ = np.linalg.qr(raw)
+        sources[k] = np.sqrt(num_frames) * qmat
+    data = np.einsum("kmn,ktn->ktm", mixing, sources)
+    return data, mixing, sources
+
+
+def exact_demixer(mixing):
+    """Per-bin w with w^H H = e_1^T, so the output is source 1 exactly."""
+    num_bins, _, _ = mixing.shape
+    w = np.empty(mixing.shape[:2], dtype=complex)
+    e1 = np.zeros(mixing.shape[2], dtype=complex)
+    e1[0] = 1.0
+    for k in range(num_bins):
+        h = mixing[k]
+        w[k] = h @ np.linalg.solve(h.conj().T @ h, e1)
+    return w

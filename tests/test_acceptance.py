@@ -6,15 +6,22 @@ numerical oracles for the update rule, gradients, whitening, scaling
 resolution, transforms, and simulator physics.  Every check prints a
 single PASS/FAIL line so a full run reads as a checklist; statistical
 checks use fixed seeds and loose-enough margins to be reproducible.
+
+The battery is two ``fastive bench`` grid files in ``tests/grids/``, run
+through ``run_grid``, and the oracles of checks 5, 6 and 8 are the ones
+the unit tests use, from ``tests/oracles.py``.
 """
 
+import json
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fastive import priors
+from fastive.cli import run_grid
 from fastive.extractor import (
     SolverConfig,
     _update_terms,
@@ -24,7 +31,6 @@ from fastive.extractor import (
     iterate_once,
     rescale,
 )
-from fastive.metrics import aggregate, evaluate
 from fastive.priors import ContrastModel, g, g_double_prime, g_prime
 from fastive.roomsim import (
     RoomSpec,
@@ -41,9 +47,12 @@ from fastive.whitening import (
     build_whitener,
     estimate_covariance,
 )
+from oracles import (exact_demixer, exact_mixture, finite_difference_gradient,
+                     reference_update)
 
 ALL_KINDS = ("ssl", "gg", "t")
 FS = 16000
+GRIDS = Path(__file__).parent / "grids"
 
 
 def announce(request, index, label, passed, detail):
@@ -63,47 +72,38 @@ def announce(request, index, label, passed, detail):
 
 
 @pytest.fixture(scope="module")
-def battery():
-    """30 seeded 2-talker/2-mic renders at rt60 = 0.2 s, evaluated for the
-    t and ssl priors at 10 dB input SIR and for t at -5 dB."""
-    geo = default_geometry()
-    scen = replace(geo,
-                   source_positions=geo.source_positions[:2],
-                   mic_positions=geo.mic_positions[:2])
+def battery(tmp_path_factory):
+    """The bench summaries of the two battery grids keyed by cell id, and
+    the wall time of the +10 dB sweep under ``"plus10_seconds"``.
+
+    Both grids run 30 seeded 2-talker/2-mic renders at rt60 = 0.2 s:
+    ``battery_plus10`` extracts each with the t and the ssl prior at 10 dB
+    input SIR, ``battery_minus5`` with t at -5 dB.  Trial i uses seed i in
+    every cell, so the cells compare the same source draws."""
+    def sweep(name):
+        grid = json.loads((GRIDS / f"{name}.json").read_text())
+        _, summaries = run_grid(grid, tmp_path_factory.mktemp(name))
+        return {summary["cell"]: summary for summary in summaries}
+
     start = time.perf_counter()
-    rirs = compute_rirs(scen, FS)
-
-    def run(kind, sir):
-        reports = []
-        for seed in range(30):
-            signals = speech_like_sources(2, 3 * FS, FS, seed)
-            take = replace(scen, source_signals=tuple(signals),
-                           input_sir_db=sir, seed=seed)
-            mixture_set = render(take, FS, rirs=rirs)
-            result = extract(mixture_set.mixture,
-                             SolverConfig(prior=ContrastModel(kind=kind)))
-            reports.append(evaluate(result, mixture_set, filter_len=512))
-        return aggregate(reports)
-
-    cells = {"t@+10": run("t", 10.0)}
-    elapsed = time.perf_counter() - start
-    cells["ssl@+10"] = run("ssl", 10.0)
-    cells["t@-5"] = run("t", -5.0)
-    cells["elapsed_main"] = elapsed
+    cells = sweep("battery_plus10")
+    cells["plus10_seconds"] = time.perf_counter() - start
+    cells.update(sweep("battery_minus5"))
     return cells
 
 
 def test_01_success_rate(request, battery):
-    rate = battery["t@+10"]["success_rate"]
-    elapsed = battery["elapsed_main"]
+    rate = battery["N2_M2_sir10_t"]["success_rate"]
+    elapsed = battery["plus10_seconds"]
     announce(request, 1, "success-rate battery",
              rate >= 0.9 and elapsed < 120.0,
-             f"rate {rate:.0%} (need >= 90%) over 30 trials in {elapsed:.1f} s")
+             f"rate {rate:.0%} (need >= 90%) over 30 trials, "
+             f"t+ssl sweep in {elapsed:.1f} s")
 
 
 def test_02_prior_ordering(request, battery):
-    mean_t = battery["t@+10"]["mean_sirimp_all_db"]
-    mean_ssl = battery["ssl@+10"]["mean_sirimp_all_db"]
+    mean_t = battery["N2_M2_sir10_t"]["mean_sirimp_all_db"]
+    mean_ssl = battery["N2_M2_sir10_ssl"]["mean_sirimp_all_db"]
     announce(request, 2, "prior ordering",
              mean_t >= mean_ssl - 1.0,
              f"mean SIRimp t {mean_t:.2f} dB vs ssl {mean_ssl:.2f} dB "
@@ -111,8 +111,8 @@ def test_02_prior_ordering(request, battery):
 
 
 def test_03_dominance_sensitivity(request, battery):
-    low = battery["t@-5"]["success_rate"]
-    high = battery["t@+10"]["success_rate"]
+    low = battery["N2_M2_sir-5_t"]["success_rate"]
+    high = battery["N2_M2_sir10_t"]["success_rate"]
     announce(request, 3, "dominance sensitivity",
              low < high,
              f"success {low:.0%} at -5 dB < {high:.0%} at +10 dB, same seeds")
@@ -143,27 +143,6 @@ def test_04_runtime_scaling(request):
              ratio <= 2.5,
              f"40 fixed iterations: {t2 * 1e3:.0f} ms (M=2) -> "
              f"{t6 * 1e3:.0f} ms (M=6), ratio {ratio:.2f} <= 2.5")
-
-
-def reference_update(x, w, model):
-    """Literal per-bin transcription of the update rule, kept independent
-    of the vectorized implementation."""
-    num_bins, num_frames, rank = x.shape
-    y = np.array([[np.vdot(w[k], x[k, t]) for t in range(num_frames)]
-                  for k in range(num_bins)])
-    r = np.array([sum(abs(y[k, t]) ** 2 for k in range(num_bins))
-                  for t in range(num_frames)])
-    out = np.zeros_like(w)
-    for k in range(num_bins):
-        a = np.mean([g_prime(model, r[t]) + abs(y[k, t]) ** 2
-                     * g_double_prime(model, r[t]) for t in range(num_frames)])
-        b = np.zeros(rank, dtype=complex)
-        for t in range(num_frames):
-            b += np.conj(y[k, t]) * g_prime(model, r[t]) * x[k, t]
-        b /= num_frames
-        v = a * w[k] - b
-        out[k] = v / np.linalg.norm(v)
-    return out
 
 
 def test_05_update_rule_oracle(request):
@@ -201,18 +180,7 @@ def test_06_gradient_suite(request):
         w = rng.normal(size=(num_bins, rank)) + 1j * rng.normal(size=(num_bins, rank))
         model = ContrastModel(kind=ALL_KINDS[trial % 3])
         analytic = -_update_terms(data, w, model)[2]
-        eps = 1e-6
-        fd = np.zeros_like(analytic)
-        for k in range(num_bins):
-            for m in range(rank):
-                for direction in (1.0, 1.0j):
-                    wp = w.copy()
-                    wp[k, m] += eps * direction
-                    wm = w.copy()
-                    wm[k, m] -= eps * direction
-                    d = (_update_terms(data, wp, model)[0]
-                         - _update_terms(data, wm, model)[0]) / (2 * eps)
-                    fd[k, m] += 0.5 * d * direction
+        fd = finite_difference_gradient(data, w, model)
         rel = np.linalg.norm(fd - analytic) / np.linalg.norm(analytic)
         worst_grad = max(worst_grad, float(rel))
 
@@ -280,24 +248,9 @@ def test_07_whitening_suite(request):
 
 
 def test_08_scaling_resolution(request):
-    num_bins, num_mics, num_sources, num_frames = 6, 3, 2, 64
-    rng = np.random.default_rng(21)
-    mixing = rng.normal(size=(num_bins, num_mics, num_sources)) \
-        + 1j * rng.normal(size=(num_bins, num_mics, num_sources))
-    sources = np.empty((num_bins, num_frames, num_sources), dtype=complex)
-    for k in range(num_bins):
-        raw = rng.normal(size=(num_frames, num_sources)) \
-            + 1j * rng.normal(size=(num_frames, num_sources))
-        qmat, _ = np.linalg.qr(raw)
-        sources[k] = np.sqrt(num_frames) * qmat  # sample covariance exactly I
-    spec = np.einsum("kmn,ktn->ktm", mixing, sources)
+    spec, mixing, sources = exact_mixture(21)
     cov = estimate_covariance(spec)
-
-    w_eff = np.empty((num_bins, num_mics), dtype=complex)
-    e1 = np.array([1.0 + 0.0j, 0.0])
-    for k in range(num_bins):
-        h = mixing[k]
-        w_eff[k] = h @ np.linalg.solve(h.conj().T @ h, e1)
+    w_eff = exact_demixer(mixing)
     h_est = estimate_mixing_vector(cov, w_eff)
     h_dev = float(np.max(np.abs(h_est - mixing[:, :, 0])))
 

@@ -101,3 +101,7 @@ def test_model_validation():
             ContrastModel(kind="t", nu=nu)
     with pytest.raises(ValueError, match="gg_exponent"):
         ContrastModel(kind="gg", gg_exponent=1.0)
+    for name, bad in (("nu", True), ("nu", "4"), ("gg_exponent", False),
+                      ("gg_exponent", "0.5")):
+        with pytest.raises(ValueError, match=f"{name} must be a number, got {bad!r}"):
+            ContrastModel(**{name: bad})

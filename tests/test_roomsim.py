@@ -461,12 +461,16 @@ def test_scenario_validation():
             ({"ref_mic": True}, "ref_mic must be an integer, got True"),
             ({"ref_mic": 1.0}, "ref_mic must be an integer, got 1.0"),
             ({"seed": 1.5}, "seed must be an integer, got 1.5"),
-            ({"seed": -1}, "seed must be >= 0, got -1")):
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"num_sources": True}, "num_sources must be an integer, got True"),
+            ({"num_sources": 2.5}, "num_sources must be an integer, got 2.5"),
+            ({"num_sources": "2"}, "num_sources must be an integer, got '2'"),
+            ({"num_mics": 2.0}, "num_mics must be an integer, got 2.0")):
         with pytest.raises(ValueError, match=re.escape(message)):
-            default_geometry(2, 2, **bad)
+            default_geometry(**{"num_sources": 2, "num_mics": 2, **bad})
     # numpy integers are integers
-    scenario = default_geometry(2, 2, soi_index=np.int64(1), ref_mic=np.int32(1),
-                                seed=np.uint8(3))
+    scenario = default_geometry(np.int64(2), np.int32(2), soi_index=np.int64(1),
+                                ref_mic=np.int32(1), seed=np.uint8(3))
     assert (scenario.soi_index, scenario.ref_mic, scenario.seed) == (1, 1, 3)
 
 
@@ -480,9 +484,12 @@ def test_room_validation():
             ({"max_order": 2.5}, "max_order must be an integer, got 2.5"),
             ({"max_order": 2.0}, "max_order must be an integer, got 2.0"),
             ({"max_order": True}, "max_order must be an integer, got True"),
-            ({"rt60": True}, "rt60 must be a number, got a bool"),
-            ({"speed_of_sound": True}, "speed_of_sound must be a number, got a bool"),
-            ({"rir_seconds": False}, "rir_seconds must be a number, got a bool")):
+            ({"rt60": True}, "rt60 must be a number, got True"),
+            ({"speed_of_sound": True}, "speed_of_sound must be a number, got True"),
+            ({"rir_seconds": False}, "rir_seconds must be a number, got False"),
+            ({"rt60": "0.2"}, "rt60 must be a number, got '0.2'"),
+            ({"dimensions": (True, 5, 3)}, "dimensions[0] must be a number, got True"),
+            ({"dimensions": (7, 5, "3")}, "dimensions[2] must be a number, got '3'")):
         with pytest.raises(ValueError, match=re.escape(message)):
             RoomSpec(**bad)
     assert RoomSpec(max_order=np.int64(2)).max_order == 2
