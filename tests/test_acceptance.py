@@ -79,10 +79,16 @@ def battery(tmp_path_factory):
     Both grids run 30 seeded 2-talker/2-mic renders at rt60 = 0.2 s:
     ``battery_plus10`` extracts each with the t and the ssl prior at 10 dB
     input SIR, ``battery_minus5`` with t at -5 dB.  Trial i uses seed i in
-    every cell, so the cells compare the same source draws."""
+    every cell, so the cells compare the same source draws.
+
+    ``run_grid`` records a trial that raises as an error row and scores
+    the rest, so a sweep with any error row fails here: the rates and
+    means of checks 1-3 are then over every trial of the grid."""
     def sweep(name):
         grid = json.loads((GRIDS / f"{name}.json").read_text())
-        _, summaries = run_grid(grid, tmp_path_factory.mktemp(name))
+        records, summaries = run_grid(grid, tmp_path_factory.mktemp(name))
+        errors = [f"{r['scenario_id']}: {r['error']}" for r in records if "error" in r]
+        assert not errors, f"{name}: {len(errors)} trials raised: {errors}"
         return {summary["cell"]: summary for summary in summaries}
 
     start = time.perf_counter()
@@ -93,11 +99,12 @@ def battery(tmp_path_factory):
 
 
 def test_01_success_rate(request, battery):
-    rate = battery["N2_M2_sir10_t"]["success_rate"]
+    cell = battery["N2_M2_sir10_t"]
+    rate = cell["success_rate"]
     elapsed = battery["plus10_seconds"]
     announce(request, 1, "success-rate battery",
              rate >= 0.9 and elapsed < 120.0,
-             f"rate {rate:.0%} (need >= 90%) over 30 trials, "
+             f"rate {rate:.0%} (need >= 90%) over {cell['num_trials']} trials, "
              f"t+ssl sweep in {elapsed:.1f} s")
 
 
