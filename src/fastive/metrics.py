@@ -24,7 +24,9 @@ delayed references times ``L^-T`` are orthonormal, so the SIR splits the
 energy of ``z``: |z[:filter_len]|^2 against |z[filter_len:]|^2, with the
 interference part never found as the difference of two projections.
 Once factored, an estimate costs a few FFT correlations and filters and
-three triangular solves.  A singular Gram falls back to least squares.
+three triangular solves.  The Gram is F-ordered and factored in place; a
+singular one is built again, since the failed factorisation overwrote it,
+for a least-squares fallback.
 
 The transforms are numpy.fft's at the 5-smooth length ``next_fast_len``
 picks.  The factor and the solves come from scipy.linalg, which is
@@ -38,6 +40,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .stft import next_fast_len
 
@@ -80,8 +83,10 @@ class References:
     Gram is singular; ``gram`` is then kept for least squares).  The Gram
     is built from FFT cross-correlations of the zero-padded signals; entry
     ``(a, b)`` of block ``(i, j)`` is the correlation of references ``i``
-    and ``j`` at lag ``b - a``.  ``input_sir_db`` is the SIR of the
-    mixture channel when ``factor_references`` built them, else None.
+    and ``j`` at lag ``b - a``.  It is F-ordered so that LAPACK factors it
+    in place, and built again for least squares after a failed factor.
+    ``input_sir_db`` is the SIR of the mixture channel when
+    ``factor_references`` built them, else None.
     """
 
     def __init__(self, target, interferers, filter_len=DEFAULT_FILTER_LEN):
@@ -98,25 +103,32 @@ class References:
         self.input_sir_db = None
         self.nfft = nfft = next_fast_len(n + flen - 1)
         self.spectra = np.fft.rfft(refs, nfft, axis=1)
-
-        lags = np.arange(flen)
-        lag_index = (lags[None, :] - lags[:, None]) % nfft
         size = len(refs) * flen
-        gram = np.empty((size, size))
-        for i, spec_i in enumerate(self.spectra):
-            for j in range(i, len(refs)):
-                cc = np.fft.irfft(spec_i * self.spectra[j].conj(), nfft)
-                block = cc[lag_index]
-                gram[i * flen:(i + 1) * flen, j * flen:(j + 1) * flen] = block
-                gram[j * flen:(j + 1) * flen, i * flen:(i + 1) * flen] = block.T
+
+        def build_gram():
+            gram = np.empty((size, size), order="F")
+            for i, spec_i in enumerate(self.spectra):
+                for j in range(i, len(refs)):
+                    cc = np.fft.irfft(spec_i * self.spectra[j].conj(), nfft)
+                    # block[a, b] = cc[(b - a) % nfft], the rows of the
+                    # reversed windows over lags -(flen - 1) .. flen - 1
+                    lags = np.concatenate([cc[nfft - flen + 1:], cc[:flen]])
+                    block = sliding_window_view(lags, flen)[::-1]
+                    gram[i * flen:(i + 1) * flen, j * flen:(j + 1) * flen] = block
+                    gram[j * flen:(j + 1) * flen, i * flen:(i + 1) * flen] = block.T
+            return gram
+
         # imported here: loading scipy.linalg takes longer than the rest of
         # the package, and only scoring needs it
         from scipy.linalg import cholesky, solve_triangular
 
         try:
-            self.factor, self.gram = cholesky(gram, lower=True), None
+            # LAPACK factors the F-ordered Gram where it lies, without a copy
+            self.factor = cholesky(build_gram(), lower=True, overwrite_a=True)
+            self.gram = None
         except np.linalg.LinAlgError:
-            self.factor, self.gram = None, gram
+            # the failed factorisation overwrote the Gram: build it again
+            self.factor, self.gram = None, build_gram()
         # the factor and the correlations of a finite estimate are finite
         self._solve = functools.partial(solve_triangular, lower=True,
                                         check_finite=False)

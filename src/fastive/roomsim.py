@@ -100,9 +100,12 @@ class RoomSpec:
     max_order: int | None = None
 
     def __post_init__(self):
-        if np.shape(self.dimensions) != (3,) or not all(
-                0 < check_number(v, f"dimensions[{i}]") < math.inf
-                for i, v in enumerate(self.dimensions)):
+        dims = self.dimensions
+        # numpy fails on a ragged tuple or list: check its entries one by one
+        if not ((isinstance(dims, (tuple, list)) or np.ndim(dims) == 1)
+                and len(dims) == 3 and all(
+                    0 < check_number(v, f"dimensions[{i}]") < math.inf
+                    for i, v in enumerate(dims))):
             raise ValueError("room dimensions must be three positive lengths")
         if not 0 <= check_number(self.rt60, "rt60") < math.inf:
             raise ValueError("rt60 must be finite and nonnegative")
@@ -237,7 +240,11 @@ def _source_rirs(room, source_position, mic_positions, fs):
     all mics, over the lattice range of the longest response; an image
     beyond a mic's own range is farther than that response can represent,
     so the delay test drops it and every response is the one a lone mic
-    would get.  A Scenario has checked the positions when it was built.
+    would get.  The lattice is first culled to the cells that can hold an
+    image within that response's reach: the images the cull drops would
+    fail every delay test and the kept ones keep their order, so the
+    responses are bit for bit those of the whole cube.  A Scenario has
+    checked the positions when it was built.
     """
     dims = np.asarray(room.dimensions, dtype=np.float64)
     src = np.asarray(source_position, dtype=np.float64)
@@ -260,13 +267,15 @@ def _source_rirs(room, source_position, mic_positions, fs):
         counts = [int(math.ceil(max_dist / (2.0 * d))) for d in dims]
     else:
         counts = [0, 0, 0]
-    axes = [np.arange(-n, n + 1, dtype=np.float64) for n in counts]
-    grid = np.stack(
-        np.meshgrid(*axes, indexing="ij"), axis=-1
-    ).reshape(-1, 3)
-
     # the 8 wall parities as [8, 1, 3], broadcast against the [G, 3] lattice
     parity = np.array(list(itertools.product((0.0, 1.0), repeat=3)))[:, None]
+    # the images of cell n, at (1 - 2p) src + 2 n L, are at least
+    # |2 n L| - spread from every mic; the slack keeps any cell that only
+    # rounding would drop, and argwhere keeps the cube's C order
+    spread = np.linalg.norm((1.0 - 2.0 * parity) * src - np.array(mics), axis=-1).max()
+    sq = [(2.0 * np.arange(-n, n + 1) * d) ** 2 for n, d in zip(counts, dims)]
+    bound = np.sqrt(sq[0][:, None, None] + sq[1][:, None] + sq[2]) - spread
+    grid = np.argwhere(bound < max_dist * (1.0 + 1e-9)) - np.array(counts, float)
     orders = np.sum(np.abs(grid + parity) + np.abs(grid), axis=2)
     amps = beta**orders
     if room.max_order is not None:
@@ -408,9 +417,12 @@ def default_geometry(num_sources=None, num_mics=None, **fields):
             ("num_mics", num_mics, "mic_positions", MIC_POSITIONS, 2,
              f"the {len(MIC_POSITIONS)}-mic default array")):
         if key in fields:
-            if count not in (None, len(fields[key])):
-                raise ValueError(f"{name} {count} disagrees with the "
-                                 f"{len(fields[key])} {key} given")
+            if count is not None:
+                # any integer: a negative one disagrees with the positions
+                check_int(count, name, -math.inf)
+                if count != len(fields[key]):
+                    raise ValueError(f"{name} {count} disagrees with the "
+                                     f"{len(fields[key])} {key} given")
             continue
         if count is not None:
             check_int(count, name, least)

@@ -2,10 +2,14 @@
 unit tests and the acceptance gate both check against.  Not a test file:
 pytest puts ``tests/`` on the import path, so ``from oracles import ...``."""
 
+import itertools
+import math
+
 import numpy as np
 
 from fastive.extractor import _update_terms
 from fastive.priors import g_double_prime, g_prime
+from fastive.roomsim import KERNEL_TAPS, _KERNEL_HALF, _deposit, reflection_coefficient
 
 
 def reference_update(x, w, model):
@@ -71,3 +75,47 @@ def exact_demixer(mixing):
         h = mixing[k]
         w[k] = h @ np.linalg.solve(h.conj().T @ h, e1)
     return w
+
+
+def uncut_rirs(scenario, fs):
+    """``compute_rirs`` without the lattice cull: every image of the whole
+    cube that reaches the longest response of its source, in the cube's
+    order, goes to each mic's delay test and then to ``roomsim._deposit``.
+    The culled build must give the same responses bit for bit."""
+    room = scenario.room
+    dims = np.asarray(room.dimensions, dtype=np.float64)
+    c = room.speed_of_sound
+    beta = reflection_coefficient(room)
+    parity = np.array(list(itertools.product((0.0, 1.0), repeat=3)))[:, None]
+    out = []
+    for source in scenario.source_positions:
+        src = np.asarray(source, dtype=np.float64)
+        mics = [np.asarray(m, dtype=np.float64) for m in scenario.mic_positions]
+        lengths = []
+        for mic in mics:
+            direct = float(np.linalg.norm(src - mic))
+            duration = room.rir_seconds if room.rir_seconds is not None else (
+                1.25 * room.rt60 + direct / c + 2.0 * KERNEL_TAPS / fs)
+            lengths.append(max(int(math.ceil(duration * fs)),
+                               int(math.ceil(direct / c * fs)) + KERNEL_TAPS))
+        max_dist = (max(lengths) + _KERNEL_HALF) / fs * c
+        counts = [int(math.ceil(max_dist / (2.0 * d))) if beta > 0.0 else 0
+                  for d in dims]
+        axes = [np.arange(-n, n + 1, dtype=np.float64) for n in counts]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        orders = np.sum(np.abs(grid + parity) + np.abs(grid), axis=2)
+        amps = beta**orders
+        if room.max_order is not None:
+            amps = np.where(orders <= room.max_order, amps, 0.0)
+        audible = amps > 0.0
+        positions = ((1.0 - 2.0 * parity) * src + 2.0 * grid * dims)[audible]
+        amps = amps[audible]
+        rirs = []
+        for mic, npts in zip(mics, lengths):
+            dist = np.maximum(np.linalg.norm(positions - mic, axis=1), 1e-9)
+            delays = dist / c * fs
+            keep = delays < npts + _KERNEL_HALF
+            rirs.append(_deposit(npts, delays[keep],
+                                 amps[keep] / (4.0 * np.pi * dist[keep])))
+        out.append(rirs)
+    return out

@@ -39,6 +39,7 @@ from fastive.cli import config_object, scenario_from_dict
 from fastive.extractor import SolverConfig
 from fastive.priors import KINDS, ContrastModel
 from fastive.stft import WINDOW_KINDS, AudioBuffer, StftConfig, save_wav
+from oracles import uncut_rirs
 
 FS = 16000
 
@@ -227,6 +228,54 @@ def test_responses_match_the_direct_reference(case):
         ref = reference_rir(room, src, mic, FS)
         assert rir.shape == ref.shape
         assert np.max(np.abs(rir - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def assert_uncut_responses(scenario):
+    culled, uncut = compute_rirs(scenario, FS), uncut_rirs(scenario, FS)
+    for per_source, want in zip(culled, uncut, strict=True):
+        for rir, ref in zip(per_source, want, strict=True):
+            assert np.array_equal(rir, ref)
+
+
+# the default layout's scenes the lattice cull must leave bit for bit,
+# among them the bench-grid room (3 talkers, 2 mics, rt60 0.4)
+CULL_SCENES = {
+    "6x6 rt60 0.2": default_geometry(),
+    "3x2 rt60 0.4": default_geometry(3, 2, room=RoomSpec(rt60=0.4)),
+    "2x2 rt60 0.6": default_geometry(2, 2, room=RoomSpec(rt60=0.6)),
+    "6x6 rt60 0": default_geometry(room=RoomSpec(rt60=0.0)),
+    "6x6 max_order 2": default_geometry(room=RoomSpec(max_order=2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CULL_SCENES))
+def test_culled_lattice_gives_the_uncut_responses(name):
+    assert_uncut_responses(CULL_SCENES[name])
+
+
+@st.composite
+def rooms_with_mics_inside(draw):
+    """A room, rt60 from 0 to 0.4, an optional reflection cap or response
+    length, and a source and two mics anywhere inside it."""
+    dims = tuple(draw(st.floats(3.0, 8.0)) for _ in range(3))
+    limit = draw(st.sampled_from(["max_order", "rir_seconds", None]))
+    room = RoomSpec(dimensions=dims, rt60=draw(st.floats(0.0, 0.4)),
+                    max_order=draw(st.integers(0, 4)) if limit == "max_order" else None,
+                    rir_seconds=(draw(st.floats(0.01, 0.3))
+                                 if limit == "rir_seconds" else None))
+
+    def inside():
+        return tuple(d * draw(st.floats(0.02, 0.98)) for d in dims)
+
+    points = [inside() for _ in range(3)]
+    assume(min(math.dist(points[0], m) for m in points[1:]) > 1e-3)
+    return Scenario(room=room, source_positions=points[:1], mic_positions=points[1:])
+
+
+@settings(deadline=None, max_examples=12)
+@given(scenario=rooms_with_mics_inside())
+def test_culled_lattice_matches_the_uncut_lattice(scenario):
+    assert_uncut_responses(scenario)
 
 
 def test_kernel_series_reproduces_the_closed_form():
@@ -489,7 +538,9 @@ def test_room_validation():
             ({"rir_seconds": False}, "rir_seconds must be a number, got False"),
             ({"rt60": "0.2"}, "rt60 must be a number, got '0.2'"),
             ({"dimensions": (True, 5, 3)}, "dimensions[0] must be a number, got True"),
-            ({"dimensions": (7, 5, "3")}, "dimensions[2] must be a number, got '3'")):
+            ({"dimensions": (7, 5, "3")}, "dimensions[2] must be a number, got '3'"),
+            ({"dimensions": ((1, 2), 3, 4)},
+             "dimensions[0] must be a number, got (1, 2)")):
         with pytest.raises(ValueError, match=re.escape(message)):
             RoomSpec(**bad)
     assert RoomSpec(max_order=np.int64(2)).max_order == 2
@@ -613,6 +664,11 @@ def test_counts_beside_explicit_positions_must_agree_with_them():
             scenario_from_dict({**count, **positions, "sources": short})
         with pytest.raises(ValueError, match=message):
             default_geometry(**count, **positions)
+    # the count beside positions is an integer, whatever its value
+    for count in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"num_sources must be an integer, got {count!r}")):
+            default_geometry(count, source_positions=talkers[:1])
 
 
 def test_scenario_from_dict_wav_sources(tmp_path):
