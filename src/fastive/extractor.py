@@ -235,6 +235,9 @@ def extract(audio, config=None, stft_config=None):
         raise ValueError(
             f"ref_mic {config.ref_mic} out of range for {audio.num_channels} channels"
         )
+    if not np.any(audio.samples[:, config.ref_mic]):
+        raise ValueError(f"reference channel {config.ref_mic} is silent: "
+                         "its source image is zero")
     # marks[i] is the clock at the start of STAGES[i]
     marks = [time.perf_counter()]
     spec = analyze(audio, stft_config)

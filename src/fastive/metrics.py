@@ -1,37 +1,32 @@
 """Projection-based separation metrics and batch aggregation.
 
-An estimate is decomposed against the true source images at the reference
+An estimate is scored against the true source images at the reference
 microphone by least-squares projection onto spans of delayed references
-(``filter_len`` taps, i.e. a short distortion filter is allowed):
-
-    target_part       = P_target(est)
-    interference_part = P_{target + interferers}(est) - P_target(est)
-    artifact_part     = est - P_{target + interferers}(est)
-
-The nesting makes the three parts mutually orthogonal and exactly summing
-to the (zero-padded) estimate.  SIR compares target to interference energy;
-a trial counts as a success when the SIR improvement over the unprocessed
-mixture channel is strictly positive.
+(``filter_len`` taps, i.e. a short distortion filter is allowed).  Its
+target energy is that of its projection onto the target's delays, and its
+interference energy is what the projection onto every reference's delays
+adds to that.  SIR compares the two energies; a trial counts as a success
+when the SIR improvement over the unprocessed mixture channel is strictly
+positive.
 
 The references of one mixture are factored once (``References``): the
 block-Toeplitz Gram of their delays, target block first, has the Cholesky
 factor ``L``.  With ``c`` the correlations of an estimate with every
-delayed reference and ``z = L^-1 c``, the target part is the target
-filtered by ``L11^-T z[:filter_len]`` (``L11`` is the leading block of
-``L``, the factor of the target's own Gram) and the interference part all
-references filtered by ``L^-T [0, z[filter_len:]]``.  The columns of the
-delayed references times ``L^-T`` are orthonormal, so the SIR splits the
-energy of ``z``: |z[:filter_len]|^2 against |z[filter_len:]|^2, with the
-interference part never found as the difference of two projections.
-Once factored, an estimate costs a few FFT correlations and filters and
-three triangular solves.  The Gram is F-ordered and factored in place; a
-singular one is built again, since the failed factorisation overwrote it,
-for a least-squares fallback.
+delayed reference and ``z = L^-1 c``, the columns of the delayed references
+times ``L^-T`` are orthonormal, the first ``filter_len`` of them spanning
+the target's delays.  So the SIR splits the energy of ``z``:
+|z[:filter_len]|^2 is the target energy and |z[filter_len:]|^2 the
+interference energy, never found as the difference of two projections.
+Once factored, an estimate costs a few FFT correlations and one triangular
+solve.  The Gram is F-ordered and factored in place; a singular one is
+built again, since the failed factorisation overwrote it, and scored in the
+same energy form by least squares: the target energy ``c_t^T G_tt^+ c_t``
+and the total ``c^T G^+ c``, whose difference is the interference energy.
 
 The transforms are numpy.fft's at the 5-smooth length ``next_fast_len``
-picks.  The factor and the solves come from scipy.linalg, which is
-imported on the first factorisation, so importing this module (or the
-package) loads no scipy: extraction and simulation never pay for it.
+picks.  The factor and the solve come from scipy.linalg, which is imported
+on the first factorisation, so importing this module (or the package)
+loads no scipy: extraction and simulation never pay for it.
 """
 
 from __future__ import annotations
@@ -142,50 +137,29 @@ class References:
         delays = -np.arange(self.filter_len) % self.nfft
         return np.fft.irfft(self.spectra * est_f, self.nfft, axis=1)[:, delays].ravel()
 
-    def _taps(self, cross):
-        """Filter taps of the target part [1, filter_len] and of the
-        interference part [S, filter_len] for the correlations ``cross``."""
-        flen = self.filter_len
-        if self.factor is None:
-            lstsq = np.linalg.lstsq
-            target = lstsq(self.gram[:flen, :flen], cross[:flen], rcond=None)[0]
-            interference = lstsq(self.gram, cross, rcond=None)[0]
-            interference[:flen] -= target
-        else:
-            solve = self._solve
-            z = solve(self.factor, cross)
-            target = solve(self.factor[:flen, :flen], z[:flen], trans="T")
-            z[:flen] = 0.0
-            interference = solve(self.factor, z, trans="T")
-        return target.reshape(1, flen), interference.reshape(-1, flen)
-
-    def _filter(self, taps):
-        """Sum of the leading references filtered by ``taps``."""
-        filtered = self.spectra[:len(taps)] * np.fft.rfft(taps, self.nfft, axis=1)
-        spec = filtered.sum(axis=0)
-        return np.fft.irfft(spec, self.nfft)[:self.num_samples + self.filter_len - 1]
-
 
 def decompose(estimate, references):
-    """Split a 1-D estimate into target, interference, and artifact parts
-    against ``References`` of images of its length, built once for every
-    estimate scored against them.  The parts are ``filter_len - 1`` samples
-    longer, mutually orthogonal, and sum to the zero-padded estimate."""
-    target_taps, interference_taps = references._taps(references._correlate(estimate))
-    target_part = references._filter(target_taps)
-    interference_part = references._filter(interference_taps)
-    artifact_part = np.zeros(references.num_samples + references.filter_len - 1)
-    artifact_part[:references.num_samples] = estimate
-    artifact_part -= target_part + interference_part
-    return target_part, interference_part, artifact_part
+    """Target and interference energies of a 1-D estimate against
+    ``References`` of images of its length, built once for every estimate
+    scored against them: the energy of its projection onto the target's
+    delays, and the energy its projection onto every reference's delays
+    adds to that."""
+    cross = references._correlate(estimate)
+    flen = references.filter_len
+    if references.factor is None:
+        lstsq = np.linalg.lstsq
+        gram = references.gram
+        target = cross[:flen] @ lstsq(gram[:flen, :flen], cross[:flen], rcond=None)[0]
+        return float(target), float(cross @ lstsq(gram, cross, rcond=None)[0] - target)
+    z = references._solve(references.factor, cross)
+    return float(z[:flen] @ z[:flen]), float(z[flen:] @ z[flen:])
 
 
-def sir_db(target_part, interference_part):
-    """Signal-to-interference ratio of a decomposition, in dB (capped)."""
-    p_target = float(np.sum(np.asarray(target_part) ** 2))
+def sir_db(p_target, p_interf):
+    """Signal-to-interference ratio of a target and an interference energy,
+    in dB (capped)."""
     if p_target <= 0:
         raise ValueError("degenerate decomposition: target part has no energy")
-    p_interf = float(np.sum(np.asarray(interference_part) ** 2))
     p_interf = max(p_interf, POWER_FLOOR_REL * p_target)
     return float(min(10.0 * np.log10(p_target / p_interf), SIR_CAP_DB))
 
@@ -212,8 +186,7 @@ def factor_references(truth, num_samples, soi_index=0, ref_mic=0,
 
 def _sir(signal, references):
     """SIR of ``signal`` against factored references, in dB."""
-    parts = decompose(signal, references)
-    return sir_db(*parts[:2])
+    return sir_db(*decompose(signal, references))
 
 
 def evaluate(
@@ -228,8 +201,8 @@ def evaluate(
 ):
     """Score one extraction against a rendered MixtureSet.
 
-    Input SIR comes from decomposing the raw mixture channel at the
-    reference mic, output SIR from decomposing the extracted audio, both
+    Input SIR comes from the energy split of the raw mixture channel at
+    the reference mic, output SIR from that of the extracted audio, both
     against the same image references truncated to the shortest signal.
     ``references`` skips factoring them and scoring the mixture: pass what
     ``factor_references`` returned for the same truth, ``soi_index``,

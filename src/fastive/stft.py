@@ -233,8 +233,9 @@ def synthesize(spec, config, sample_rate_hz):
 def load_wav(path):
     """Read a WAV file into an AudioBuffer.
 
-    16-bit PCM is scaled to ``[-1, 1)`` by 1/32768; 32-bit float is taken
-    as-is.  Sample rate comes from the header.
+    16-bit PCM is scaled to ``[-1, 1)`` by 1/32768 and 32-bit PCM by
+    1/2**31; 32-bit and 64-bit float are taken as-is.  Sample rate comes
+    from the header.
     """
     # imported here: loading scipy.io costs more than the rest of the package
     from scipy.io import wavfile

@@ -31,14 +31,17 @@ def estimate_covariance(x):
 
     Uses the 1/T convention (``C^k = x^k^T conj(x^k) / T`` with ``x^k`` the
     [T, M] frames of bin k, one batched matmul) and re-symmetrizes to be
-    exactly Hermitian.
+    exactly Hermitian.  A spectrum whose power overflows float64 is an error.
     """
     if x.ndim != 3:
         raise ValueError(f"spectrum must be [K, T, M], got shape {x.shape}")
     num_frames = x.shape[1]
     if num_frames < 2:
         raise ValueError(f"insufficient frames: got {num_frames}, need >= 2")
-    cov = np.matmul(x.transpose(0, 2, 1), x.conj()) / num_frames
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = np.matmul(x.transpose(0, 2, 1), x.conj()) / num_frames
+    if not np.all(np.isfinite(cov)):
+        raise ValueError("spectrum power overflows float64: scale the input down")
     return 0.5 * (cov + cov.conj().transpose(0, 2, 1))
 
 

@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 from fastive.extractor import _update_terms
+from fastive.metrics import sir_db
 from fastive.priors import g_double_prime, g_prime
 from fastive.roomsim import KERNEL_TAPS, _KERNEL_HALF, _deposit, reflection_coefficient
 
@@ -75,6 +76,33 @@ def exact_demixer(mixing):
         h = mixing[k]
         w[k] = h @ np.linalg.solve(h.conj().T @ h, e1)
     return w
+
+
+def explicit_sir_db(estimate, target, interferers, filter_len):
+    """SIR from least squares on the explicit matrix of delayed references:
+    the energies of the target part, the projection onto the target's
+    delays, and of the interference part, what the projection onto every
+    reference's delays adds to it."""
+    n = estimate.size
+    length = n + filter_len - 1
+
+    def delays(signals):
+        cols = np.zeros((length, len(signals) * filter_len))
+        for s, sig in enumerate(signals):
+            for d in range(filter_len):
+                cols[d:d + n, s * filter_len + d] = sig
+        return cols
+
+    padded = np.zeros(length)
+    padded[:n] = estimate
+
+    def project(signals):
+        cols = delays(signals)
+        return cols @ np.linalg.lstsq(cols, padded, rcond=None)[0]
+
+    target_part = project([target])
+    interference_part = project([target, *interferers]) - target_part
+    return sir_db(float(np.sum(target_part**2)), float(np.sum(interference_part**2)))
 
 
 def uncut_rirs(scenario, fs):

@@ -9,6 +9,7 @@ solver has to capture a source that dominates the mixture.
 
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -345,6 +346,15 @@ def test_extract_input_guards():
     stereo = AudioBuffer(np.zeros((4000, 2)), 16000)
     with pytest.raises(ValueError, match="ref_mic 2"):
         extract(stereo, SolverConfig(ref_mic=2), StftConfig(256, 64))
+    # the source image at a silent reference mic is zero, which no scale
+    # of the extracted source can give
+    noise = np.random.default_rng(8).normal(size=(4000, 3))
+    for ref_mic in (0, 2):
+        silent = noise.copy()
+        silent[:, ref_mic] = 0.0
+        with pytest.raises(ValueError, match=f"reference channel {ref_mic} is silent"):
+            extract(AudioBuffer(silent, 16000), SolverConfig(ref_mic=ref_mic),
+                    StftConfig(256, 64))
 
 
 def test_extract_handles_more_than_sixteen_mics():
@@ -367,6 +377,16 @@ def test_extract_is_gain_equivariant(log_gain, num_channels, seed):
     base = extract(AudioBuffer(noise, 16000), config).audio.samples
     scaled = extract(AudioBuffer(gain * noise, 16000), config).audio.samples
     assert np.max(np.abs(scaled - gain * base)) <= 1e-8 * np.max(np.abs(gain * base))
+
+
+@pytest.mark.parametrize("gain", [1e155, 1e200, 1e300])
+def test_extract_names_a_power_overflow(gain):
+    """Samples this large are finite, but their spectrum's power is not."""
+    noise = np.random.default_rng(0).laplace(size=(8000, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="spectrum power overflows float64"):
+            extract(AudioBuffer(gain * noise, 16000), SolverConfig(max_iter=5))
 
 
 def test_extract_times_its_stages():
