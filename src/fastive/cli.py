@@ -30,7 +30,7 @@ from .roomsim import (
     render,
     speech_like_sources,
 )
-from .stft import WINDOW_KINDS, StftConfig, check_number, load_wav, save_wav
+from .stft import WINDOW_KINDS, StftConfig, check_int, check_number, load_wav, save_wav
 
 
 def run_manifest(command, config_path, output_dir, overrides=(), seed=None):
@@ -50,19 +50,12 @@ def config_float(value, name, least=None):
     return number
 
 
-def config_int(value, name, least=None):
-    """``value`` as an int; ValueError naming the key ``name`` unless integral,
-    not a bool or str, and, when ``least`` is given, at least ``least``."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        try:
-            number = float(value)
-        except (TypeError, ValueError):
-            number = math.nan
-        if isinstance(value, (bool, str)) or not number.is_integer():
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        value = number
-    if least is not None and value < least:
-        raise ValueError(f"{name} must be >= {least}, got {int(value)}")
+def config_int(value, name, least=-math.inf):
+    """``value`` as an int, by ``stft.check_int``'s rule (at least ``least``),
+    with a JSON number such as ``2.0`` counting as the integer it equals."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    check_int(value, name, least)
     return int(value)
 
 

@@ -37,12 +37,7 @@ import numpy as np
 
 from . import priors
 from .stft import AudioBuffer, StftConfig, analyze, check_int, check_number, synthesize
-from .whitening import (
-    EPS_COV_ABS,
-    apply_whitener,
-    build_whitener,
-    estimate_covariance,
-)
+from .whitening import apply_whitener, build_whitener, estimate_covariance
 
 # |h_ref| below this fraction of ||h|| means the source is essentially
 # unobservable at the reference mic; rescaling is skipped for such bins
@@ -173,13 +168,14 @@ def estimate_mixing_vector(cov, w_eff):
 
     ``h^k = C^k w_eff / (w_eff^H C^k w_eff)`` with ``C = cov``, the [K, M, M]
     original-domain covariance, so that ``x ~ h y + interference`` and
-    ``h_m y`` is the source image at mic m.  Exactly silent bins yield h = 0; bins with
-    positive power but vanishing output power are an error.
+    ``h_m y`` is the source image at mic m.  Bins of zero trace (exactly
+    silent) yield h = 0; bins with positive power but vanishing output power
+    are an error.
     """
     cw = np.einsum("kmn,kn->km", cov, w_eff)
     denom = np.einsum("km,km->k", w_eff.conj(), cw).real
     trace = np.einsum("kmm->k", cov).real
-    silent = trace <= EPS_COV_ABS
+    silent = trace == 0.0
     # denom <= ||w_eff||^2 trace, so this ratio test is blind to the input gain
     norm2 = np.linalg.norm(w_eff, axis=1) ** 2
     bad = ~silent & (denom <= DENOM_TOL * norm2 * trace)
@@ -235,14 +231,15 @@ def extract(audio, config=None, stft_config=None):
         raise ValueError(
             f"ref_mic {config.ref_mic} out of range for {audio.num_channels} channels"
         )
-    if not np.any(audio.samples[:, config.ref_mic]):
-        raise ValueError(f"reference channel {config.ref_mic} is silent: "
-                         "its source image is zero")
     # marks[i] is the clock at the start of STAGES[i]
     marks = [time.perf_counter()]
     spec = analyze(audio, stft_config)
     marks.append(time.perf_counter())
     cov = estimate_covariance(spec)
+    # the analysed power, not the raw samples: the frames may not reach them
+    if not np.any(cov[:, config.ref_mic, config.ref_mic]):
+        raise ValueError(f"reference channel {config.ref_mic} is silent: "
+                         "its source image is zero")
     marks.append(time.perf_counter())
     q = build_whitener(cov, rank=config.rank)
     marks.append(time.perf_counter())

@@ -1,8 +1,9 @@
 """Per-frequency-bin covariance estimation and PCA whitening.
 
 The whitener for bin k is ``Q^k = diag(d)^(-1/2) @ U^H`` built from the
-eigendecomposition of the (regularized) spatial covariance, so that
-``Q^k C^k Q^k^H = I`` and the retained components are ordered by power.
+eigendecomposition of the spatial covariance, shifted by a fraction of its
+trace, so that ``Q^k C^k Q^k^H = I`` and the retained components are ordered
+by power.  No tolerance is an absolute power, so ``Q`` scales as 1/sqrt(gain).
 All bins are decomposed by one batched LAPACK call (``np.linalg.eigh``);
 its ascending output read in reverse and a fixed phase convention make the
 eigenvectors reproducible bit-for-bit across runs.  The whitener is a plain
@@ -20,10 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# relative diagonal shift applied before decomposition, plus an absolute
-# floor so even an exactly silent bin yields a finite d**(-1/2)
+# diagonal shift applied before decomposition, relative to each bin's mean
+# channel power; no absolute power enters, so the whitener scales with the input
 EPS_COV_REL = 1e-10
-EPS_COV_ABS = 1e-30
 
 
 def estimate_covariance(x):
@@ -31,7 +31,9 @@ def estimate_covariance(x):
 
     Uses the 1/T convention (``C^k = x^k^T conj(x^k) / T`` with ``x^k`` the
     [T, M] frames of bin k, one batched matmul) and re-symmetrizes to be
-    exactly Hermitian.  A spectrum whose power overflows float64 is an error.
+    exactly Hermitian.  A spectrum whose power overflows float64 is an error,
+    as is one whose loudest bin's shift in ``build_whitener`` would not be a
+    normal float; an all-zero spectrum is silence, not underflow.
     """
     if x.ndim != 3:
         raise ValueError(f"spectrum must be [K, T, M], got shape {x.shape}")
@@ -42,6 +44,11 @@ def estimate_covariance(x):
         cov = np.matmul(x.transpose(0, 2, 1), x.conj()) / num_frames
     if not np.all(np.isfinite(cov)):
         raise ValueError("spectrum power overflows float64: scale the input down")
+    # EPS_COV_REL * loudest / M below the smallest normal, without underflow
+    loudest = np.einsum("kmm->k", cov).real.max(initial=0.0)
+    if (loudest < np.finfo(np.float64).tiny * x.shape[2] / EPS_COV_REL
+            and (loudest > 0.0 or np.any(x))):
+        raise ValueError("spectrum power underflows float64: scale the input up")
     return 0.5 * (cov + cov.conj().transpose(0, 2, 1))
 
 
@@ -50,9 +57,10 @@ def build_whitener(cov, rank=None):
     covariance stack; row i of ``Q^k`` is ``d_i^(-1/2) u_i^H``.
 
     ``rank`` selects how many principal components to keep (default: all).
-    A diagonal shift of ``EPS_COV_REL * trace/M + EPS_COV_ABS`` guards the
-    inverse square root against silent and rank-deficient bins.  Every bin
-    must be square and Hermitian to ``1e-8 * max(||C_k||, 1)``.
+    A diagonal shift of ``EPS_COV_REL * trace/M`` guards the inverse square
+    root against rank-deficient bins, and a clamp of the eigenvalues at
+    float64's smallest normal against exactly silent ones.  Every bin must be
+    square, and Hermitian to 1e-8 of its largest entry, entry by entry.
 
     Eigenvalues come out descending (ties in the reverse of ``eigh``'s order).
     Each eigenvector's largest-magnitude component (first occurrence on ties)
@@ -67,13 +75,13 @@ def build_whitener(cov, rank=None):
     if not 1 <= rank <= m:
         raise ValueError(f"rank must be in [1, {m}], got {rank}")
     cov_h = cov.conj().transpose(0, 2, 1)
-    skew = np.linalg.norm(cov - cov_h, axis=(1, 2))
-    if np.any(skew > 1e-8 * np.maximum(np.linalg.norm(cov, axis=(1, 2)), 1.0)):
+    skew = np.abs(cov - cov_h).max(axis=(1, 2))
+    if np.any(skew > 1e-8 * np.abs(cov).max(axis=(1, 2))):
         raise ValueError("matrix is not Hermitian")
 
-    shift = EPS_COV_REL * np.trace(cov, axis1=1, axis2=2).real / m + EPS_COV_ABS
+    shift = EPS_COV_REL * np.trace(cov, axis1=1, axis2=2).real / m
     vals, vecs = np.linalg.eigh(0.5 * (cov + cov_h) + shift[:, None, None] * np.eye(m))
-    eigvals = np.maximum(vals[:, ::-1], EPS_COV_ABS)
+    eigvals = np.maximum(vals[:, ::-1], np.finfo(np.float64).tiny)
     eigvecs = vecs[:, :, ::-1]
     # deterministic phase: largest-magnitude component real positive
     peak = np.argmax(np.abs(eigvecs), axis=1)[:, None, :]

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fastive.extractor import (
@@ -346,6 +346,9 @@ def test_extract_input_guards():
     stereo = AudioBuffer(np.zeros((4000, 2)), 16000)
     with pytest.raises(ValueError, match="ref_mic 2"):
         extract(stereo, SolverConfig(ref_mic=2), StftConfig(256, 64))
+    # one frame gives no covariance
+    with pytest.raises(ValueError, match="insufficient frames: got 1, need >= 2"):
+        extract(AudioBuffer(np.ones((2048, 2)), 16000))
     # the source image at a silent reference mic is zero, which no scale
     # of the extracted source can give
     noise = np.random.default_rng(8).normal(size=(4000, 3))
@@ -357,6 +360,21 @@ def test_extract_input_guards():
                     StftConfig(256, 64))
 
 
+@pytest.mark.parametrize("case", ["last", "first", "every-channel-last"])
+def test_extract_reads_silence_in_the_analysed_frames(case):
+    """A reference channel whose only non-zero sample is one the analysis
+    drops (the tail past the last frame) or weights by zero (the Hann
+    window's first sample) is silent to extract."""
+    noise = np.random.default_rng(10).laplace(size=(16000, 3))
+    sample = 0 if case == "first" else -1
+    channels = slice(None) if case == "every-channel-last" else 0
+    kept = noise[sample].copy()
+    noise[:, channels] = 0.0
+    noise[sample] = kept
+    with pytest.raises(ValueError, match="reference channel 0 is silent"):
+        extract(AudioBuffer(noise, 16000), SolverConfig(max_iter=5))
+
+
 def test_extract_handles_more_than_sixteen_mics():
     noise = np.random.default_rng(17).normal(size=(16000, 17))
     result = extract(AudioBuffer(noise, 16000), SolverConfig(max_iter=3))
@@ -366,16 +384,22 @@ def test_extract_handles_more_than_sixteen_mics():
 
 
 @settings(deadline=None, max_examples=20)
-@given(log_gain=st.floats(-3.0, 30.0), num_channels=st.integers(2, 4),
+@given(log_gain=st.floats(-150.0, 150.0), num_channels=st.integers(2, 4),
        seed=st.integers(0, 2**32 - 1))
+@example(log_gain=-150.0, num_channels=4, seed=0)
+@example(log_gain=150.0, num_channels=4, seed=0)
 def test_extract_is_gain_equivariant(log_gain, num_channels, seed):
     """extract(c x) = c extract(x): whitening removes the gain and the
-    rescale to the reference microphone restores it."""
+    rescale to the reference microphone restores it.  No power threshold of
+    the extractor's own may enter, so this holds, without a floating-point
+    warning, over every gain whose spectrum power float64 holds."""
     gain = 10.0 ** log_gain
     noise = np.random.default_rng(seed).laplace(size=(8000, num_channels))
     config = SolverConfig(max_iter=5)
     base = extract(AudioBuffer(noise, 16000), config).audio.samples
-    scaled = extract(AudioBuffer(gain * noise, 16000), config).audio.samples
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = extract(AudioBuffer(gain * noise, 16000), config).audio.samples
     assert np.max(np.abs(scaled - gain * base)) <= 1e-8 * np.max(np.abs(gain * base))
 
 
@@ -387,6 +411,36 @@ def test_extract_names_a_power_overflow(gain):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="spectrum power overflows float64"):
             extract(AudioBuffer(gain * noise, 16000), SolverConfig(max_iter=5))
+
+
+@pytest.mark.parametrize("gain", [1e-160, 1e-200, 1e-300])
+def test_extract_names_a_power_underflow(gain):
+    """Samples this small are normal floats, but their spectrum's power is
+    too small for the whitener's relative shift, or rounds to zero."""
+    noise = np.random.default_rng(0).laplace(size=(8000, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="spectrum power underflows float64"):
+            extract(AudioBuffer(gain * noise, 16000), SolverConfig(max_iter=5))
+
+
+@pytest.mark.parametrize("case", ["silent-channel", "duplicate", "two-frames"])
+def test_extract_runs_on_degenerate_inputs(case):
+    """Rank-deficient data and the fewest frames a covariance takes still
+    give finite mono audio of (T - 1) hop + fft samples."""
+    stft = StftConfig(256, 64)
+    noise = np.random.default_rng(9).laplace(size=(4000, 3))
+    if case == "silent-channel":
+        noise[:, 2] = 0.0
+    elif case == "duplicate":
+        noise = noise[:, [0, 0]]
+    else:
+        noise = noise[:stft.fft_size + stft.hop_size, :2]
+    num_frames = (len(noise) - stft.fft_size) // stft.hop_size + 1
+    result = extract(AudioBuffer(noise, 16000), SolverConfig(max_iter=5), stft)
+    out = result.audio.samples
+    assert out.shape == ((num_frames - 1) * stft.hop_size + stft.fft_size, 1)
+    assert np.all(np.isfinite(out)) and np.any(out)
 
 
 def test_extract_times_its_stages():

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastive.whitening import (
-    EPS_COV_ABS,
     EPS_COV_REL,
     apply_whitener,
     build_whitener,
@@ -34,7 +33,7 @@ def one_bin(matrix):
 
 def shift_of(matrix):
     m = matrix.shape[0]
-    return EPS_COV_REL * np.trace(matrix).real / m + EPS_COV_ABS
+    return EPS_COV_REL * np.trace(matrix).real / m
 
 
 def eigenpairs(q):
@@ -176,7 +175,7 @@ def test_whitener_whitens_beyond_sixteen_mics():
 
 @settings(deadline=None)
 @given(num_channels=st.integers(2, 20), num_bins=st.integers(1, 4),
-       gain=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+       gain=st.floats(1e-200, 1e200), seed=st.integers(0, 2**32 - 1))
 def test_whitener_properties_on_random_banks(num_channels, num_bins, gain, seed):
     # positive definite banks with eigenvalues in [0.1, 1] times a per-bin
     # power spread over twelve decades, as in a real spectrum
@@ -200,7 +199,8 @@ def test_whitener_properties_on_random_banks(num_channels, num_bins, gain, seed)
     assert np.all(lead.real > 0) and np.all(np.abs(lead.imag) <= 1e-12 * lead.real)
 
     # Q^H Q is the inverse of the shifted covariance, whatever basis the
-    # solver picks on near-ties, so it scales exactly as 1/gain
+    # solver picks on near-ties, so it scales exactly as 1/gain: no power
+    # threshold of the whitener's own may enter at any gain float64 holds
     scaled = build_whitener(gain * cov)
     inv = np.einsum("krm,krn->kmn", q.conj(), q)
     inv_scaled = np.einsum("krm,krn->kmn", scaled.conj(), scaled)
