@@ -15,7 +15,7 @@ import math
 import sys
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -25,6 +25,7 @@ from .priors import KINDS, ContrastModel
 from .roomsim import (
     MixtureSet,
     RoomSpec,
+    Scenario,
     compute_rirs,
     default_geometry,
     render,
@@ -73,38 +74,49 @@ def config_tuple(value, name):
     return tuple(value)
 
 
-def config_floats(value, name):
-    """``value`` as a tuple of floats, or of such tuples for a nested list;
-    ValueError naming the entry unless every leaf is a number."""
-    return tuple(
-        config_floats(v, f"{name}[{i}]") if isinstance(v, (list, tuple))
-        else config_float(v, f"{name}[{i}]")
-        for i, v in enumerate(config_tuple(value, name)))
-
-
-def config_unread(cfg, kind, prefix=""):
+def config_unread(cfg, kind, prefix):
     """ValueError naming a key left in ``cfg`` after its parser popped its own."""
     if cfg:
         raise ValueError(f"{prefix}{next(iter(cfg))} is not a {kind} key")
 
 
-def config_object(cls, value, name, **given):
-    """``cls(**given, **parsed)`` with each key of the JSON object ``value``
-    parsed by its field's annotation: int, float, a tuple of floats, else
-    passed through; ``null`` is kept where the annotation allows None.  A
-    key that is not a field, or that ``given`` sets, is a ValueError."""
+def config_value(hint, value, name):
+    """``value`` parsed by the annotation ``hint``, a ValueError naming ``name``:
+    int, float, a dataclass, a ``tuple`` of numbers or of lists of them (entries
+    named by index), an axis ``tuple[X, ...]`` of one X or a non-empty list of
+    them, else passed through; ``null`` stays where ``hint`` allows None."""
+    kinds = typing.get_args(hint) or (hint,)
+    if value is None and type(None) in kinds:
+        return None
+    if is_dataclass(hint):
+        return config_object(hint, value, name)
+    if hint is tuple:
+        return tuple(config_value(tuple if isinstance(v, (list, tuple)) else float,
+                                  v, f"{name}[{i}]")
+                     for i, v in enumerate(config_tuple(value, name)))
+    if typing.get_origin(hint) is tuple:
+        entries = value if isinstance(value, (list, tuple)) else [value]
+        if not entries:
+            raise ValueError(f"{name} must not be an empty list")
+        return tuple(config_value(kinds[0], v, name) for v in entries)
+    parse = {int: config_int, float: config_float}.get(kinds[0])
+    return value if parse is None else parse(value, name)
+
+
+def config_object(cls, value, name, prefix=None, build=None, **given):
+    """``(build or cls)(**given, **parsed)``, each key of the JSON object
+    ``value`` parsed by ``config_value`` and named ``prefix`` + key (default
+    ``name.``; ``""`` at the top level).  A key that is not a field of
+    ``cls``, or that ``given`` sets, is a ValueError."""
     cfg = config_dict(value, name)
+    prefix = f"{name}." if prefix is None else prefix
     hints = typing.get_type_hints(cls)
-    parsers = {int: config_int, float: config_float, tuple: config_floats}
     for f in fields(cls):
         if f.name in cfg and f.name not in given:
-            raw, hint = cfg.pop(f.name), hints[f.name]
-            kinds = typing.get_args(hint) or (hint,)
-            parse = parsers.get(kinds[0])
-            keep = parse is None or raw is None and type(None) in kinds
-            given[f.name] = raw if keep else parse(raw, f"{name}.{f.name}")
-    config_unread(cfg, name, f"{name}.")
-    return cls(**given)
+            given[f.name] = config_value(hints[f.name], cfg.pop(f.name),
+                                         prefix + f.name)
+    config_unread(cfg, name, prefix)
+    return (build or cls)(**given)
 
 
 def scenario_from_dict(cfg, base_dir=None):
@@ -133,30 +145,18 @@ def scenario_from_dict(cfg, base_dir=None):
     ``ref_mic``          reference mic for SIR and rescaling, default 0
     ``seed``             RNG seed for synthetic sources, default 0
     """
-    base_dir = Path(base_dir) if base_dir is not None else Path(".")
-    cfg = dict(cfg)
+    cfg = {key: value for key, value in cfg.items()
+           if value is not None or key not in ("source_positions", "mic_positions")}
     fs = config_int(cfg.pop("fs", 16000), "fs", least=1)
-    positions = {key: config_floats(value, key)
-                 for key in ("source_positions", "mic_positions")
-                 if (value := cfg.pop(key, None)) is not None}
+    sources_cfg = config_dict(cfg.pop("sources", {}), "sources")
     # a count defaults to 2 only where no positions stand in for it
     counts = {name: config_int(cfg.pop(name, 2), name)
               for name, key in (("num_sources", "source_positions"),
                                 ("num_mics", "mic_positions"))
-              if name in cfg or key not in positions}
-    input_sir_db = cfg.pop("input_sir_db", None)
-    scenario = default_geometry(
-        **counts,
-        room=config_object(RoomSpec, cfg.pop("room", {}), "room"),
-        **positions,
-        soi_index=config_int(cfg.pop("soi_index", 0), "soi_index"),
-        input_sir_db=(None if input_sir_db is None
-                      else config_float(input_sir_db, "input_sir_db")),
-        seed=config_int(cfg.pop("seed", 0), "seed", least=0),
-        ref_mic=config_int(cfg.pop("ref_mic", 0), "ref_mic"),
-    )
-    sources_cfg = config_dict(cfg.pop("sources", {}), "sources")
-    config_unread(cfg, "scenario")
+              if name in cfg or key not in cfg}
+    scenario = config_object(Scenario, cfg, "scenario", prefix="",
+                             build=lambda **kw: default_geometry(**counts, **kw),
+                             source_signals=())
     kind = sources_cfg.pop("kind", "synthetic")
     if kind == "synthetic":
         duration = config_float(sources_cfg.pop("duration_seconds", 3.0),
@@ -171,7 +171,7 @@ def scenario_from_dict(cfg, base_dir=None):
         if not all(isinstance(p, str) for p in paths):
             raise ValueError(
                 f"sources.paths must be a list of strings, got {list(paths)!r}")
-        paths = [str(base_dir / p) for p in paths]
+        paths = [str(Path(base_dir or ".") / p) for p in paths]
         if len(paths) != scenario.num_sources:
             raise ValueError(
                 f"{len(paths)} WAV paths for {scenario.num_sources} sources"
@@ -369,74 +369,76 @@ def cmd_evaluate(args):
     return 0
 
 
-def _as_list(value, name):
-    value = value if isinstance(value, list) else [value]
-    if not value:
-        raise ValueError(f"{name} must not be an empty list")
-    return value
-
-
 def _cell_id(n_src, n_mic, sir, prior_kind):
     return f"N{n_src}_M{n_mic}_sir{sir:g}_{prior_kind}"
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Every bench grid key but ``solver``, with its default."""
+
+    fs: int = 16000
+    duration_seconds: float = 3.0
+    trials: int = 10
+    seed: int = 0
+    mod_hz: float = 4.0
+    num_sources: tuple[int, ...] = (2,)
+    num_mics: tuple[int, ...] = (2,)
+    input_sir_db: tuple[float, ...] = (10.0,)
+    prior: tuple[str, ...] = (ContrastModel.kind,)
+    nu: float = ContrastModel.nu
+    gg_exponent: float = ContrastModel.gg_exponent
+    room: RoomSpec = field(default_factory=RoomSpec)
+    soi_index: int = 0
+    ref_mic: int = SolverConfig.ref_mic
+    stft: StftConfig = field(default_factory=StftConfig)
+    filter_len: int = DEFAULT_FILTER_LEN
+
+    def __post_init__(self):
+        for name, least in (("fs", 1), ("trials", 1), ("filter_len", 1), ("seed", 0)):
+            check_int(getattr(self, name), name, least)
+        config_float(self.duration_seconds, "duration_seconds", least=1 / self.fs)
 
 
 def run_grid(grid, output_dir, jobs=1, manifest=None):
     """Execute a bench grid; writes records.jsonl and summary.json.
 
     Cells are the cross product of num_sources x num_mics x input_sir_db x
-    prior; trial ``i`` in every cell uses seed ``base_seed + i`` so cells
-    are comparable over the same source draws.  The unit of work is one
-    mixture (a cell without its prior, and a trial), so trials that differ
-    only in prior share its render and reference factorisation; ``jobs``
-    mixtures run at a time.  Each cell is ``default_geometry`` of its counts
-    in the grid's room, and ``solver`` sets the ``SolverConfig`` fields
-    ``max_iter``, ``tol`` and ``rank``.  Every key is parsed and every cell
-    built before any response; an unknown key, such as a top-level ``rank``
-    or ``solver.ref_mic`` (``ref_mic``, ``nu`` and ``gg_exponent`` are grid
-    keys), or a value no trial can run with, such as ``trials`` below 1, is
-    a ValueError.  ``manifest``, if given, goes into summary.json with the
-    grid's seed.
+    prior; trial ``i`` in every cell uses seed ``seed + i`` so cells are
+    comparable over the same source draws.  The unit of work is one mixture
+    (a cell without its prior, and a trial), so trials that differ only in
+    prior share its render and reference factorisation; ``jobs`` mixtures
+    run at a time.  ``grid`` holds the ``GridSpec`` keys and a ``solver``
+    block of the ``SolverConfig`` fields ``max_iter``, ``tol`` and ``rank``.
+    Every key is parsed and every cell built before any response; an unknown
+    key, such as a top-level ``rank`` or ``solver.ref_mic`` (``ref_mic``,
+    ``nu`` and ``gg_exponent`` are grid keys), or a value no trial can run
+    with, such as ``trials`` below 1, is a ValueError.  summary.json echoes
+    the resolved grid, which feeds back in as ``grid``, and ``manifest``, if
+    given, with the grid's seed.
     """
-    cfg = dict(grid)  # popped as parsed; summary.json echoes grid as given
-    fs = config_int(cfg.pop("fs", 16000), "fs", least=1)
-    duration = config_float(cfg.pop("duration_seconds", 3.0), "duration_seconds",
-                            least=1 / fs)
-    num_samples = int(round(duration * fs))
-    trials = config_int(cfg.pop("trials", 10), "trials", least=1)
-    base_seed = config_int(cfg.pop("seed", 0), "seed", least=0)
-    mod_hz = config_float(cfg.pop("mod_hz", 4.0), "mod_hz")
-    stft_cfg = config_object(StftConfig, cfg.pop("stft", {}), "stft")
-    ref_mic = config_int(cfg.pop("ref_mic", SolverConfig.ref_mic), "ref_mic")
+    cfg = config_dict(grid, "grid")
+    solver = cfg.pop("solver", {})
+    spec = config_object(GridSpec, cfg, "grid", prefix="")
     # each trial sets the prior's kind, so an unknown prior is an in-band error
     solver_cfg = config_object(
-        SolverConfig, cfg.pop("solver", {}), "solver", ref_mic=ref_mic,
-        prior=ContrastModel(
-            nu=config_float(cfg.pop("nu", ContrastModel.nu), "nu"),
-            gg_exponent=config_float(
-                cfg.pop("gg_exponent", ContrastModel.gg_exponent), "gg_exponent")))
-    filter_len = config_int(cfg.pop("filter_len", DEFAULT_FILTER_LEN), "filter_len",
-                            least=1)
-
-    axes = (
-        [config_int(v, "num_sources")
-         for v in _as_list(cfg.pop("num_sources", 2), "num_sources")],
-        [config_int(v, "num_mics")
-         for v in _as_list(cfg.pop("num_mics", 2), "num_mics")],
-        [config_float(v, "input_sir_db")
-         for v in _as_list(cfg.pop("input_sir_db", 10.0), "input_sir_db")],
-    )
-    priors = [str(v) for v in _as_list(cfg.pop("prior", ContrastModel.kind), "prior")]
-    room = config_object(RoomSpec, cfg.pop("room", {}), "room")
-    soi_index = config_int(cfg.pop("soi_index", 0), "soi_index")
-    config_unread(cfg, "grid")
+        SolverConfig, solver, "solver", ref_mic=spec.ref_mic,
+        prior=ContrastModel(nu=spec.nu, gg_exponent=spec.gg_exponent))
+    fs, mod_hz = spec.fs, spec.mod_hz
+    num_samples = int(round(spec.duration_seconds * fs))
+    axes = (spec.num_sources, spec.num_mics, spec.input_sir_db)
 
     # every cell is a prefix of the default layout in the grid's room, and
     # the cells are a cross product, so the largest cell holds every cell's
     # responses; building each cell's scenario checks it
     scenarios = {
-        (n, m): default_geometry(n, m, room=room, soi_index=soi_index, ref_mic=ref_mic)
+        (n, m): default_geometry(n, m, room=spec.room, soi_index=spec.soi_index,
+                                 ref_mic=spec.ref_mic)
         for n, m in itertools.product(*axes[:2])
     }
+    smallest = min(spec.num_mics)
+    if solver_cfg.rank is not None and solver_cfg.rank > smallest:
+        raise ValueError(f"solver.rank {solver_cfg.rank} exceeds num_mics {smallest}")
     rirs = compute_rirs(scenarios[max(axes[0]), max(axes[1])], fs)
 
     def run_mixture(mixture):
@@ -447,11 +449,11 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
         Returns one outcome per prior: an EvalReport, or an error record.
         """
         n_src, n_mic, sir, trial = mixture
-        seed = base_seed + trial
+        seed = spec.seed + trial
         scenario = scenarios[(n_src, n_mic)]
         mixture_set = references = None
         outcomes = []
-        for prior_kind in priors:
+        for prior_kind in spec.prior:
             scenario_id = f"{_cell_id(n_src, n_mic, sir, prior_kind)}_trial{trial:03d}"
             try:
                 if mixture_set is None:
@@ -462,17 +464,17 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
                         fs, rirs=[per_source[:n_mic] for per_source in rirs[:n_src]])
                 solver = replace(solver_cfg,
                                  prior=replace(solver_cfg.prior, kind=prior_kind))
-                result = extract(mixture_set.mixture, solver, stft_cfg)
+                result = extract(mixture_set.mixture, solver, spec.stft)
                 # every prior's output has the same length (the STFT is
                 # grid-wide), so one factorisation scores them all
                 if references is None:
                     references = factor_references(
                         mixture_set, result.audio.num_samples, scenario.soi_index,
-                        scenario.ref_mic, filter_len)
+                        scenario.ref_mic, spec.filter_len)
                 outcomes.append(evaluate(
                     result, mixture_set,
                     soi_index=scenario.soi_index, ref_mic=scenario.ref_mic,
-                    filter_len=filter_len,
+                    filter_len=spec.filter_len,
                     algorithm=f"fastive-{prior_kind}",
                     scenario_id=scenario_id,
                     references=references,
@@ -485,7 +487,7 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
                 })
         return outcomes
 
-    mixtures = list(itertools.product(*axes, range(trials)))
+    mixtures = list(itertools.product(*axes, range(spec.trials)))
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(run_mixture, mixtures))
@@ -495,10 +497,10 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
 
     records = []
     summaries = []
-    cells = itertools.product(*axes, enumerate(priors))
+    cells = itertools.product(*axes, enumerate(spec.prior))
     for n_src, n_mic, sir, (p, prior_kind) in cells:
         cell_id = _cell_id(n_src, n_mic, sir, prior_kind)
-        cell = [by_mixture[(n_src, n_mic, sir, t)][p] for t in range(trials)]
+        cell = [by_mixture[(n_src, n_mic, sir, t)][p] for t in range(spec.trials)]
         reports = [r for r in cell if not isinstance(r, dict)]
         for r in cell:
             records.append(r if isinstance(r, dict) else r.to_record())
@@ -508,7 +510,7 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
             "num_mics": n_mic,
             "input_sir_db": sir,
             "prior": prior_kind,
-            "trials": trials,
+            "trials": spec.trials,
             "errors": len(cell) - len(reports),
         }
         if reports:
@@ -532,8 +534,9 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
             f.write(json.dumps(rec) + "\n")
     summary_path = outdir / "summary.json"
     _write_json(summary_path, {
-        "manifest": {**manifest, "seed": base_seed} if manifest else None,
-        "grid": grid,
+        "manifest": {**manifest, "seed": spec.seed} if manifest else None,
+        "grid": {**asdict(spec), "solver": {
+            key: getattr(solver_cfg, key) for key in ("max_iter", "tol", "rank")}},
         "cells": summaries,
     })
     print(f"wrote {records_path} ({len(records)} records) and {summary_path}")

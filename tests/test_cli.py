@@ -154,6 +154,8 @@ def test_extract_report_config_round_trips(tmp_path):
     assert solver == SolverConfig(
         prior=ContrastModel(kind="gg", gg_exponent=0.3), max_iter=5, ref_mic=1,
         rank=1)
+    # and the config parser reads the block back whole, prior nested inside
+    assert cli.config_object(SolverConfig, cfg["solver"], "solver") == solver
     assert StftConfig(**cfg["stft"]) == StftConfig(fft_size=512, hop_size=128)
 
     # with no flags the CLI runs the library defaults
@@ -236,7 +238,24 @@ def test_bench_grid(tmp_path, capsys):
         assert rec["iterations"] >= 1
 
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["grid"] == json.loads(grid_path.read_text())
+    # the echo is the resolved grid: defaults the file left out are filled in
+    resolved = summary["grid"]
+    assert resolved["trials"] == 2 and resolved["filter_len"] == 128
+    assert (resolved["ref_mic"], resolved["nu"]) == (SolverConfig.ref_mic,
+                                                     ContrastModel.nu)
+    assert resolved["solver"]["rank"] is None
+    assert resolved["room"]["speed_of_sound"] == roomsim.RoomSpec.speed_of_sound
+    # and it feeds back in, running the same trials
+    echo_path = tmp_path / "resolved.json"
+    echo_path.write_text(json.dumps(resolved))
+    again = tmp_path / "again"
+    assert main(["bench", str(echo_path), "-o", str(again)]) == 0
+    rerun = [json.loads(line) for line in
+             (again / "records.jsonl").read_text().strip().splitlines()]
+    for rec in records + rerun:
+        del rec["runtime_s"]
+    assert rerun == records
+    assert json.loads((again / "summary.json").read_text())["grid"] == resolved
     assert summary["manifest"]["command"] == "bench"
     assert summary["manifest"]["seed"] == 3
     [cell] = summary["cells"]
@@ -352,7 +371,8 @@ def test_bench_renders_and_factors_each_mixture_once(tmp_path, monkeypatch):
                                       "seed=true", 'trials="2"',
                                       'room.rt60="0.3"', "seed=1_0",
                                       "num_sources=[]", "num_mics=[]",
-                                      "prior=[]", "input_sir_db=[]"])
+                                      "prior=[]", "input_sir_db=[]",
+                                      "solver.rank=3"])
 def test_bench_parses_every_key_before_building_responses(tmp_path, monkeypatch,
                                                           override):
     calls = []
@@ -546,6 +566,7 @@ def test_main_returns_2_on_bad_input(tmp_path, capsys):
         ("num_mics=[]", "num_mics must not be an empty list"),
         ("prior=[]", "prior must not be an empty list"),
         ("input_sir_db=[]", "input_sir_db must not be an empty list"),
+        ("solver.rank=3", "solver.rank 3 exceeds num_mics 2"),
     ):
         assert main(["bench", str(grid), "-o", str(tmp_path / "bench"),
                      "--set", override]) == 2

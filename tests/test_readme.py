@@ -3,7 +3,7 @@ says it does, and the Python blocks run."""
 
 import json
 import re
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,8 @@ class Parsed(Exception):
 
 def test_readme_grid_example_parses(tmp_path, monkeypatch):
     _, _, grid = jsonc_blocks()
+    # the documented schema is the spec's: every GridSpec field and solver
+    assert set(grid) == {f.name for f in fields(cli.GridSpec)} | {"solver"}
 
     def stop(*args):
         raise Parsed

@@ -35,7 +35,7 @@ from fastive.roomsim import (
     render,
     speech_like_sources,
 )
-from fastive.cli import config_object, scenario_from_dict
+from fastive.cli import GridSpec, config_object, scenario_from_dict
 from fastive.extractor import SolverConfig
 from fastive.priors import KINDS, ContrastModel
 from fastive.stft import WINDOW_KINDS, AudioBuffer, StftConfig, save_wav
@@ -699,32 +699,50 @@ def test_load_scenario_round_trip(tmp_path):
 
 @st.composite
 def config_objects(draw):
-    """``(name, obj, given)``: a valid StftConfig, RoomSpec or SolverConfig,
-    its config key, and the fields a caller passes as ``given``."""
-    name = draw(st.sampled_from(["stft", "room", "solver"]))
+    """``(name, obj, given)``: a valid StftConfig, RoomSpec, SolverConfig or
+    GridSpec, its config key, and the fields a caller passes as ``given``."""
+    name = draw(st.sampled_from(["stft", "room", "solver", "grid"]))
+    fft_size = 2 ** draw(st.integers(3, 12))
+    stft = StftConfig(fft_size, fft_size // draw(st.sampled_from([4, 8])),
+                      draw(st.sampled_from(WINDOW_KINDS)))
+    room = RoomSpec(dimensions=tuple(draw(st.floats(0.1, 50.0)) for _ in range(3)),
+                    rt60=draw(st.floats(0.0, 3.0)),
+                    speed_of_sound=draw(st.floats(1.0, 1000.0)),
+                    rir_seconds=draw(st.none() | st.floats(1e-3, 2.0)),
+                    max_order=draw(st.none() | st.integers(0, 50)))
+    nu, gg_exponent = draw(st.floats(0.1, 100.0)), draw(st.floats(0.01, 0.99))
     if name == "stft":
-        fft_size = 2 ** draw(st.integers(3, 12))
-        return name, StftConfig(fft_size, fft_size // draw(st.sampled_from([4, 8])),
-                                draw(st.sampled_from(WINDOW_KINDS))), {}
+        return name, stft, {}
     if name == "room":
-        return name, RoomSpec(
-            dimensions=tuple(draw(st.floats(0.1, 50.0)) for _ in range(3)),
-            rt60=draw(st.floats(0.0, 3.0)),
-            speed_of_sound=draw(st.floats(1.0, 1000.0)),
-            rir_seconds=draw(st.none() | st.floats(1e-3, 2.0)),
-            max_order=draw(st.none() | st.integers(0, 50))), {}
-    prior = ContrastModel(kind=draw(st.sampled_from(KINDS)),
-                          nu=draw(st.floats(0.1, 100.0)),
-                          gg_exponent=draw(st.floats(0.01, 0.99)))
-    return name, SolverConfig(prior=prior, max_iter=draw(st.integers(1, 1000)),
-                              tol=draw(st.floats(1e-12, 1.0)),
-                              ref_mic=draw(st.integers(0, 15))), {"prior": prior}
+        return name, room, {}
+    if name == "solver":
+        # the prior reads back as a nested object, as an extract report holds it
+        prior = ContrastModel(kind=draw(st.sampled_from(KINDS)), nu=nu,
+                              gg_exponent=gg_exponent)
+        return name, SolverConfig(prior=prior, max_iter=draw(st.integers(1, 1000)),
+                                  tol=draw(st.floats(1e-12, 1.0)),
+                                  ref_mic=draw(st.integers(0, 15)),
+                                  rank=draw(st.none() | st.integers(1, 16))), {}
+
+    def axis(entries):
+        return tuple(draw(st.lists(entries, min_size=1, max_size=3)))
+    fs = draw(st.integers(1, 48000))
+    return name, GridSpec(
+        fs=fs, duration_seconds=draw(st.floats(1 / fs, 10.0)),
+        trials=draw(st.integers(1, 100)), seed=draw(st.integers(0, 2**32)),
+        mod_hz=draw(st.floats(0.0, 20.0)),
+        num_sources=axis(st.integers(1, 6)), num_mics=axis(st.integers(2, 6)),
+        input_sir_db=axis(st.floats(-30.0, 30.0)), prior=axis(st.sampled_from(KINDS)),
+        nu=nu, gg_exponent=gg_exponent, room=room,
+        soi_index=draw(st.integers(0, 5)), ref_mic=draw(st.integers(0, 5)),
+        stft=stft, filter_len=draw(st.integers(1, 4096))), {}
 
 
 @settings(deadline=None)
 @given(case=config_objects())
 def test_config_object_reads_back_its_json(case):
-    # so an extract report's stft block or a simulate echo's room feeds back in
+    # so an extract report's solver or stft block, a simulate echo's room or
+    # a bench summary's grid feeds back in
     name, obj, given_fields = case
     cfg = json.loads(json.dumps(asdict(obj)))
     for key in given_fields:
