@@ -8,13 +8,14 @@ once and then updates all bins simultaneously:
     w^k <- mean_t[G'(r_t) + |y_t^k|^2 G''(r_t)] * w^k
            - mean_t[conj(y_t^k) G'(r_t) x~_t^k]
 
-followed by per-bin renormalization to unit length.  Per iteration, a
-batched ``np.matmul`` (one BLAS call per bin) over the frame-contiguous
-[K, R, T] whitened data gives ``y``; ``np.abs(y)`` is squared in place into
-the power, whose column sums are ``r`` and whose matvec with G''(r) is
-``a``; ``y`` is overwritten in place with ``conj(y) G'(r)``, and a second
-batched matmul of the whitened data with it gives ``b``.  ``y`` and the
-power are the only [K, T] arrays an iteration makes.  Each iteration also
+followed by per-bin renormalization to unit length.  The iteration runs in
+real arithmetic on the planar [K, 2R, T] whitened data (``whitening`` has
+the layout): a real batched ``np.matmul`` (one BLAS call per bin) gives the
+real and imaginary rows of ``y``, [K, 2, T]; their summed squares are the
+power, whose column sums are ``r`` and whose matvec with G''(r) is ``a``;
+``y`` is scaled by G'(r) in place, and a second batched matmul of the data
+with it gives the four real blocks of ``b``.  ``y`` and the power are the
+only [K, T]-sized arrays an iteration makes.  Each iteration also
 returns its step ``max_k (1 - |<w_new^k, w_old^k>|)``, which ignores the
 irrelevant global phase per bin; the solve stops, converged, at the first
 step below the tolerance, or unconverged after ``max_iter`` iterations.
@@ -24,7 +25,9 @@ resolved by back-projecting into the microphone domain, estimating the
 mixing (steering) vector of the extracted source from the original-domain
 covariance, and rescaling so the output equals the source image at a chosen
 reference microphone.  Like every stage of ``extract``, these three pass
-plain arrays; ``extract`` demixes with the rescaled [K, M] vectors.
+plain arrays.  Since ``w_eff^H x = (Q^H w)^H x = w^H (Q x)``, ``extract``
+demixes the output from the whitened data with the rescaled [K, R] vectors
+and drops the spectrum once it is whitened.
 """
 
 from __future__ import annotations
@@ -80,8 +83,8 @@ class DemixState:
 
 
 # stages of ``extract`` in call order, the keys of ExtractionResult.timings
-# (seconds); "rescale" runs back_project through rescale, "synthesize" the
-# output demixing and the inverse STFT
+# (seconds); "rescale" runs back_project through rescale, "synthesize"
+# demixing from the whitened data and the inverse STFT
 STAGES = ("analyze", "covariance", "build_whitener", "whiten", "solve",
           "rescale", "synthesize")
 
@@ -95,32 +98,35 @@ class ExtractionResult:
     timings: dict = field(default_factory=dict)
 
 
-def apply_demixer(x, w):
-    """Demixed output ``y[k, t] = w^k^H x[k, t]`` of a [K, T, M] spectrum as
-    a [K, T] array, one batched matmul over its [K, M, T] transpose."""
-    return np.matmul(w.conj()[:, None, :], x.transpose(0, 2, 1))[:, 0, :]
+def demix(white, w):
+    """Demixed output ``y[k, t] = w^k^H x~[k, t]`` of planar whitened data,
+    as its real and imaginary rows [K, 2, T]: one real batched matmul of the
+    rows ``[Re w, Im w]`` and ``[-Im w, Re w]`` with the [K, 2R, T] data."""
+    rows = np.stack([np.concatenate([w.real, w.imag], axis=1),
+                     np.concatenate([-w.imag, w.real], axis=1)], axis=1)
+    return np.matmul(rows, white)
 
 
 def _update_terms(white, w, model):
-    """Cost at w (the one place it is computed) and the (a, b) coefficients;
-    ``a`` and ``b`` contract over T, with unit stride on ``apply_whitener`` output.
+    """Cost at w (the one place it is computed) and the (a, b) coefficients
+    on planar whitened data; ``a`` and ``b`` contract over T with unit stride.
     ``-b`` is the cost's conjugate gradient: dC/du = -2 Re b, dC/dv = -2 Im b.
 
-    ``power`` is squared in place, and ``y``, which ``apply_demixer`` returns
-    fresh, is overwritten with ``conj(y) G'``; ``white`` and ``w`` are only read."""
-    x = white.transpose(0, 2, 1)
-    num_frames = x.shape[2]
-    y = apply_demixer(white, w)
-    power = np.abs(y)
-    np.square(power, out=power)
+    ``y``, which ``demix`` returns fresh, is scaled by G' in place; ``white``
+    and ``w`` are only read."""
+    rank = w.shape[1]
+    num_frames = white.shape[2]
+    y = demix(white, w)
+    power = np.einsum("kct,kct->kt", y, y)
     r = power.sum(axis=0)
     cost = float(-np.mean(priors.g(model, r)))
     gp = priors.g_prime(model, r)
     gpp = priors.g_double_prime(model, r)
     a = gp.mean() + power @ gpp / num_frames
-    np.conjugate(y, out=y)
     y *= gp
-    b = np.matmul(x, y[:, :, None])[:, :, 0] / num_frames
+    # blocks [[Re x.Re y, Re x.Im y], [Im x.Re y, Im x.Im y]] of sum_t G' x y
+    m = np.matmul(white, y.transpose(0, 2, 1)) / num_frames
+    b = (m[:, :rank, 0] + m[:, rank:, 1]) + 1j * (m[:, rank:, 0] - m[:, :rank, 1])
     return cost, a, b
 
 
@@ -143,11 +149,11 @@ def iterate_once(white, w, model):
 
 
 def solve(white, config):
-    """Iterate on whitened [K, T, R] data from the one-hot start ``w^k = e_1``
-    (the top principal component per bin) until a step falls below
-    ``config.tol`` or ``config.max_iter`` steps are taken."""
-    num_bins, _, rank = white.shape
-    w = np.zeros((num_bins, rank), dtype=np.complex128)
+    """Iterate on planar whitened [K, 2R, T] data from the one-hot start
+    ``w^k = e_1`` (the top principal component per bin) until a step falls
+    below ``config.tol`` or ``config.max_iter`` steps are taken."""
+    num_bins, planes, _ = white.shape
+    w = np.zeros((num_bins, planes // 2), dtype=np.complex128)
     w[:, 0] = 1.0
     costs = []
     for _ in range(config.max_iter):
@@ -188,13 +194,14 @@ def estimate_mixing_vector(cov, w_eff):
     return h
 
 
-def rescale(w_eff, h, ref_mic):
+def rescale(w, h, ref_mic):
     """Fix the per-bin scale so the output is the source image at ``ref_mic``.
 
-    Returns ``w_eff^k`` multiplied by ``conj(h^k[ref_mic])``; the demixed output
-    ``w_eff^H x`` then equals ``h_ref y``.  Bins where the source is nearly
-    unobservable at the reference mic (|h_ref| below 1e-12 of ||h||) are
-    left unscaled with a warning.
+    Returns ``w^k`` multiplied by ``conj(h^k[ref_mic])``; the demixed output
+    then equals ``h_ref y``, whether ``w`` demixes the spectrum (``w_eff``) or
+    the whitened data.  Bins where the source is nearly unobservable at the
+    reference mic (|h_ref| below 1e-12 of ||h||) are left unscaled with a
+    warning.
     """
     num_mics = h.shape[1]
     if not 0 <= ref_mic < num_mics:
@@ -210,7 +217,7 @@ def rescale(w_eff, h, ref_mic):
         )
     scale = href.conj().copy()
     scale[unobservable] = 1.0
-    return w_eff * scale[:, None]
+    return w * scale[:, None]
 
 
 def extract(audio, config=None, stft_config=None):
@@ -244,15 +251,19 @@ def extract(audio, config=None, stft_config=None):
     q = build_whitener(cov, rank=config.rank)
     marks.append(time.perf_counter())
     white = apply_whitener(spec, q)
+    del spec
     marks.append(time.perf_counter())
     state = solve(white, config)
     marks.append(time.perf_counter())
-    w_eff = back_project(state.w, q)
-    h = estimate_mixing_vector(cov, w_eff)
-    w_eff = rescale(w_eff, h, config.ref_mic)
+    h = estimate_mixing_vector(cov, back_project(state.w, q))
+    w = rescale(state.w, h, config.ref_mic)
     marks.append(time.perf_counter())
-    out = apply_demixer(spec, w_eff)
-    out_audio = synthesize(out[:, :, None], stft_config, audio.sample_rate_hz)
+    # filled straight into the [T, 1, K] layout that synthesize transforms
+    y = demix(white, w)
+    out = np.empty((y.shape[2], 1, y.shape[0]), dtype=np.complex128)
+    out.real[:, 0], out.imag[:, 0] = y[:, 0].T, y[:, 1].T
+    del y
+    out_audio = synthesize(out.transpose(2, 0, 1), stft_config, audio.sample_rate_hz)
     marks.append(time.perf_counter())
     timings = {stage: marks[i + 1] - marks[i] for i, stage in enumerate(STAGES)}
     return ExtractionResult(

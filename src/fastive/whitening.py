@@ -12,9 +12,10 @@ eigenpair is recoverable from it as ``d_i = 1 / ||q_i||^2`` and
 ``u_i = q_i^H sqrt(d_i)``.
 Spectra are plain complex arrays [K bins, T frames, M channels], as
 ``stft.analyze`` returns them.  Covariance and whitening are batched
-``np.matmul`` calls (one BLAS call per bin); whitened data is stored
-frame-contiguous as [K, R, T] and returned as its [K, T, R] transposed view,
-so contractions over T run with unit stride.
+``np.matmul`` calls (one BLAS call per bin).  Whitened data is planar real,
+[K, 2R, T] float64: per bin, the R rows of real parts over the frames, then
+the R rows of imaginary parts, so the solver runs in real arithmetic and its
+contractions over T have unit stride.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ import numpy as np
 # diagonal shift applied before decomposition, relative to each bin's mean
 # channel power; no absolute power enters, so the whitener scales with the input
 EPS_COV_REL = 1e-10
+
+# bins whitened per batched matmul; bounds the complex temporary that
+# ``apply_whitener`` splits into the planar output
+WHITEN_BLOCK_BINS = 64
 
 
 def estimate_covariance(x):
@@ -95,10 +100,10 @@ def build_whitener(cov, rank=None):
 def apply_whitener(x, q):
     """Project a [K, T, M] spectrum onto its whitened principal components.
 
-    Output has ``rank`` channels: ``out[k, t] = Q^k @ x[k, t]`` for the
-    [K, R, M] whitener ``q``, computed as one batched matmul ``Q^k @ x^k^T``
-    into a contiguous [K, R, T] array and returned as its [K, T, R]
-    transposed view.
+    Returns the planar [K, 2R, T] float64 array of ``Q^k @ x^k^T`` for the
+    [K, R, M] whitener ``q``: rows ``:R`` of bin k hold the real parts and
+    rows ``R:`` the imaginary parts.  It is built ``WHITEN_BLOCK_BINS`` bins
+    at a time, each block one batched complex matmul split into the output.
     """
     if x.shape[0] != q.shape[0]:
         raise ValueError(
@@ -108,4 +113,12 @@ def apply_whitener(x, q):
         raise ValueError(
             f"channel mismatch: spectrum {x.shape[2]}, whitener {q.shape[2]}"
         )
-    return np.matmul(q, x.transpose(0, 2, 1)).transpose(0, 2, 1)
+    num_bins, num_frames, _ = x.shape
+    rank = q.shape[1]
+    out = np.empty((num_bins, 2 * rank, num_frames))
+    for start in range(0, num_bins, WHITEN_BLOCK_BINS):
+        block = slice(start, start + WHITEN_BLOCK_BINS)
+        z = np.matmul(q[block], x[block].transpose(0, 2, 1))
+        out[block, :rank] = z.real
+        out[block, rank:] = z.imag
+    return out

@@ -13,6 +13,27 @@ from fastive.priors import g_double_prime, g_prime
 from fastive.roomsim import KERNEL_TAPS, _KERNEL_HALF, _deposit, reflection_coefficient
 
 
+def planar(data):
+    """Complex [K, T, R] data in the solver's planar layout: [K, 2R, T]
+    float64, per bin the R real rows over the frames, then the R imaginary
+    rows."""
+    return np.ascontiguousarray(
+        np.concatenate([data.real, data.imag], axis=2).transpose(0, 2, 1))
+
+
+def from_planar(white):
+    """The complex [K, T, R] data that a planar [K, 2R, T] array holds."""
+    rank = white.shape[1] // 2
+    return (white[:, :rank] + 1j * white[:, rank:]).transpose(0, 2, 1)
+
+
+def apply_demixer(x, w):
+    """Reference demixed output ``y[k, t] = w^k^H x[k, t]`` of complex
+    [K, T, M] data as a [K, T] array, one batched matmul over its [K, M, T]
+    transpose."""
+    return np.matmul(w.conj()[:, None, :], x.transpose(0, 2, 1))[:, 0, :]
+
+
 def reference_update(x, w, model):
     """Unvectorized one-step update, written directly from the rule:
     per bin, a = mean[G' + |y|^2 G''], b = mean[conj(y) G' x], then
@@ -36,9 +57,9 @@ def reference_update(x, w, model):
 
 
 def finite_difference_gradient(x, w, model, eps=1e-6):
-    """Gradient of the cost ``_update_terms(x, w, model)[0]`` with respect to
-    conj(w), from central differences along the real and the imaginary axis
-    of every entry of ``w``: (d/dRe + i d/dIm) / 2."""
+    """Gradient of the cost ``_update_terms(x, w, model)[0]`` on planar data
+    ``x`` with respect to conj(w), from central differences along the real
+    and the imaginary axis of every entry of ``w``: (d/dRe + i d/dIm) / 2."""
     fd = np.zeros_like(w)
     for index in np.ndindex(w.shape):
         for direction in (1.0, 1.0j):

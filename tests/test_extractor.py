@@ -20,8 +20,8 @@ from fastive.extractor import (
     STAGES,
     SolverConfig,
     _update_terms,
-    apply_demixer,
     back_project,
+    demix,
     estimate_mixing_vector,
     extract,
     iterate_once,
@@ -30,10 +30,12 @@ from fastive.extractor import (
 )
 from fastive.metrics import evaluate
 from fastive.priors import ContrastModel, g, g_double_prime, g_prime
-from fastive.roomsim import AudioBuffer, MixtureSet, speech_like_sources
-from fastive.stft import StftConfig
+from fastive.roomsim import (AudioBuffer, MixtureSet, default_geometry, render,
+                             speech_like_sources)
+from fastive.stft import StftConfig, analyze
 from fastive.whitening import apply_whitener, build_whitener, estimate_covariance
-from oracles import (exact_demixer, exact_mixture, finite_difference_gradient,
+from oracles import (apply_demixer, exact_demixer, exact_mixture,
+                     finite_difference_gradient, from_planar, planar,
                      reference_update)
 
 ALL_KINDS = ("ssl", "gg", "t")
@@ -89,16 +91,17 @@ def test_contractions_match_einsum(num_bins, num_frames, num_channels, kind,
 
     q = build_whitener(estimate_covariance(spec), rank=rank)
     white = apply_whitener(spec, q)
-    assert white.shape == (num_bins, num_frames, rank)
+    assert white.shape == (num_bins, 2 * rank, num_frames)
     ref_white = np.einsum("krm,ktm->ktr", q, x)
-    assert_within(white, ref_white, np.einsum("krm,ktm->ktr", np.abs(q), ax))
+    assert_within(from_planar(white), ref_white,
+                  np.einsum("krm,ktm->ktr", np.abs(q), ax))
 
     w = rng.normal(size=(num_bins, rank)) + 1j * rng.normal(size=(num_bins, rank))
     w /= np.linalg.norm(w, axis=1, keepdims=True)
-    xw = white
+    xw = from_planar(white)
     aw = np.abs(xw)
     y = np.einsum("kr,ktr->kt", w.conj(), xw)
-    assert_within(apply_demixer(white, w), y,
+    assert_within(from_planar(demix(white, w))[:, :, 0], y,
                   np.einsum("kr,ktr->kt", np.abs(w), aw))
 
     model = ContrastModel(kind=kind)
@@ -117,8 +120,9 @@ def test_contractions_match_einsum(num_bins, num_frames, num_channels, kind,
     spec[:] = 2.0 * spec
     assert_within(estimate_covariance(spec), 4.0 * ref,
                   4.0 * np.einsum("ktm,ktn->kmn", ax, ax) / num_frames)
-    white[:] = ref_white
-    assert_within(apply_demixer(white, w), np.einsum("kr,ktr->kt", w.conj(), ref_white),
+    white[:] = planar(ref_white)
+    assert_within(from_planar(demix(white, w))[:, :, 0],
+                  np.einsum("kr,ktr->kt", w.conj(), ref_white),
                   np.einsum("kr,ktr->kt", np.abs(w), np.abs(ref_white)))
 
 
@@ -126,10 +130,10 @@ def test_contractions_match_einsum(num_bins, num_frames, num_channels, kind,
 def test_iterate_once_matches_reference(kind):
     spec, w = random_instance(1, 3, 20, 2)
     model = ContrastModel(kind=kind)
-    w_new, cost, step = iterate_once(spec, w, model)
+    w_new, cost, step = iterate_once(planar(spec), w, model)
     np.testing.assert_allclose(w_new, reference_update(spec, w, model), atol=1e-12)
     np.testing.assert_allclose(np.linalg.norm(w_new, axis=1), 1.0, atol=1e-12)
-    assert cost == _update_terms(spec, w, model)[0]
+    assert cost == _update_terms(planar(spec), w, model)[0]
     inner = [abs(np.vdot(w_new[k], w[k])) for k in range(w.shape[0])]
     assert step == pytest.approx(1.0 - min(inner), abs=1e-15)
 
@@ -158,8 +162,8 @@ def test_an_iteration_leaves_its_inputs_alone(num_bins, num_frames, num_channels
 def test_gradient_matches_finite_differences(kind):
     spec, w = random_instance(2, 2, 16, 2)
     model = ContrastModel(kind=kind)
-    analytic = -_update_terms(spec, w, model)[2]
-    fd = finite_difference_gradient(spec, w, model)
+    analytic = -_update_terms(planar(spec), w, model)[2]
+    fd = finite_difference_gradient(planar(spec), w, model)
     assert np.linalg.norm(fd - analytic) < 1e-5 * np.linalg.norm(analytic)
 
 
@@ -177,7 +181,7 @@ def stationary_instance():
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_exactly_stationary_point_is_fixed(kind):
     spec = stationary_instance()
-    _, _, step = iterate_once(spec, np.array([[1.0 + 0.0j, 0.0 + 0.0j]]),
+    _, _, step = iterate_once(planar(spec), np.array([[1.0 + 0.0j, 0.0 + 0.0j]]),
                               ContrastModel(kind=kind))
     assert 0.0 <= step < 1e-12
 
@@ -195,8 +199,8 @@ def test_iterate_once_is_blind_to_each_bins_phase(num_bins, num_frames, rank, ki
                                       max_size=num_bins), label="phi"))
     phase = np.exp(1j * phi)[:, None]
     model = ContrastModel(kind=kind)
-    w_new, cost, step = iterate_once(spec, w, model)
-    w_rot, cost_rot, step_rot = iterate_once(spec, phase * w, model)
+    w_new, cost, step = iterate_once(planar(spec), w, model)
+    w_rot, cost_rot, step_rot = iterate_once(planar(spec), phase * w, model)
     assert np.max(np.abs(w_rot - phase * w_new)) <= 1e-12
     assert abs(cost_rot - cost) <= 1e-12 * abs(cost)
     assert abs(step_rot - step) <= 1e-12
@@ -217,8 +221,8 @@ def separable_instance(seed=42, num_frames=5000):
 @pytest.mark.parametrize("kind", ["ssl", "t"])
 def test_solve_aligns_with_the_heavy_tailed_source(kind):
     spec, q, _ = separable_instance()
-    state = solve(spec, SolverConfig(prior=ContrastModel(kind=kind),
-                                     max_iter=200, tol=1e-9))
+    state = solve(planar(spec), SolverConfig(prior=ContrastModel(kind=kind),
+                                             max_iter=200, tol=1e-9))
     assert state.converged
     assert 1.0 - abs(np.vdot(state.w[0], q[:, 0])) < 1e-3
 
@@ -239,7 +243,7 @@ def test_solve_captures_a_dominant_source(kind):
     q = build_whitener(estimate_covariance(spec))
     white = apply_whitener(spec, q)
     state = solve(white, SolverConfig(prior=ContrastModel(kind=kind)))
-    y = apply_demixer(white, state.w)[0]
+    y = from_planar(demix(white, state.w))[0, :, 0]
     corr = abs(np.vdot(y, s1)) / (np.linalg.norm(y) * np.linalg.norm(s1))
     assert 1.0 - corr < 1e-3
 
@@ -248,14 +252,14 @@ def test_solve_starts_from_e1():
     """On the exactly-stationary instance one step from the one-hot start
     stays at e_1, so solve must begin there."""
     spec = stationary_instance()
-    state = solve(spec, SolverConfig(max_iter=1))
+    state = solve(planar(spec), SolverConfig(max_iter=1))
     np.testing.assert_allclose(np.abs(state.w), [[1.0, 0.0]], atol=1e-12)
 
 
 def test_back_project_composes_the_whitener():
     spec, _ = random_instance(5, 3, 64, 3)
     q = build_whitener(estimate_covariance(spec))
-    w = solve(spec, SolverConfig(max_iter=2, tol=1e-300)).w
+    w = solve(planar(spec), SolverConfig(max_iter=2, tol=1e-300)).w
     w_eff = back_project(w, q)
     for k in range(3):
         expected = q[k].conj().T @ w[k]
@@ -271,6 +275,27 @@ def test_rescaled_output_is_the_source_image_at_the_reference():
     y = apply_demixer(spec, rescale(w_eff, h, ref))
     image = mixing[:, ref, 0][:, None] * sources[:, :, 0]
     assert np.max(np.abs(y - image)) < 1e-10
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_output_demixed_from_whitened_data_matches_the_mic_domain(rank):
+    """``w^H (Q x) = (Q^H w)^H x``: the output that extract demixes from the
+    whitened data with the rescaled ``w`` is the rescaled back-projection
+    applied to the spectrum, on a rendered 3-mic scene at rank < M and = M."""
+    fs = 16000
+    scene = default_geometry(
+        num_sources=2, num_mics=3,
+        source_signals=tuple(speech_like_sources(2, fs, fs, 4)))
+    spec = analyze(render(scene, fs).mixture, StftConfig())
+    cov = estimate_covariance(spec)
+    q = build_whitener(cov, rank=rank)
+    white = apply_whitener(spec, q)
+    w = solve(white, SolverConfig(max_iter=10)).w
+    h = estimate_mixing_vector(cov, back_project(w, q))
+    ref = 1
+    got = from_planar(demix(white, rescale(w, h, ref)))[:, :, 0]
+    want = apply_demixer(spec, rescale(back_project(w, q), h, ref))
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_mixing_vector_silent_bin_yields_zero():

@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 from fastive.whitening import (
     EPS_COV_REL,
+    WHITEN_BLOCK_BINS,
     apply_whitener,
     build_whitener,
     estimate_covariance,
 )
+from oracles import from_planar
 
 
 def random_spec(seed, num_bins=5, num_frames=200, num_channels=3):
@@ -160,7 +162,7 @@ def test_whitener_whitens():
     assert np.max(np.abs(ident - eye)) < 1e-8
 
     white = apply_whitener(spec, q)
-    wcov = estimate_covariance(white)
+    wcov = estimate_covariance(from_planar(white))
     assert np.max(np.abs(wcov - eye)) < 1e-8
 
 
@@ -214,7 +216,7 @@ def test_whitener_orders_components_by_power():
     assert np.all(np.diff(eigenpairs(q)[0], axis=1) <= 0)
     white = apply_whitener(spec, q)
     # every whitened component has unit average power
-    power = np.mean(np.abs(white) ** 2, axis=1)
+    power = np.mean(np.abs(from_planar(white)) ** 2, axis=1)
     np.testing.assert_allclose(power, 1.0, atol=1e-8)
 
 
@@ -237,6 +239,21 @@ def test_silent_bin_stays_finite():
     assert np.all(np.isfinite(q))
     white = apply_whitener(spec, q)
     np.testing.assert_array_equal(white[2], 0.0)
+
+
+@pytest.mark.parametrize("num_bins", [1, WHITEN_BLOCK_BINS - 1, WHITEN_BLOCK_BINS,
+                                      WHITEN_BLOCK_BINS + 1, 1025])
+@pytest.mark.parametrize("rank", [2, 3])
+def test_planar_output_is_the_batched_product_bit_for_bit(num_bins, rank):
+    """Rows ``:R`` of every bin are Re(Q x) and rows ``R:`` Im(Q x) of the
+    one batched complex matmul, whatever blocks the bins fall in."""
+    spec = random_spec(7, num_bins=num_bins, num_frames=6)
+    q = build_whitener(estimate_covariance(spec), rank=rank)
+    white = apply_whitener(spec, q)
+    assert white.shape == (num_bins, 2 * rank, 6) and white.dtype == np.float64
+    product = np.matmul(q, spec.transpose(0, 2, 1))
+    np.testing.assert_array_equal(white[:, :rank], product.real)
+    np.testing.assert_array_equal(white[:, rank:], product.imag)
 
 
 def test_apply_whitener_shape_guards():
