@@ -413,17 +413,18 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
     Every key is parsed and every cell built before any response; an unknown
     key, such as a top-level ``rank`` or ``solver.ref_mic`` (``ref_mic``,
     ``nu`` and ``gg_exponent`` are grid keys), or a value no trial can run
-    with, such as ``trials`` below 1, is a ValueError.  summary.json echoes
-    the resolved grid, which feeds back in as ``grid``, and ``manifest``, if
-    given, with the grid's seed.
+    with, such as ``trials`` below 1 or an unknown ``prior``, is a
+    ValueError.  summary.json echoes the resolved grid, which feeds back in
+    as ``grid``, and ``manifest``, if given, with the grid's seed.
     """
     cfg = config_dict(grid, "grid")
     solver = cfg.pop("solver", {})
     spec = config_object(GridSpec, cfg, "grid", prefix="")
-    # each trial sets the prior's kind, so an unknown prior is an in-band error
     solver_cfg = config_object(
         SolverConfig, solver, "solver", ref_mic=spec.ref_mic,
         prior=ContrastModel(nu=spec.nu, gg_exponent=spec.gg_exponent))
+    solvers = {kind: replace(solver_cfg, prior=replace(solver_cfg.prior, kind=kind))
+               for kind in spec.prior}
     fs, mod_hz = spec.fs, spec.mod_hz
     num_samples = int(round(spec.duration_seconds * fs))
     axes = (spec.num_sources, spec.num_mics, spec.input_sir_db)
@@ -462,9 +463,7 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
                         replace(scenario, source_signals=tuple(sources),
                                 input_sir_db=sir, seed=seed),
                         fs, rirs=[per_source[:n_mic] for per_source in rirs[:n_src]])
-                solver = replace(solver_cfg,
-                                 prior=replace(solver_cfg.prior, kind=prior_kind))
-                result = extract(mixture_set.mixture, solver, spec.stft)
+                result = extract(mixture_set.mixture, solvers[prior_kind], spec.stft)
                 # every prior's output has the same length (the STFT is
                 # grid-wide), so one factorisation scores them all
                 if references is None:

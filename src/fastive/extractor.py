@@ -23,17 +23,17 @@ step below the tolerance, or unconverged after ``max_iter`` iterations.
 The per-bin scaling left undetermined by the unit-norm constraint is
 resolved by back-projecting into the microphone domain, estimating the
 mixing (steering) vector of the extracted source from the original-domain
-covariance, and rescaling so the output equals the source image at a chosen
-reference microphone.  Like every stage of ``extract``, these three pass
-plain arrays.  Since ``w_eff^H x = (Q^H w)^H x = w^H (Q x)``, ``extract``
-demixes the output from the whitened data with the rescaled [K, R] vectors
-and drops the spectrum once it is whitened.
+covariance, and scaling every bin by the conjugate of its reference-mic
+entry ``h_ref`` (the one-unit scaling), so the output equals the source
+image at a chosen reference microphone.  Like every stage of ``extract``,
+these three pass plain arrays.  Since ``w_eff^H x = (Q^H w)^H x = w^H (Q x)``,
+``extract`` demixes the output from the whitened data with the rescaled
+[K, R] vectors and drops the spectrum once it is whitened.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,10 +41,6 @@ import numpy as np
 from . import priors
 from .stft import AudioBuffer, StftConfig, analyze, check_int, check_number, synthesize
 from .whitening import apply_whitener, build_whitener, estimate_covariance
-
-# |h_ref| below this fraction of ||h|| means the source is essentially
-# unobservable at the reference mic; rescaling is skipped for such bins
-REF_OBSERVABILITY_TOL = 1e-12
 
 DENOM_TOL = 1e-30
 
@@ -197,27 +193,16 @@ def estimate_mixing_vector(cov, w_eff):
 def rescale(w, h, ref_mic):
     """Fix the per-bin scale so the output is the source image at ``ref_mic``.
 
-    Returns ``w^k`` multiplied by ``conj(h^k[ref_mic])``; the demixed output
-    then equals ``h_ref y``, whether ``w`` demixes the spectrum (``w_eff``) or
-    the whitened data.  Bins where the source is nearly unobservable at the
-    reference mic (|h_ref| below 1e-12 of ||h||) are left unscaled with a
-    warning.
+    Returns ``w^k`` multiplied by ``conj(h^k[ref_mic])`` in every bin; the
+    demixed output then equals ``h_ref y``, whether ``w`` demixes the
+    spectrum (``w_eff``) or the whitened data.  Where the reference mic does
+    not hear the source, ``h_ref`` and so the output are about zero, as the
+    image there is.
     """
     num_mics = h.shape[1]
     if not 0 <= ref_mic < num_mics:
         raise ValueError(f"ref_mic {ref_mic} out of range for {num_mics} mics")
-    href = h[:, ref_mic]
-    hnorm = np.linalg.norm(h, axis=1)
-    unobservable = np.abs(href) < REF_OBSERVABILITY_TOL * hnorm
-    if np.any(unobservable):
-        warnings.warn(
-            f"source nearly unobservable at reference mic {ref_mic} in "
-            f"{int(unobservable.sum())} bins; scale left unchanged there",
-            RuntimeWarning,
-        )
-    scale = href.conj().copy()
-    scale[unobservable] = 1.0
-    return w * scale[:, None]
+    return w * h[:, ref_mic, None].conj()
 
 
 def extract(audio, config=None, stft_config=None):

@@ -372,7 +372,7 @@ def test_bench_renders_and_factors_each_mixture_once(tmp_path, monkeypatch):
                                       'room.rt60="0.3"', "seed=1_0",
                                       "num_sources=[]", "num_mics=[]",
                                       "prior=[]", "input_sir_db=[]",
-                                      "solver.rank=3"])
+                                      "solver.rank=3", 'prior=["t","bogus"]'])
 def test_bench_parses_every_key_before_building_responses(tmp_path, monkeypatch,
                                                           override):
     calls = []
@@ -382,6 +382,7 @@ def test_bench_parses_every_key_before_building_responses(tmp_path, monkeypatch,
     assert main(["bench", str(grid), "-o", str(tmp_path / "bench"),
                  "--set", override]) == 2
     assert calls == []
+    assert not (tmp_path / "bench").exists()
 
 
 def test_bench_solver_rank_reaches_extract(tmp_path, monkeypatch):
@@ -401,19 +402,21 @@ def test_bench_solver_rank_reaches_extract(tmp_path, monkeypatch):
     assert seen == [1]
 
 
-def test_bench_records_trial_errors_in_band(tmp_path):
-    # an unknown prior fails inside the trial; the sweep still finishes
+def test_bench_records_trial_errors_in_band(tmp_path, monkeypatch):
+    # a trial that raises is recorded; the sweep still finishes
+    def failing(*args, **kwargs):
+        raise RuntimeError("extract fails")
+    monkeypatch.setattr(cli, "extract", failing)
     grid_path = tmp_path / "grid.json"
     grid_path.write_text(json.dumps({
-        "duration_seconds": 0.5, "trials": 1, "prior": "bogus",
+        "duration_seconds": 0.5, "trials": 1,
         "stft": {"fft_size": 512, "hop_size": 128},
     }))
     out = tmp_path / "bench"
     assert main(["bench", str(grid_path), "-o", str(out)]) == 0
     [record] = [json.loads(line) for line in
                 (out / "records.jsonl").read_text().splitlines()]
-    assert "error" in record
-    assert "unknown prior" in record["error"]
+    assert record["error"] == "RuntimeError: extract fails"
     summary = json.loads((out / "summary.json").read_text())
     assert summary["cells"][0]["errors"] == 1
 

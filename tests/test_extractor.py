@@ -206,6 +206,14 @@ def test_iterate_once_is_blind_to_each_bins_phase(num_bins, num_frames, rank, ki
     assert abs(step_rot - step) <= 1e-12
 
 
+def test_iterate_once_names_a_degenerate_update():
+    """A constant output y = (1 + i) / 2 under the t prior at nu = 1/2 gives
+    a = b = 1/2 exactly, so ``a w - b`` is zero and cannot be normalized."""
+    data = planar(np.full((1, 8, 1), 0.5 + 0.5j))
+    with pytest.raises(ValueError, match="degenerate update at bin 0"):
+        iterate_once(data, np.ones((1, 1), complex), ContrastModel("t", nu=0.5))
+
+
 def separable_instance(seed=42, num_frames=5000):
     """Unit-power heavy-tailed + gaussian source pair through a random
     unitary mix; data is white by construction."""
@@ -306,7 +314,9 @@ def test_mixing_vector_silent_bin_yields_zero():
     np.testing.assert_array_equal(h[4], 0.0)
 
 
-def test_rescale_warns_when_source_invisible_at_reference():
+def test_rescale_scales_a_bin_the_reference_does_not_hear():
+    """Every bin is scaled by conj(h_ref), so one whose source is missing
+    from the reference mic outputs that mic's image there: zero."""
     spec, mixing, sources = exact_mixture(24)
     # rebuild the mixture so bin 2's source 1 is invisible at mic 0
     mixing[2, 0, 0] = 0.0
@@ -314,10 +324,13 @@ def test_rescale_warns_when_source_invisible_at_reference():
     cov = estimate_covariance(spec)
     w_eff = exact_demixer(mixing)
     h = estimate_mixing_vector(cov, w_eff)
-    with pytest.warns(RuntimeWarning, match="unobservable"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rescaled = rescale(w_eff, h, 0)
-    # the unobservable bin keeps its unit-output scale
-    np.testing.assert_allclose(rescaled[2], w_eff[2])
+    # h_ref there is zero up to the rounding of the estimated covariance
+    assert np.max(np.abs(rescaled[2])) <= 1e-12 * np.max(np.abs(rescaled))
+    image = mixing[:, 0, 0][:, None] * sources[:, :, 0]
+    assert np.max(np.abs(apply_demixer(spec, rescaled) - image)) < 1e-10
 
 
 def test_mixing_vector_guards():
@@ -426,6 +439,30 @@ def test_extract_is_gain_equivariant(log_gain, num_channels, seed):
         warnings.simplefilter("error")
         scaled = extract(AudioBuffer(gain * noise, 16000), config).audio.samples
     assert np.max(np.abs(scaled - gain * base)) <= 1e-8 * np.max(np.abs(gain * base))
+
+
+def test_extract_scales_a_band_the_reference_does_not_hear():
+    """Two Laplace sources reach mics 1 and 2 at every frequency but mic 0
+    only below fs/4.  The output is the image at mic 0, silent above fs/4,
+    and it scales with the input gain there too.  Rank-2 whitening keeps
+    exactly the sources' two dimensions, so no direction of rounding noise
+    alone enters the solve."""
+    fs, size = 16000, 512
+    sources = np.random.default_rng(0).laplace(size=(40 * size, 2))
+    mix = sources @ np.array([[1.0, 0.5], [0.7, 1.0], [0.4, 0.8]]).T
+    high = np.fft.rfftfreq(size, 1 / fs) >= fs / 4
+    frames = np.fft.rfft(mix[:, 0].reshape(-1, size), axis=1)
+    frames[:, high] = 0.0
+    mix[:, 0] = np.fft.irfft(frames, size, axis=1).ravel()
+    config, stft = SolverConfig(max_iter=5, rank=2), StftConfig(size, size, "rect")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = extract(AudioBuffer(mix, fs), config, stft).audio.samples[:, 0]
+    power = np.abs(np.fft.rfft(out.reshape(-1, size), axis=1)) ** 2
+    assert power[:, high].sum() <= 1e-20 * power[:, ~high].sum()
+    for gain in (1e-6, 1e6):
+        scaled = extract(AudioBuffer(gain * mix, fs), config, stft).audio.samples[:, 0]
+        assert np.max(np.abs(scaled - gain * out)) <= 1e-8 * np.max(np.abs(gain * out))
 
 
 @pytest.mark.parametrize("gain", [1e155, 1e200, 1e300])
