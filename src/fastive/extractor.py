@@ -9,7 +9,7 @@ once and then updates all bins simultaneously:
            - mean_t[conj(y_t^k) G'(r_t) x~_t^k]
 
 followed by per-bin renormalization to unit length.  The iteration runs in
-real arithmetic on the planar [K, 2R, T] whitened data (``whitening`` has
+real arithmetic on the planar [K, 2R, T] whitened data (``stft`` defines
 the layout): a real batched ``np.matmul`` (one BLAS call per bin) gives the
 real and imaginary rows of ``y``, [K, 2, T]; their summed squares are the
 power, whose column sums are ``r`` and whose matvec with G''(r) is ``a``;
@@ -28,7 +28,8 @@ entry ``h_ref`` (the one-unit scaling), so the output equals the source
 image at a chosen reference microphone.  Like every stage of ``extract``,
 these three pass plain arrays.  Since ``w_eff^H x = (Q^H w)^H x = w^H (Q x)``,
 ``extract`` demixes the output from the whitened data with the rescaled
-[K, R] vectors and drops the spectrum once it is whitened.
+[K, R] vectors, drops the spectrum once whitened and the whitened data once
+demixed, and hands the one-channel planar output [K, 2, T] to ``synthesize``.
 """
 
 from __future__ import annotations
@@ -96,8 +97,9 @@ class ExtractionResult:
 
 def demix(white, w):
     """Demixed output ``y[k, t] = w^k^H x~[k, t]`` of planar whitened data,
-    as its real and imaginary rows [K, 2, T]: one real batched matmul of the
-    rows ``[Re w, Im w]`` and ``[-Im w, Re w]`` with the [K, 2R, T] data."""
+    as the one-channel planar spectrum [K, 2, T] of its real and imaginary
+    rows: one real batched matmul of the rows ``[Re w, Im w]`` and
+    ``[-Im w, Re w]`` with the [K, 2R, T] data."""
     rows = np.stack([np.concatenate([w.real, w.imag], axis=1),
                      np.concatenate([-w.imag, w.real], axis=1)], axis=1)
     return np.matmul(rows, white)
@@ -243,12 +245,9 @@ def extract(audio, config=None, stft_config=None):
     h = estimate_mixing_vector(cov, back_project(state.w, q))
     w = rescale(state.w, h, config.ref_mic)
     marks.append(time.perf_counter())
-    # filled straight into the [T, 1, K] layout that synthesize transforms
     y = demix(white, w)
-    out = np.empty((y.shape[2], 1, y.shape[0]), dtype=np.complex128)
-    out.real[:, 0], out.imag[:, 0] = y[:, 0].T, y[:, 1].T
-    del y
-    out_audio = synthesize(out.transpose(2, 0, 1), stft_config, audio.sample_rate_hz)
+    del white
+    out_audio = synthesize(y, stft_config, audio.sample_rate_hz)
     marks.append(time.perf_counter())
     timings = {stage: marks[i + 1] - marks[i] for i, stage in enumerate(STAGES)}
     return ExtractionResult(

@@ -7,18 +7,21 @@ Conventions
 * Frames are left-aligned: frame ``t`` covers samples
   ``[t * hop_size, t * hop_size + fft_size)``.  No centering, no padding;
   trailing samples that do not fill a frame are dropped by analysis.
-* Spectra are plain complex arrays ``[K bins, T frames, M channels]``,
-  one-sided (``K = fft_size // 2 + 1``), with the unscaled forward transform
-  of ``numpy.fft.rfft``.  Frame-wise Parseval therefore
-  reads ``sum |x_w|^2 = (1/fft_size) * sum_onesided weight * |X|^2`` with
-  weight 2 on every bin except DC and Nyquist.
+* Spectra are planar real float64 ``[K bins, 2C, T frames]``: per bin, C
+  rows of real parts over the frames, then C rows of imaginary parts (C
+  mics, whitened components, or the one output).  Every stage of ``extract``
+  passes this layout; complex spectra exist only at the FFT, inside
+  ``analyze`` and ``synthesize``.  The ``K = fft_size // 2 + 1`` bins are
+  the one-sided output of the unscaled ``numpy.fft.rfft``, so frame-wise
+  Parseval reads ``sum |x_w|^2 = (1/fft_size) * sum_onesided weight *
+  |X|^2`` with weight 2 on every bin except DC and Nyquist.
 * Windows are periodic (DFT-even).  Synthesis is weighted overlap-add with
   the analysis window, normalized per sample by the sum of squared shifted
   windows, which reconstructs exactly wherever that sum is positive.
   The constant-overlap-add check is applied to the squared window because
   that is the quantity the synthesis normalizer folds down.
-  Synthesis inverts all frames at once on a frame-major copy of the
-  spectrum and overlap-adds in ``ceil(fft_size / hop_size)`` block adds,
+  Synthesis inverts all frames at once on a complex frame-major copy of
+  the spectrum and overlap-adds in ``ceil(fft_size / hop_size)`` block adds,
   one per hop-long segment of a frame, each sample still summing its
   frames in ascending order as a frame-by-frame overlap-add does.
 """
@@ -157,6 +160,13 @@ def next_fast_len(n):
     return best
 
 
+def check_planar(spec):
+    """ValueError unless ``spec`` is a real [K, 2C, T] array: the planar layout."""
+    if np.iscomplexobj(spec) or spec.ndim != 3 or spec.shape[1] % 2:
+        raise ValueError(f"spectrum must be planar real [K, 2M, T], "
+                         f"got {spec.dtype} {spec.shape}")
+
+
 def analyze(audio, config):
     """Forward STFT of a multichannel buffer.
 
@@ -168,7 +178,8 @@ def analyze(audio, config):
     Returns
     -------
     numpy.ndarray
-        complex ``[K, T, M]`` with ``T = (num_samples - fft_size) // hop_size + 1``.
+        planar real ``[K, 2M, T]`` with
+        ``T = (num_samples - fft_size) // hop_size + 1``.
     """
     n = audio.num_samples
     if n < config.fft_size:
@@ -181,33 +192,34 @@ def analyze(audio, config):
     # [T, M, fft_size] view, then window and transform along the last axis
     frames = sliding_window_view(audio.samples, config.fft_size, axis=0)
     frames = frames[:: config.hop_size][:num_frames]
-    spec = np.fft.rfft(frames * window, axis=-1)
-    return spec.transpose(2, 0, 1)
+    spec = np.fft.rfft(frames * window, axis=-1).transpose(2, 1, 0)
+    out = np.empty((config.num_bins, 2 * audio.num_channels, num_frames))
+    return np.concatenate([spec.real, spec.imag], axis=1, out=out)
 
 
 def synthesize(spec, config, sample_rate_hz):
-    """Inverse STFT of a ``[K, T, M]`` spectrum by weighted overlap-add.
+    """Inverse STFT of a planar ``[K, 2M, T]`` spectrum by weighted overlap-add.
 
-    ``K`` must be ``config.num_bins``.  Returns an AudioBuffer at
-    ``sample_rate_hz`` of ``(T - 1) * hop_size + fft_size`` samples.
+    ``K`` must be ``config.num_bins``.  Returns an AudioBuffer of M channels
+    at ``sample_rate_hz`` of ``(T - 1) * hop_size + fft_size`` samples.
     Reconstruction of unmodified spectra is exact up to rounding wherever at
     least one window overlaps; with COLA windows that is every sample, with
     tapered windows the first/last samples where the window vanishes come
     back as zeros.
     """
-    if spec.ndim != 3:
-        raise ValueError(f"spectrum must be [K, T, M], got shape {spec.shape}")
+    check_planar(spec)
     if spec.shape[0] != config.num_bins:
         raise ValueError(
             f"bin count {spec.shape[0]} inconsistent with fft_size {config.fft_size}"
         )
-    _, num_frames, num_channels = spec.shape
+    num_channels, num_frames = spec.shape[1] // 2, spec.shape[2]
     fft, hop = config.fft_size, config.hop_size
     window = make_window(config.window, fft)
 
-    frames = np.fft.irfft(  # [T, M, fft], each frame contiguous
-        np.ascontiguousarray(spec.transpose(1, 2, 0)), n=fft, axis=-1
-    )
+    z = np.empty((num_frames, num_channels, spec.shape[0]), dtype=np.complex128)
+    z.real = spec[:, :num_channels].transpose(2, 1, 0)
+    z.imag = spec[:, num_channels:].transpose(2, 1, 0)
+    frames = np.fft.irfft(z, n=fft, axis=-1)
     frames *= window
     # segment j (samples [j hop, (j + 1) hop)) of frame t lands in output
     # block t + j, so adding segments from last to first sums each sample's

@@ -10,48 +10,46 @@ eigenvectors reproducible bit-for-bit across runs.  The whitener is a plain
 [K, R, M] array: row i of ``Q^k`` is ``d_i^(-1/2) u_i^H``, so each retained
 eigenpair is recoverable from it as ``d_i = 1 / ||q_i||^2`` and
 ``u_i = q_i^H sqrt(d_i)``.
-Spectra are plain complex arrays [K bins, T frames, M channels], as
-``stft.analyze`` returns them.  Covariance and whitening are batched
-``np.matmul`` calls (one BLAS call per bin).  Whitened data is planar real,
-[K, 2R, T] float64: per bin, the R rows of real parts over the frames, then
-the R rows of imaginary parts, so the solver runs in real arithmetic and its
-contractions over T have unit stride.
+Spectra in and whitened data out are in the planar real layout that
+``stft`` defines, [K, 2M, T] and [K, 2R, T]; covariance and whitening are
+each one real batched ``np.matmul`` (one BLAS call per bin) on it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .stft import check_planar
+
 # diagonal shift applied before decomposition, relative to each bin's mean
 # channel power; no absolute power enters, so the whitener scales with the input
 EPS_COV_REL = 1e-10
 
-# bins whitened per batched matmul; bounds the complex temporary that
-# ``apply_whitener`` splits into the planar output
-WHITEN_BLOCK_BINS = 64
-
 
 def estimate_covariance(x):
-    """Sample covariance per bin, [K, M, M], of a [K, T, M] spectrum; >= 2 frames.
+    """Sample covariance per bin, [K, M, M], of a planar [K, 2M, T] spectrum;
+    >= 2 frames.
 
-    Uses the 1/T convention (``C^k = x^k^T conj(x^k) / T`` with ``x^k`` the
-    [T, M] frames of bin k, one batched matmul) and re-symmetrizes to be
-    exactly Hermitian.  A spectrum whose power overflows float64 is an error,
-    as is one whose loudest bin's shift in ``build_whitener`` would not be a
-    normal float; an all-zero spectrum is silence, not underflow.
+    Uses the 1/T convention, ``C^k = sum_t x_t^k x_t^k^H / T``, assembled from
+    the one real batched Gram ``G = x x^T / T`` of the planar rows as
+    ``C = (G_rr + G_ii) + i (G_ir - G_ri)``, and re-symmetrized to be exactly
+    Hermitian.  A spectrum whose power overflows float64 is an error, as is
+    one whose loudest bin's shift in ``build_whitener`` would not be a normal
+    float; an all-zero spectrum is silence, not underflow.
     """
-    if x.ndim != 3:
-        raise ValueError(f"spectrum must be [K, T, M], got shape {x.shape}")
-    num_frames = x.shape[1]
+    check_planar(x)
+    m, num_frames = x.shape[1] // 2, x.shape[2]
     if num_frames < 2:
         raise ValueError(f"insufficient frames: got {num_frames}, need >= 2")
     with np.errstate(over="ignore", invalid="ignore"):
-        cov = np.matmul(x.transpose(0, 2, 1), x.conj()) / num_frames
+        gram = np.matmul(x, x.transpose(0, 2, 1)) / num_frames
+        cov = (gram[:, :m, :m] + gram[:, m:, m:]) \
+            + 1j * (gram[:, m:, :m] - gram[:, :m, m:])
     if not np.all(np.isfinite(cov)):
         raise ValueError("spectrum power overflows float64: scale the input down")
     # EPS_COV_REL * loudest / M below the smallest normal, without underflow
     loudest = np.einsum("kmm->k", cov).real.max(initial=0.0)
-    if (loudest < np.finfo(np.float64).tiny * x.shape[2] / EPS_COV_REL
+    if (loudest < np.finfo(np.float64).tiny * m / EPS_COV_REL
             and (loudest > 0.0 or np.any(x))):
         raise ValueError("spectrum power underflows float64: scale the input up")
     return 0.5 * (cov + cov.conj().transpose(0, 2, 1))
@@ -98,27 +96,17 @@ def build_whitener(cov, rank=None):
 
 
 def apply_whitener(x, q):
-    """Project a [K, T, M] spectrum onto its whitened principal components.
-
-    Returns the planar [K, 2R, T] float64 array of ``Q^k @ x^k^T`` for the
-    [K, R, M] whitener ``q``: rows ``:R`` of bin k hold the real parts and
-    rows ``R:`` the imaginary parts.  It is built ``WHITEN_BLOCK_BINS`` bins
-    at a time, each block one batched complex matmul split into the output.
-    """
+    """Project a planar [K, 2M, T] spectrum onto its whitened principal
+    components: the planar [K, 2R, T] ``Q^k x^k`` for the [K, R, M] whitener
+    ``q``, one real batched matmul with the rows
+    ``[[Re Q, -Im Q], [Im Q, Re Q]]``."""
+    check_planar(x)
     if x.shape[0] != q.shape[0]:
         raise ValueError(
             f"bin count mismatch: spectrum {x.shape[0]}, whitener {q.shape[0]}"
         )
-    if x.shape[2] != q.shape[2]:
+    if x.shape[1] // 2 != q.shape[2]:
         raise ValueError(
-            f"channel mismatch: spectrum {x.shape[2]}, whitener {q.shape[2]}"
+            f"channel mismatch: spectrum {x.shape[1] // 2}, whitener {q.shape[2]}"
         )
-    num_bins, num_frames, _ = x.shape
-    rank = q.shape[1]
-    out = np.empty((num_bins, 2 * rank, num_frames))
-    for start in range(0, num_bins, WHITEN_BLOCK_BINS):
-        block = slice(start, start + WHITEN_BLOCK_BINS)
-        z = np.matmul(q[block], x[block].transpose(0, 2, 1))
-        out[block, :rank] = z.real
-        out[block, rank:] = z.imag
-    return out
+    return np.matmul(np.block([[q.real, -q.imag], [q.imag, q.real]]), x)

@@ -14,15 +14,15 @@ from fastive.roomsim import KERNEL_TAPS, _KERNEL_HALF, _deposit, reflection_coef
 
 
 def planar(data):
-    """Complex [K, T, R] data in the solver's planar layout: [K, 2R, T]
-    float64, per bin the R real rows over the frames, then the R imaginary
-    rows."""
+    """Complex [K, T, C] data in the planar layout that ``stft`` defines:
+    [K, 2C, T] float64, per bin the C real rows over the frames, then the C
+    imaginary rows."""
     return np.ascontiguousarray(
         np.concatenate([data.real, data.imag], axis=2).transpose(0, 2, 1))
 
 
 def from_planar(white):
-    """The complex [K, T, R] data that a planar [K, 2R, T] array holds."""
+    """The complex [K, T, C] data that a planar [K, 2C, T] array holds."""
     rank = white.shape[1] // 2
     return (white[:, :rank] + 1j * white[:, rank:]).transpose(0, 2, 1)
 

@@ -213,7 +213,7 @@ def test_07_whitening_suite(request):
     for num_channels in (2, 3, 6):
         data = rng.normal(size=(5, 300, num_channels)) \
             + 1j * rng.normal(size=(5, 300, num_channels))
-        c = estimate_covariance(data)
+        c = estimate_covariance(planar(data))
         q = build_whitener(c)
         ident = np.einsum("krm,kmn,ksn->krs", q, c, q.conj())
         eye = np.broadcast_to(np.eye(num_channels), ident.shape)
@@ -250,7 +250,7 @@ def test_07_whitening_suite(request):
 
 def test_08_scaling_resolution(request):
     spec, mixing, sources = exact_mixture(21)
-    cov = estimate_covariance(spec)
+    cov = estimate_covariance(planar(spec))
     w_eff = exact_demixer(mixing)
     h_est = estimate_mixing_vector(cov, w_eff)
     h_dev = float(np.max(np.abs(h_est - mixing[:, :, 0])))

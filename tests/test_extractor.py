@@ -81,7 +81,7 @@ def test_contractions_match_einsum(num_bins, num_frames, num_channels, kind,
     rng = np.random.default_rng(seed)
     shape = (num_bins, num_frames, num_channels)
     x = gains * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-    spec = x.copy()
+    spec = planar(x)
     ax = np.abs(x)
 
     cov = estimate_covariance(spec)
@@ -147,7 +147,7 @@ def test_an_iteration_leaves_its_inputs_alone(num_bins, num_frames, num_channels
     """_update_terms works in place on its own temporaries: neither it nor
     iterate_once writes to the whitened data or the incoming w."""
     rank = data.draw(st.integers(1, num_channels), label="rank")
-    spec, _ = random_instance(seed, num_bins, num_frames, num_channels)
+    spec = planar(random_instance(seed, num_bins, num_frames, num_channels)[0])
     white = apply_whitener(spec, build_whitener(estimate_covariance(spec), rank=rank))
     _, w = random_instance(seed + 1, num_bins, 1, rank)
     model = ContrastModel(kind=kind)
@@ -246,7 +246,7 @@ def test_solve_captures_a_dominant_source(kind):
     s2 = (rng.normal(size=num_frames) + 1j * rng.normal(size=num_frames)) / np.sqrt(2.0)
     raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, _ = np.linalg.qr(raw)
-    spec = (np.stack([s1, s2], axis=1) @ q.T)[None, :, :]
+    spec = planar((np.stack([s1, s2], axis=1) @ q.T)[None, :, :])
 
     q = build_whitener(estimate_covariance(spec))
     white = apply_whitener(spec, q)
@@ -266,7 +266,7 @@ def test_solve_starts_from_e1():
 
 def test_back_project_composes_the_whitener():
     spec, _ = random_instance(5, 3, 64, 3)
-    q = build_whitener(estimate_covariance(spec))
+    q = build_whitener(estimate_covariance(planar(spec)))
     w = solve(planar(spec), SolverConfig(max_iter=2, tol=1e-300)).w
     w_eff = back_project(w, q)
     for k in range(3):
@@ -276,7 +276,7 @@ def test_back_project_composes_the_whitener():
 
 def test_rescaled_output_is_the_source_image_at_the_reference():
     spec, mixing, sources = exact_mixture(22)
-    cov = estimate_covariance(spec)
+    cov = estimate_covariance(planar(spec))
     w_eff = exact_demixer(mixing)
     h = estimate_mixing_vector(cov, w_eff)
     ref = 1
@@ -302,14 +302,14 @@ def test_output_demixed_from_whitened_data_matches_the_mic_domain(rank):
     h = estimate_mixing_vector(cov, back_project(w, q))
     ref = 1
     got = from_planar(demix(white, rescale(w, h, ref)))[:, :, 0]
-    want = apply_demixer(spec, rescale(back_project(w, q), h, ref))
+    want = apply_demixer(from_planar(spec), rescale(back_project(w, q), h, ref))
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_mixing_vector_silent_bin_yields_zero():
     spec, mixing, _ = exact_mixture(23)
     spec[4] = 0.0
-    cov = estimate_covariance(spec)
+    cov = estimate_covariance(planar(spec))
     h = estimate_mixing_vector(cov, exact_demixer(mixing))
     np.testing.assert_array_equal(h[4], 0.0)
 
@@ -321,7 +321,7 @@ def test_rescale_scales_a_bin_the_reference_does_not_hear():
     # rebuild the mixture so bin 2's source 1 is invisible at mic 0
     mixing[2, 0, 0] = 0.0
     spec[:] = np.einsum("kmn,ktn->ktm", mixing, sources)
-    cov = estimate_covariance(spec)
+    cov = estimate_covariance(planar(spec))
     w_eff = exact_demixer(mixing)
     h = estimate_mixing_vector(cov, w_eff)
     with warnings.catch_warnings():
@@ -335,7 +335,7 @@ def test_rescale_scales_a_bin_the_reference_does_not_hear():
 
 def test_mixing_vector_guards():
     spec, mixing, _ = exact_mixture(25)
-    cov = estimate_covariance(spec)
+    cov = estimate_covariance(planar(spec))
     w_eff = exact_demixer(mixing)
     h = estimate_mixing_vector(cov, w_eff)
     with pytest.raises(ValueError, match="ref_mic"):
@@ -347,7 +347,7 @@ def test_mixing_vector_rejects_null_output():
     rng = np.random.default_rng(26)
     data = np.zeros((1, 50, 2), dtype=complex)
     data[:, :, 0] = rng.normal(size=(1, 50)) + 1j * rng.normal(size=(1, 50))
-    cov = estimate_covariance(data)
+    cov = estimate_covariance(planar(data))
     with pytest.raises(ValueError, match="degenerate output power"):
         estimate_mixing_vector(cov, np.array([[0.0, 1.0 + 0.0j]]))
 

@@ -1,5 +1,7 @@
-"""Analysis/synthesis transform tests: window identities, frame alignment,
-Parseval, exact reconstruction, WAV round trips, and the fast FFT length."""
+"""Analysis/synthesis transform tests: window identities, the planar
+layout, frame alignment, Parseval, exact reconstruction, WAV round trips,
+and the fast FFT length.  Spectra are read and built complex through
+``from_planar`` and ``planar``."""
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from fastive.stft import (
     save_wav,
     synthesize,
 )
+from oracles import from_planar, planar
 
 
 def test_periodic_hann_values():
@@ -125,7 +128,7 @@ def test_synthesize_equals_a_per_frame_overlap_add(case, window, num_frames,
     rng = np.random.default_rng(fft * 1000 + hop)
     shape = (config.num_bins, num_frames, num_channels)
     spec = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    out = synthesize(spec, config, 8000).samples
+    out = synthesize(planar(spec), config, 8000).samples
     assert np.array_equal(out, reference_overlap_add(spec, config))
 
 
@@ -148,12 +151,30 @@ def test_next_fast_len_matches_scipy_up_to_1e7(n):
     assert next_fast_len(n) == scipy_next_fast_len(n, True)
 
 
+@pytest.mark.parametrize("config", [StftConfig(8, 4, "rect"), StftConfig(64, 16),
+                                    StftConfig(2048, 512)])
+@pytest.mark.parametrize("num_channels", [1, 3])
+def test_analyze_is_the_planar_per_frame_rfft(config, num_channels):
+    """The layout pin: bin k of ``analyze`` holds, over the frames, the real
+    rows then the imaginary rows of each channel's windowed ``rfft``."""
+    rng = np.random.default_rng(num_channels)
+    x = rng.normal(size=(3 * config.fft_size + 5, num_channels))
+    spec = analyze(AudioBuffer(x, 8000), config)
+    window = make_window(config.window, config.fft_size)
+    starts = range(0, x.shape[0] - config.fft_size + 1, config.hop_size)
+    per_frame = np.stack([np.fft.rfft(window * x[s:s + config.fft_size, m])
+                          for s in starts for m in range(num_channels)])
+    want = per_frame.reshape(len(starts), num_channels, -1).transpose(2, 0, 1)
+    assert spec.dtype == np.float64 and spec.flags.c_contiguous
+    np.testing.assert_array_equal(spec, planar(want))
+
+
 def test_frames_are_left_aligned():
     """An impulse at sample ``hop`` shows up at offset hop in frame 0 and
     offset 0 in frame 1."""
     x = np.zeros(16)
     x[4] = 1.0
-    spec = analyze(AudioBuffer(x, 8000), StftConfig(8, 4, "rect"))
+    spec = from_planar(analyze(AudioBuffer(x, 8000), StftConfig(8, 4, "rect")))
     assert spec.shape == (5, 3, 1)
     k = np.arange(5)
     # delta at position 4 of an 8-point frame transforms to (-1)^k
@@ -165,7 +186,7 @@ def test_frames_are_left_aligned():
 def test_pure_tone_lands_in_its_bin():
     n = np.arange(8)
     x = np.cos(2.0 * np.pi * 2.0 * n / 8.0)
-    spec = analyze(AudioBuffer(x, 8000), StftConfig(8, 8, "rect"))
+    spec = from_planar(analyze(AudioBuffer(x, 8000), StftConfig(8, 8, "rect")))
     mag = np.abs(spec[:, 0, 0])
     np.testing.assert_allclose(mag[2], 4.0, atol=1e-12)  # N/2 for a unit cosine
     mag[2] = 0.0
@@ -175,7 +196,7 @@ def test_pure_tone_lands_in_its_bin():
 def test_parseval_per_frame():
     rng = np.random.default_rng(0)
     x = rng.normal(size=32)
-    spec = analyze(AudioBuffer(x, 8000), StftConfig(32, 32, "rect"))
+    spec = from_planar(analyze(AudioBuffer(x, 8000), StftConfig(32, 32, "rect")))
     weights = np.full(17, 2.0)
     weights[[0, 16]] = 1.0
     freq_energy = np.sum(weights * np.abs(spec[:, 0, 0]) ** 2) / 32.0
@@ -213,9 +234,21 @@ def test_round_trip_rect_full_length():
 
 def test_synthesize_guards_bin_count():
     with pytest.raises(ValueError, match="bin count"):
-        synthesize(np.zeros((4, 3, 2), dtype=complex), StftConfig(8, 2), 8000)
-    with pytest.raises(ValueError, match=r"\[K, T, M\]"):
-        synthesize(np.zeros((5, 3), dtype=complex), StftConfig(8, 2), 8000)
+        synthesize(np.zeros((4, 2, 3)), StftConfig(8, 2), 8000)
+    with pytest.raises(ValueError, match=r"planar real \[K, 2M, T\]"):
+        synthesize(np.zeros((5, 3)), StftConfig(8, 2), 8000)
+
+
+def test_synthesize_rejects_a_complex_spectrum():
+    """A complex [K, T, M] array, the layout before the planar one, is not
+    read as a [K, 2M, T] spectrum."""
+    with pytest.raises(ValueError, match=r"planar real \[K, 2M, T\], got complex128"):
+        synthesize(np.zeros((5, 4, 2), dtype=complex), StftConfig(8, 2), 8000)
+
+
+def test_synthesize_rejects_an_odd_row_count():
+    with pytest.raises(ValueError, match=r"planar real \[K, 2M, T\]"):
+        synthesize(np.zeros((5, 3, 4)), StftConfig(8, 2), 8000)
 
 
 def test_audio_buffer_validation():

@@ -4,7 +4,8 @@ The eigendecomposition inside ``build_whitener`` is checked on one-bin
 banks, through the eigenpairs its whitener determines: against the
 eigenvalues of the regularized matrix, a closed-form 2x2 case, its phase
 convention and its reproducibility; whitening is checked by the identity it
-must produce, including as a property over random banks.
+must produce, including as a property over random banks.  Spectra are
+built complex and handed over in the planar layout through ``planar``.
 """
 
 import numpy as np
@@ -14,18 +15,18 @@ from hypothesis import strategies as st
 
 from fastive.whitening import (
     EPS_COV_REL,
-    WHITEN_BLOCK_BINS,
     apply_whitener,
     build_whitener,
     estimate_covariance,
 )
-from oracles import from_planar
+from oracles import from_planar, planar
 
 
 def random_spec(seed, num_bins=5, num_frames=200, num_channels=3):
+    """Complex gaussian [K, T, M] data in the planar [K, 2M, T] layout."""
     rng = np.random.default_rng(seed)
-    return rng.normal(size=(num_bins, num_frames, num_channels)) \
-        + 1j * rng.normal(size=(num_bins, num_frames, num_channels))
+    return planar(rng.normal(size=(num_bins, num_frames, num_channels))
+                  + 1j * rng.normal(size=(num_bins, num_frames, num_channels)))
 
 
 def one_bin(matrix):
@@ -135,7 +136,7 @@ def test_estimate_covariance_hand_case():
     # two frames, one bin: C = (x1 x1^H + x2 x2^H) / 2
     x1 = np.array([1.0 + 0.0j, 1.0j])
     x2 = np.array([1.0 + 0.0j, -1.0j])
-    cov = estimate_covariance(np.stack([x1, x2])[None, :, :])
+    cov = estimate_covariance(planar(np.stack([x1, x2])[None, :, :]))
     np.testing.assert_allclose(cov[0], np.eye(2), atol=1e-15)
     hermitian_dev = cov - cov.conj().transpose(0, 2, 1)
     assert np.max(np.abs(hermitian_dev)) == 0.0
@@ -143,14 +144,26 @@ def test_estimate_covariance_hand_case():
 
 def test_estimate_covariance_needs_frames():
     with pytest.raises(ValueError, match="insufficient frames"):
-        estimate_covariance(np.zeros((1, 1, 2), dtype=complex))
+        estimate_covariance(np.zeros((1, 4, 1)))
 
 
 def test_estimate_covariance_needs_a_three_axis_spectrum():
-    with pytest.raises(ValueError, match=r"\[K, T, M\]"):
-        estimate_covariance(np.zeros((4, 3), dtype=complex))
-    with pytest.raises(ValueError, match=r"\[K, T, M\]"):
-        estimate_covariance(np.zeros((2, 4, 3, 1), dtype=complex))
+    with pytest.raises(ValueError, match=r"planar real \[K, 2M, T\]"):
+        estimate_covariance(np.zeros((4, 3)))
+    with pytest.raises(ValueError, match=r"planar real \[K, 2M, T\]"):
+        estimate_covariance(np.zeros((2, 4, 3, 1)))
+
+
+def test_estimate_covariance_rejects_a_complex_spectrum():
+    """A complex [K, T, M] array, the layout before the planar one, is not
+    read as a [K, 2M, T] spectrum of T/2 channels and M frames."""
+    with pytest.raises(ValueError, match=r"planar real \[K, 2M, T\], got complex128"):
+        estimate_covariance(from_planar(random_spec(8)))
+
+
+def test_estimate_covariance_rejects_an_odd_row_count():
+    with pytest.raises(ValueError, match=r"planar real \[K, 2M, T\]"):
+        estimate_covariance(random_spec(8)[:, :5])
 
 
 def test_whitener_whitens():
@@ -162,7 +175,7 @@ def test_whitener_whitens():
     assert np.max(np.abs(ident - eye)) < 1e-8
 
     white = apply_whitener(spec, q)
-    wcov = estimate_covariance(from_planar(white))
+    wcov = estimate_covariance(white)
     assert np.max(np.abs(wcov - eye)) < 1e-8
 
 
@@ -241,19 +254,28 @@ def test_silent_bin_stays_finite():
     np.testing.assert_array_equal(white[2], 0.0)
 
 
-@pytest.mark.parametrize("num_bins", [1, WHITEN_BLOCK_BINS - 1, WHITEN_BLOCK_BINS,
-                                      WHITEN_BLOCK_BINS + 1, 1025])
-@pytest.mark.parametrize("rank", [2, 3])
-def test_planar_output_is_the_batched_product_bit_for_bit(num_bins, rank):
-    """Rows ``:R`` of every bin are Re(Q x) and rows ``R:`` Im(Q x) of the
-    one batched complex matmul, whatever blocks the bins fall in."""
-    spec = random_spec(7, num_bins=num_bins, num_frames=6)
-    q = build_whitener(estimate_covariance(spec), rank=rank)
-    white = apply_whitener(spec, q)
-    assert white.shape == (num_bins, 2 * rank, 6) and white.dtype == np.float64
-    product = np.matmul(q, spec.transpose(0, 2, 1))
-    np.testing.assert_array_equal(white[:, :rank], product.real)
-    np.testing.assert_array_equal(white[:, rank:], product.imag)
+@pytest.mark.parametrize("num_channels", [2, 3, 6, 17])
+def test_planar_stages_match_the_complex_products(num_channels):
+    """Over 1025 bins, the covariance from the real Gram of the planar rows
+    matches the complex ``x^T conj(x) / T`` and is exactly Hermitian, and
+    the planar whitening matches ``planar`` of the complex ``Q x``, at full
+    rank and at rank 2; each entry to 1e-13 of its rounding-error scale, the
+    same contraction taken over absolute values."""
+    rng = np.random.default_rng(num_channels)
+    shape = (1025, 40, num_channels)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    ax = np.abs(x).transpose(0, 2, 1)
+    cov = estimate_covariance(planar(x))
+    ref = np.matmul(x.transpose(0, 2, 1), x.conj()) / 40
+    assert np.all(np.abs(cov - ref) <= 1e-13 * np.matmul(ax, ax.transpose(0, 2, 1)) / 40)
+    assert np.array_equal(cov, cov.conj().transpose(0, 2, 1))
+    for rank in (num_channels, 2):
+        q = build_whitener(cov, rank=rank)
+        white = apply_whitener(planar(x), q)
+        assert white.shape == (1025, 2 * rank, 40) and white.dtype == np.float64
+        want = planar(np.matmul(q, x.transpose(0, 2, 1)).transpose(0, 2, 1))
+        scale = np.tile(np.matmul(np.abs(q), ax), (1, 2, 1))
+        assert np.all(np.abs(white - want) <= 1e-13 * scale)
 
 
 def test_apply_whitener_shape_guards():
@@ -267,11 +289,25 @@ def test_apply_whitener_shape_guards():
         apply_whitener(two_ch, q)
 
 
+def test_apply_whitener_rejects_a_complex_spectrum():
+    spec = random_spec(9)
+    q = build_whitener(estimate_covariance(spec))
+    with pytest.raises(ValueError, match=r"planar real \[K, 2M, T\], got complex128"):
+        apply_whitener(from_planar(spec), q)
+
+
+def test_apply_whitener_rejects_an_odd_row_count():
+    spec = random_spec(9)
+    q = build_whitener(estimate_covariance(spec))
+    with pytest.raises(ValueError, match=r"planar real \[K, 2M, T\]"):
+        apply_whitener(spec[:, :5], q)
+
+
 def test_regularization_handles_rank_deficiency():
     # one channel duplicated: covariance is singular without the shift
     rng = np.random.default_rng(5)
     x = rng.normal(size=(2, 100, 1)) + 1j * rng.normal(size=(2, 100, 1))
-    data = np.concatenate([x, x], axis=2)
+    data = planar(np.concatenate([x, x], axis=2))
     q = build_whitener(estimate_covariance(data))
     assert np.all(np.isfinite(q))
     white = apply_whitener(data, q)
