@@ -278,6 +278,23 @@ def test_planar_stages_match_the_complex_products(num_channels):
         assert np.all(np.abs(white - want) <= 1e-13 * scale)
 
 
+@pytest.mark.parametrize("num_bins", [1, 63, 64, 65, 1025])
+@pytest.mark.parametrize("rank", [2, 3])
+def test_planar_output_is_the_batched_product_bit_for_bit(num_bins, rank):
+    """Every bin of the planar output is exactly the real product of
+    ``[[Re Q, -Im Q], [Im Q, Re Q]]`` with that bin's planar rows, and the
+    same as whitening that bin alone, whatever the bin count."""
+    spec = random_spec(7, num_bins=num_bins, num_frames=6)
+    q = build_whitener(estimate_covariance(spec), rank=rank)
+    white = apply_whitener(spec, q)
+    assert white.shape == (num_bins, 2 * rank, 6) and white.dtype == np.float64
+    for k in range(num_bins):
+        block = np.block([[q[k].real, -q[k].imag], [q[k].imag, q[k].real]])
+        np.testing.assert_array_equal(white[k], block @ spec[k])
+        np.testing.assert_array_equal(
+            white[k], apply_whitener(spec[k:k + 1], q[k:k + 1])[0])
+
+
 def test_apply_whitener_shape_guards():
     spec = random_spec(4)
     q = build_whitener(estimate_covariance(spec))
