@@ -17,8 +17,14 @@ power, whose column sums are ``r`` and whose matvec with G''(r) is ``a``;
 with it gives the four real blocks of ``b``.  ``y`` and the power are the
 only [K, T]-sized arrays an iteration makes.  Each iteration also
 returns its step ``max_k (1 - |<w_new^k, w_old^k>|)``, which ignores the
-irrelevant global phase per bin; the solve stops, converged, at the first
-step below the tolerance, or unconverged after ``max_iter`` iterations.
+irrelevant global phase per bin.
+
+The solve accelerates this map with SQUAREM (Varadhan & Roland 2008),
+which keeps its fixed points: each cycle is two plain maps and one at an
+extrapolated point (``solve``).  A map is one iteration, so
+``iterations_used`` and the cost history count every map, the extrapolated
+one included; the solve stops, converged, at the first map whose step is
+below the tolerance, or unconverged after ``max_iter`` maps.
 
 The per-bin scaling left undetermined by the unit-norm constraint is
 resolved by back-projecting into the microphone domain, estimating the
@@ -71,7 +77,9 @@ class DemixState:
     """Where a solve stopped.
 
     w : [K, R] unit-norm demixing vectors on whitened data
-    cost_history : objective value at the start of each iteration run
+    cost_history : the cost ``-E[G]`` at the input of each map ``solve``
+        ran, in order: two plain maps and one at the extrapolated point per
+        cycle, so its length is the number of maps (``iterations_used``)
     """
 
     w: np.ndarray
@@ -147,19 +155,64 @@ def iterate_once(white, w, model):
 
 
 def solve(white, config):
-    """Iterate on planar whitened [K, 2R, T] data from the one-hot start
-    ``w^k = e_1`` (the top principal component per bin) until a step falls
-    below ``config.tol`` or ``config.max_iter`` steps are taken."""
+    """SQUAREM-accelerated fixed point on planar whitened [K, 2R, T] data,
+    from the one-hot start ``w^k = e_1`` (the top principal component).
+
+    The map G is ``iterate_once``'s update with each bin turned so that
+    ``<w^k, G(w)^k>`` is real and non-negative (a bin orthogonal to its
+    update is not turned): a stationary ``w`` is then a fixed point of G.
+    A cycle maps ``w1 = G(w)`` and ``w2 = G(w1)``, takes ``r = w1 - w``,
+    ``v = w2 - 2 w1 + w`` and one ``alpha = min(-||r|| / ||v||, -1)`` over
+    all bins, and maps once more at the per-bin normalized
+    ``w' = w - 2 alpha r + alpha^2 v`` (``alpha = -1`` gives ``w2``).  That
+    map's output goes on if its cost at ``w'`` is at least the cost at
+    ``w1`` (E[G] did not rise), else ``w2`` does: both costs come with the
+    maps.  Each map is one ``iterate_once`` call and one ``cost_history``
+    entry.  The solve stops, converged, at the first map whose step is
+    below ``config.tol``, or unconverged after ``config.max_iter`` maps.  A
+    zero row of the whitened data (a direction ``build_whitener`` dropped)
+    stays zero in ``w``: the update has no component there, and the
+    extrapolation combines vectors that are zero there."""
     num_bins, planes, _ = white.shape
     w = np.zeros((num_bins, planes // 2), dtype=np.complex128)
     w[:, 0] = 1.0
     costs = []
-    for _ in range(config.max_iter):
-        w, cost, step = iterate_once(white, w, config.prior)
+
+    def mapped(start):
+        w_new, cost, step = iterate_once(white, start, config.prior)
         costs.append(cost)
-        if step < config.tol:
-            return DemixState(w, True, costs)
-    return DemixState(w, False, costs)
+        inner = np.einsum("kr,kr->k", start.conj(), w_new)
+        size = np.abs(inner)
+        phase = np.ones_like(inner)
+        np.divide(inner.conj(), size, out=phase, where=size > 0.0)
+        return w_new * phase[:, None], step < config.tol
+
+    while True:
+        w1, done = mapped(w)
+        if done or len(costs) == config.max_iter:
+            return DemixState(w1, done, costs)
+        w2, done = mapped(w1)
+        if done or len(costs) == config.max_iter:
+            return DemixState(w2, done, costs)
+        r = w1 - w
+        size_r = float(np.linalg.norm(r))
+        size_v = float(np.linalg.norm(w2 - w1 - r))  # v = w2 - 2 w1 + w
+        # w' / alpha^2 = c^2 w - 2 c w1 + w2 with c = 1 + 1 / alpha in [0, 1]:
+        # no term overflows however long the step, and the normalization
+        # drops the positive scale.  ||r|| = 0 or ||v|| = 0 leaves no step
+        # to take: c = 0 (alpha = -1) gives w2
+        c = max(1.0 - size_v / size_r, 0.0) if size_r > 0.0 and size_v > 0.0 else 0.0
+        w_ext = (c * c) * w - (2.0 * c) * w1 + w2
+        norms = np.linalg.norm(w_ext, axis=1)
+        zero = norms == 0.0
+        w_ext[zero] = w2[zero]
+        norms[zero] = 1.0
+        w3, done = mapped(w_ext / norms[:, None])
+        if done:
+            return DemixState(w3, True, costs)
+        w = w3 if costs[-1] >= costs[-2] else w2
+        if len(costs) == config.max_iter:
+            return DemixState(w, False, costs)
 
 
 def back_project(w, q):

@@ -52,6 +52,9 @@ class EvalReport:
     success: bool
     runtime_seconds: float
     iterations: int
+    # whether the solve stopped on its tolerance; None for an estimate
+    # whose extraction was not run here
+    converged: bool | None = None
     algorithm: str = ""
     scenario_id: str = ""
 
@@ -66,6 +69,7 @@ class EvalReport:
             "success": self.success,
             "runtime_s": self.runtime_seconds,
             "iterations": self.iterations,
+            "converged": self.converged,
         }
 
 
@@ -222,6 +226,7 @@ def evaluate(
         success=improvement > 0.0,
         runtime_seconds=result.runtime_seconds,
         iterations=result.iterations_used,
+        converged=None if result.state is None else result.state.converged,
         algorithm=algorithm,
         scenario_id=scenario_id,
     )
@@ -229,7 +234,9 @@ def evaluate(
 
 def aggregate(reports):
     """Battery summary: success rate over all trials, mean SIR improvement
-    over the successes (absent when there are none), mean runtime."""
+    over the successes (absent when there are none), mean runtime and
+    iterations, and the share of trials whose solve converged (stopped on
+    its tolerance, not on ``max_iter``)."""
     reports = list(reports)
     if not reports:
         raise ValueError("no reports to aggregate")
@@ -249,4 +256,5 @@ def aggregate(reports):
         ),
         "mean_runtime_s": float(np.mean([r.runtime_seconds for r in reports])),
         "mean_iterations": float(np.mean([r.iterations for r in reports])),
+        "converged_share": sum(bool(r.converged) for r in reports) / len(reports),
     }

@@ -2,12 +2,17 @@
 
 The whitener for bin k is ``Q^k = diag(d)^(-1/2) @ U^H`` built from the
 eigendecomposition of the spatial covariance, shifted by a fraction of its
-trace, so that ``Q^k C^k Q^k^H = I`` and the retained components are ordered
-by power.  No tolerance is an absolute power, so ``Q`` scales as 1/sqrt(gain).
+trace, with the retained components ordered by power.  A direction whose own
+power is no more than that shift carries only rounding (a noiseless mixture
+of fewer sources than mics has such directions), and its row of ``Q^k`` is
+zero; the leading row is always kept.  So ``Q^k C^k Q^k^H`` is the identity
+on the kept directions and zero elsewhere, and whitened data has exact zero
+rows where a direction was dropped.  No tolerance is an absolute power, so
+``Q`` scales as 1/sqrt(gain).
 All bins are decomposed by one batched LAPACK call (``np.linalg.eigh``);
 its ascending output read in reverse and a fixed phase convention make the
 eigenvectors reproducible bit-for-bit across runs.  The whitener is a plain
-[K, R, M] array: row i of ``Q^k`` is ``d_i^(-1/2) u_i^H``, so each retained
+[K, R, M] array: row i of ``Q^k`` is ``d_i^(-1/2) u_i^H``, so each kept
 eigenpair is recoverable from it as ``d_i = 1 / ||q_i||^2`` and
 ``u_i = q_i^H sqrt(d_i)``.
 Spectra in and whitened data out are in the planar real layout that
@@ -57,7 +62,9 @@ def estimate_covariance(x):
 
 def build_whitener(cov, rank=None):
     """Whitening matrices ``Q``, [K, R, M], for every bin of a [K, M, M]
-    covariance stack; row i of ``Q^k`` is ``d_i^(-1/2) u_i^H``.
+    covariance stack; row i of ``Q^k`` is ``d_i^(-1/2) u_i^H``, or zero
+    where the unshifted eigenvalue ``d_i - shift`` is at most the shift
+    (never in row 0).
 
     ``rank`` selects how many principal components to keep (default: all).
     A diagonal shift of ``EPS_COV_REL * trace/M`` guards the inverse square
@@ -90,9 +97,13 @@ def build_whitener(cov, rank=None):
     peak = np.argmax(np.abs(eigvecs), axis=1)[:, None, :]
     phase = np.take_along_axis(eigvecs, peak, axis=1)
     eigvecs *= phase.conj() / np.abs(phase)
-    return (
-        eigvals[:, :rank, None] ** -0.5 * eigvecs[:, :, :rank].conj().transpose(0, 2, 1)
-    )
+    q = eigvals[:, :rank, None] ** -0.5 * eigvecs[:, :, :rank].conj().transpose(0, 2, 1)
+    # a direction whose own power is no more than the shift carries only
+    # rounding: its row is zero rather than scaled up to unit power
+    faint = vals[:, ::-1][:, :rank] - shift[:, None] <= shift[:, None]
+    faint[:, 0] = False
+    q[faint] = 0.0
+    return q
 
 
 def apply_whitener(x, q):

@@ -134,8 +134,9 @@ def test_simulate_extract_evaluate_pipeline(tmp_path, capsys):
     assert record["input_sir_db"] == pytest.approx(10.0, abs=0.5)
     assert record["sirimp_db"] > 0.0
     assert record["success"] is True
-    # a WAV on disk carries no extraction time or iteration count
+    # a WAV on disk carries no extraction time, iteration count or flag
     assert record["runtime_s"] is None and record["iterations"] is None
+    assert record["converged"] is None
 
 
 def test_extract_report_config_round_trips(tmp_path):
@@ -235,7 +236,8 @@ def test_bench_grid(tmp_path, capsys):
     for rec in records:
         assert rec["algorithm"] == "fastive-t"
         assert isinstance(rec["success"], bool)
-        assert rec["iterations"] >= 1
+        assert isinstance(rec["converged"], bool)
+        assert 1 <= rec["iterations"] <= SolverConfig.max_iter
 
     summary = json.loads((out / "summary.json").read_text())
     # the echo is the resolved grid: defaults the file left out are filled in
@@ -264,6 +266,7 @@ def test_bench_grid(tmp_path, capsys):
     assert cell["errors"] == 0
     assert cell["num_trials"] == 2
     assert 0.0 <= cell["success_rate"] <= 1.0
+    assert cell["converged_share"] == sum(r["converged"] for r in records) / 2
 
     printed = capsys.readouterr().out
     assert "N2_M2_sir10_t" in printed

@@ -10,6 +10,7 @@ solver has to capture a source that dominates the mixture.
 import re
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -264,6 +265,81 @@ def test_solve_starts_from_e1():
     np.testing.assert_allclose(np.abs(state.w), [[1.0, 0.0]], atol=1e-12)
 
 
+def plain_fixed_point(white, model, tol, max_iter):
+    """The update iterated on its own from e_1 until a step is below tol."""
+    w = np.zeros((white.shape[0], white.shape[1] // 2), complex)
+    w[:, 0] = 1.0
+    for maps in range(1, max_iter + 1):
+        w, _, step = iterate_once(white, w, model)
+        if step < tol:
+            return w, maps
+    raise AssertionError(f"plain fixed point did not reach {tol} in {max_iter} maps")
+
+
+def phase_free_gap(w, ref):
+    """Largest entry of ``w`` minus ``ref`` turned per bin to w's phase."""
+    inner = np.sum(ref.conj() * w, axis=1)
+    return float(np.max(np.abs(w - ref * (inner / np.abs(inner))[:, None])))
+
+
+@settings(deadline=None, max_examples=60)
+@given(num_bins=st.integers(1, 9), num_frames=st.integers(2, 40),
+       rank=st.integers(1, 4), kind=st.sampled_from(ALL_KINDS),
+       seed=st.integers(0, 2**32 - 1), max_iter=st.integers(1, 40),
+       tol=st.sampled_from([1e-300, 1e-6]))
+def test_solve_counts_maps_up_to_max_iter(num_bins, num_frames, rank, kind, seed,
+                                          max_iter, tol):
+    """Every map, the extrapolated one too, is one cost entry; the solve
+    stops on the first step below tol or at exactly max_iter maps, with no
+    floating-point warning.  At tol 1e-300 only a step of exactly 0 stops
+    it early, which small instances reach in as few as 9 maps: the
+    solution is then a fixed point to rounding."""
+    white = planar(random_instance(seed, num_bins, num_frames, rank)[0])
+    model = ContrastModel(kind=kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = solve(white, SolverConfig(prior=model, max_iter=max_iter, tol=tol))
+    maps = len(state.cost_history)
+    assert 1 <= maps <= max_iter
+    assert state.converged or maps == max_iter
+    np.testing.assert_allclose(np.linalg.norm(state.w, axis=1), 1.0, atol=1e-12)
+    if tol == 1e-300 and maps < max_iter:
+        assert iterate_once(white, state.w, model)[2] <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["ssl", "t"])
+def test_accelerated_solve_reaches_the_plain_fixed_point(kind):
+    """On the separable instance the plain update converges fast, and the
+    extrapolated solve lands on the same point, up to each bin's phase,
+    in no more maps (ssl 10 against 11, t 7 against 7)."""
+    spec, _, _ = separable_instance()
+    model = ContrastModel(kind=kind)
+    state = solve(planar(spec), SolverConfig(prior=model, max_iter=1000, tol=1e-12))
+    plain, maps = plain_fixed_point(planar(spec), model, 1e-12, 1000)
+    assert state.converged
+    assert len(state.cost_history) <= maps
+    assert phase_free_gap(state.w, plain) <= 1e-6
+
+
+def test_accelerated_solve_needs_a_fraction_of_the_maps_on_the_battery_scene():
+    """Where the plain update converges slowly, as on the acceptance
+    battery's first scene (2 talkers, 2 mics, rt60 0.2 s, 3 s at +10 dB),
+    the extrapolated solve reaches a step below 1e-12 in 57 maps against
+    the plain update's 641, at the same point: the gap is the distance the
+    plain update still has to go."""
+    fs = 16000
+    scene = replace(default_geometry(2, 2), input_sir_db=10.0, seed=0,
+                    source_signals=tuple(speech_like_sources(2, 3 * fs, fs, 0)))
+    spec = analyze(render(scene, fs).mixture, StftConfig())
+    white = apply_whitener(spec, build_whitener(estimate_covariance(spec)))
+    model = ContrastModel()
+    state = solve(white, SolverConfig(max_iter=1000, tol=1e-12))
+    plain, maps = plain_fixed_point(white, model, 1e-12, 2000)
+    assert state.converged
+    assert 5 * len(state.cost_history) <= maps
+    assert phase_free_gap(state.w, plain) <= 1e-3
+
+
 def test_back_project_composes_the_whitener():
     spec, _ = random_instance(5, 3, 64, 3)
     q = build_whitener(estimate_covariance(planar(spec)))
@@ -463,6 +539,50 @@ def test_extract_scales_a_band_the_reference_does_not_hear():
     for gain in (1e-6, 1e6):
         scaled = extract(AudioBuffer(gain * mix, fs), config, stft).audio.samples[:, 0]
         assert np.max(np.abs(scaled - gain * out)) <= 1e-8 * np.max(np.abs(gain * out))
+
+
+def low_rank_mixture():
+    """Two Laplace sources through a fixed 3x2 matrix, 3 s, no noise: every
+    bin's covariance has one direction that holds only rounding."""
+    sources = np.random.default_rng(0).laplace(size=(3 * 16000, 2))
+    return sources @ np.array([[1.0, 0.5], [0.7, 1.0], [0.4, 0.8]]).T
+
+
+def test_solved_vectors_are_zero_where_the_whitener_is():
+    """A whitener row that carries only rounding is zero, so is that row of
+    the whitened data, and no map or extrapolation moves the solve off
+    it: the solved vectors are exactly zero there."""
+    spec = analyze(AudioBuffer(low_rank_mixture(), 16000), StftConfig())
+    q = build_whitener(estimate_covariance(spec))
+    zero = ~np.any(q, axis=2)
+    assert zero[:, 2].mean() > 0.9 and not np.any(zero[:, :2])
+    state = solve(apply_whitener(spec, q), SolverConfig())
+    assert np.all(state.w[zero] == 0.0)
+
+
+def test_extract_is_gain_equivariant_on_a_noiseless_low_rank_mixture():
+    """At full rank and the default max_iter, with the rounding direction
+    dropped from the whitener, extract runs and scales with the gain."""
+    mix = low_rank_mixture()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = extract(AudioBuffer(mix, 16000)).audio.samples
+        for gain in (1e-6, 1e6):
+            gap = extract(AudioBuffer(gain * mix, 16000)).audio.samples - gain * out
+            assert np.max(np.abs(gap)) <= 1e-8 * np.max(np.abs(gain * out))
+
+
+@pytest.mark.parametrize("num_mics", [3, 4, 6])
+def test_extract_runs_on_two_frames_at_more_mics(num_mics):
+    """Two frames (fft + hop samples) span at most two directions of each
+    bin; the rest hold only rounding, so the whitener drops them and the
+    solve cannot walk onto a silent output, for every seed."""
+    stft = StftConfig()
+    for seed in range(6):
+        noise = np.random.default_rng(seed).laplace(
+            size=(stft.fft_size + stft.hop_size, num_mics))
+        out = extract(AudioBuffer(noise, 16000), SolverConfig(max_iter=20)).audio
+        assert np.all(np.isfinite(out.samples)) and np.any(out.samples)
 
 
 @pytest.mark.parametrize("gain", [1e155, 1e200, 1e300])

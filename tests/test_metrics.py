@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastive import metrics
-from fastive.extractor import ExtractionResult
+from fastive.extractor import DemixState, ExtractionResult
 from fastive.metrics import (
     SIR_CAP_DB,
     EvalReport,
@@ -24,7 +24,7 @@ from fastive.stft import AudioBuffer
 from oracles import explicit_sir_db
 
 WIRE_KEYS = ("scenario_id", "algorithm", "input_sir_db", "output_sir_db",
-             "sirimp_db", "success", "runtime_s", "iterations")
+             "sirimp_db", "success", "runtime_s", "iterations", "converged")
 
 
 def test_perfect_estimate_has_no_interference():
@@ -106,7 +106,8 @@ def fabricated_truth(seed=5, n=2000):
 
 
 def fabricated_result(samples, runtime=0.25, iterations=12):
-    state = type("S", (), {})()  # evaluate only reads the audio and counters
+    # evaluate only reads the audio, the counters and the convergence flag
+    state = DemixState(w=np.zeros((1, 1), complex), converged=True, cost_history=[])
     return ExtractionResult(audio=AudioBuffer(samples, 16000), state=state,
                             runtime_seconds=runtime, iterations_used=iterations)
 
@@ -121,6 +122,7 @@ def test_evaluate_scores_a_perfect_extraction():
     assert report.sir_improvement_db > 250.0
     assert report.runtime_seconds == 0.25
     assert report.iterations == 12
+    assert report.converged is True
     assert report.algorithm == "oracle"
 
 
@@ -200,7 +202,7 @@ def test_singular_gram_falls_back_to_least_squares(second):
 def test_wire_record_fields():
     report = EvalReport(input_sir_db=1.0, output_sir_db=4.0,
                         sir_improvement_db=3.0, success=True,
-                        runtime_seconds=0.5, iterations=7,
+                        runtime_seconds=0.5, iterations=7, converged=False,
                         algorithm="x", scenario_id="y")
     record = report.to_record()
     assert set(record) == set(WIRE_KEYS)
@@ -208,13 +210,14 @@ def test_wire_record_fields():
     assert record["success"] is True
     assert record["runtime_s"] == 0.5
     assert record["iterations"] == 7
+    assert record["converged"] is False
 
 
 def test_aggregate_statistics():
     reports = [
-        EvalReport(10.0, 18.0, 8.0, True, 0.2, 10),
-        EvalReport(10.0, 16.0, 6.0, True, 0.4, 20),
-        EvalReport(10.0, 6.0, -4.0, False, 0.6, 30),
+        EvalReport(10.0, 18.0, 8.0, True, 0.2, 10, True),
+        EvalReport(10.0, 16.0, 6.0, True, 0.4, 20, True),
+        EvalReport(10.0, 6.0, -4.0, False, 0.6, 30, False),
     ]
     summary = aggregate(reports)
     assert summary["num_trials"] == 3
@@ -224,6 +227,7 @@ def test_aggregate_statistics():
     assert summary["mean_sirimp_all_db"] == pytest.approx(10.0 / 3.0)
     assert summary["mean_runtime_s"] == pytest.approx(0.4)
     assert summary["mean_iterations"] == pytest.approx(20.0)
+    assert summary["converged_share"] == pytest.approx(2.0 / 3.0)
 
 
 def test_aggregate_with_no_successes():

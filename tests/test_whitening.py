@@ -8,11 +8,15 @@ must produce, including as a property over random banks.  Spectra are
 built complex and handed over in the planar layout through ``planar``.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fastive.roomsim import default_geometry, render, speech_like_sources
+from fastive.stft import StftConfig, analyze
 from fastive.whitening import (
     EPS_COV_REL,
     apply_whitener,
@@ -252,6 +256,34 @@ def test_silent_bin_stays_finite():
     assert np.all(np.isfinite(q))
     white = apply_whitener(spec, q)
     np.testing.assert_array_equal(white[2], 0.0)
+
+
+def test_whitener_drops_directions_below_the_shift():
+    """A rank-2 covariance in 3 channels: the third direction's own power
+    is rounding, so its row is zero and ``Q C Q^H`` is the identity on the
+    two kept directions and zero on the dropped one.  A silent bin keeps
+    its leading row, finite."""
+    rng = np.random.default_rng(12)
+    mix = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    cov = np.stack([mix @ mix.conj().T, np.zeros((3, 3))]).astype(complex)
+    q = build_whitener(cov)
+    assert np.all(q[0, 2] == 0.0) and np.all(np.any(q[0, :2], axis=1))
+    ident = np.einsum("rm,mn,sn->rs", q[0], cov[0], q[0].conj())
+    assert np.max(np.abs(ident - np.diag([1.0, 1.0, 0.0]))) < 1e-8
+    assert np.all(np.isfinite(q[1, 0])) and np.any(q[1, 0])
+    assert np.all(q[1, 1:] == 0.0)
+
+
+def test_no_row_is_zeroed_on_the_two_mic_battery_scene():
+    """At M = 2 every direction of the acceptance battery's scene carries
+    power, so dropping rounding directions leaves its whitener alone."""
+    fs = 16000
+    scene = default_geometry(2, 2)
+    sources = speech_like_sources(2, 3 * fs, fs, 0)
+    mixture = render(replace(scene, source_signals=tuple(sources),
+                             input_sir_db=10.0, seed=0), fs).mixture
+    q = build_whitener(estimate_covariance(analyze(mixture, StftConfig())))
+    assert np.all(np.any(q, axis=2))
 
 
 @pytest.mark.parametrize("num_channels", [2, 3, 6, 17])
