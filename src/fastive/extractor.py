@@ -10,14 +10,26 @@ once and then updates all bins simultaneously:
 
 followed by per-bin renormalization to unit length.  The iteration runs in
 real arithmetic on the planar [K, 2R, T] whitened data (``stft`` defines
-the layout): a real batched ``np.matmul`` (one BLAS call per bin) gives the
-real and imaginary rows of ``y``, [K, 2, T]; their summed squares are the
-power, whose column sums are ``r`` and whose matvec with G''(r) is ``a``;
-``y`` is scaled by G'(r) in place, and a second batched matmul of the data
-with it gives the four real blocks of ``b``.  ``y`` and the power are the
-only [K, T]-sized arrays an iteration makes.  Each iteration also
-returns its step ``max_k (1 - |<w_new^k, w_old^k>|)``, which ignores the
-irrelevant global phase per bin.
+the layout), in two passes over the bins.  The first demixes: a real
+batched ``np.matmul`` (one BLAS call per bin) gives the real and imaginary
+rows of ``y``, [K, 2, T], and their summed squares each bin's power.
+Between the passes the power's column sums give ``r``, and the prior is
+evaluated at it.  The second contracts each bin's power with G''(r) to
+``a``, in an ``einsum`` rather than a BLAS matvec, scales ``y`` by G'(r) in
+place, and with a second batched matmul of the data with ``y`` gives the
+four real blocks of ``b``.  ``y`` and the power are the only [K, T]-sized
+arrays an iteration makes.  Each iteration also returns its step
+``max_k (1 - |<w_new^k, w_old^k>|)``, which ignores the irrelevant global
+phase per bin.
+
+Within a pass every bin's arithmetic is its own, so ``solve`` splits both
+passes over contiguous bin slices, one per CPU the process may run on
+(``os.sched_getaffinity``, which ``taskset`` restricts), on a thread pool
+that lives for the solve, when the whitened data has at least
+``SPLIT_MIN_ENTRIES`` (2^21) entries; below that a map is too short to
+share out.  The result is bit-identical to a serial run.  No BLAS call in
+a pass spans more than one bin: at long T, OpenBLAS would run the [K, T]
+matvec on threads of its own, which would take the CPUs from the split.
 
 The solve accelerates this map with SQUAREM (Varadhan & Roland 2008),
 which keeps its fixed points: each cycle is two plain maps and one at an
@@ -40,7 +52,10 @@ demixed, and hands the one-channel planar output [K, 2, T] to ``synthesize``.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +65,9 @@ from .stft import AudioBuffer, StftConfig, analyze, check_int, check_number, syn
 from .whitening import apply_whitener, build_whitener, estimate_covariance
 
 DENOM_TOL = 1e-30
+# whitened data of at least this many entries (K 2R T) has its maps split
+# over bin slices on the process's CPUs; below it a map is too short to share
+SPLIT_MIN_ENTRIES = 2**21
 
 
 @dataclass(frozen=True)
@@ -103,47 +121,106 @@ class ExtractionResult:
     timings: dict = field(default_factory=dict)
 
 
+def _demix_rows(w):
+    """The real [K, 2, 2R] rows ``[Re w, Im w]`` and ``[-Im w, Re w]`` whose
+    product with planar whitened data is the demixed output."""
+    return np.stack([np.concatenate([w.real, w.imag], axis=1),
+                     np.concatenate([-w.imag, w.real], axis=1)], axis=1)
+
+
 def demix(white, w):
     """Demixed output ``y[k, t] = w^k^H x~[k, t]`` of planar whitened data,
     as the one-channel planar spectrum [K, 2, T] of its real and imaginary
-    rows: one real batched matmul of the rows ``[Re w, Im w]`` and
-    ``[-Im w, Re w]`` with the [K, 2R, T] data."""
-    rows = np.stack([np.concatenate([w.real, w.imag], axis=1),
-                     np.concatenate([-w.imag, w.real], axis=1)], axis=1)
-    return np.matmul(rows, white)
+    rows: one real batched matmul of ``_demix_rows(w)`` with the [K, 2R, T]
+    data."""
+    return np.matmul(_demix_rows(w), white)
 
 
-def _update_terms(white, w, model):
+def _on_calling_thread(work):
+    """Run ``work`` on one slice of every bin, on the calling thread."""
+    work(slice(None))
+
+
+@contextlib.contextmanager
+def _bin_pool(num_bins, workers):
+    """A ``pool`` for ``_update_terms`` that runs ``work`` on ``workers``
+    contiguous bin slices at once, one thread each (fewer if there are fewer
+    bins), while the calling thread waits; a single slice runs on the
+    calling thread."""
+    bounds = [num_bins * i // workers for i in range(workers + 1)]
+    slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    if len(slices) < 2:
+        yield _on_calling_thread
+        return
+    with ThreadPoolExecutor(len(slices)) as executor:
+        # reading every result raises here what a worker raised
+        yield lambda work: list(executor.map(work, slices))
+
+
+def _split_workers(white):
+    """Bin slices to split a map over: one per CPU the process may run on
+    (``taskset`` restricts them) when the whitened data has at least
+    ``SPLIT_MIN_ENTRIES`` entries, else 1."""
+    if white.size < SPLIT_MIN_ENTRIES or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _update_terms(white, w, model, *, pool=_on_calling_thread):
     """Cost at w (the one place it is computed) and the (a, b) coefficients
     on planar whitened data; ``a`` and ``b`` contract over T with unit stride.
     ``-b`` is the cost's conjugate gradient: dC/du = -2 Re b, dC/dv = -2 Im b.
 
-    ``y``, which ``demix`` returns fresh, is scaled by G' in place; ``white``
-    and ``w`` are only read."""
-    rank = w.shape[1]
-    num_frames = white.shape[2]
-    y = demix(white, w)
-    power = np.einsum("kct,kct->kt", y, y)
+    ``pool(work)`` runs ``work(bins)`` over bin slices that cover every bin
+    once, and returns when all are done; the default is one slice on the
+    calling thread.  The two passes over the bins run through it: demixing
+    with the per-bin power, then the ``a`` and ``b`` contractions.  Between
+    them the calling thread sums the power to ``r`` and evaluates the prior.
+    Both passes write into arrays made here and allocate none, and no bin's
+    arithmetic depends on the slice it falls in, so every split gives the
+    same bits.  ``white`` and ``w`` are only read."""
+    num_bins, planes, num_frames = white.shape
+    rank = planes // 2
+    rows = _demix_rows(w)
+    y = np.empty((num_bins, 2, num_frames))
+    power = np.empty((num_bins, num_frames))
+    acc = np.empty(num_bins)
+    m = np.empty((num_bins, planes, 2))
+
+    def demix_pass(bins):
+        y_bins = y[bins]
+        np.matmul(rows[bins], white[bins], out=y_bins)
+        np.einsum("kct,kct->kt", y_bins, y_bins, out=power[bins])
+
+    pool(demix_pass)
     r = power.sum(axis=0)
     cost = float(-np.mean(priors.g(model, r)))
     gp = priors.g_prime(model, r)
     gpp = priors.g_double_prime(model, r)
-    a = gp.mean() + power @ gpp / num_frames
-    y *= gp
-    # blocks [[Re x.Re y, Re x.Im y], [Im x.Re y, Im x.Im y]] of sum_t G' x y
-    m = np.matmul(white, y.transpose(0, 2, 1)) / num_frames
+
+    def contract_pass(bins):
+        np.einsum("kt,t->k", power[bins], gpp, out=acc[bins])
+        y_bins = y[bins]
+        y_bins *= gp
+        # blocks [[Re x.Re y, Re x.Im y], [Im x.Re y, Im x.Im y]] of sum_t G' x y
+        np.matmul(white[bins], y_bins.transpose(0, 2, 1), out=m[bins])
+
+    pool(contract_pass)
+    a = gp.mean() + acc / num_frames
+    m /= num_frames
     b = (m[:, :rank, 0] + m[:, rank:, 1]) + 1j * (m[:, rank:, 0] - m[:, :rank, 1])
     return cost, a, b
 
 
-def iterate_once(white, w, model):
+def iterate_once(white, w, model, *, pool=_on_calling_thread):
     """One simultaneous fixed-point update of all bins, with renormalization.
 
     Returns ``(w_new, cost, step)``: the updated [K, R] unit vectors, the
     objective at the incoming ``w``, and ``max_k (1 - |<w_new^k, w^k>|)``,
-    which is >= 0 and blind to each bin's phase.
+    which is >= 0 and blind to each bin's phase.  ``pool`` goes on to
+    ``_update_terms``.
     """
-    cost, a, b = _update_terms(white, w, model)
+    cost, a, b = _update_terms(white, w, model, pool=pool)
     w_new = a[:, None] * w - b
     norms = np.linalg.norm(w_new, axis=1)
     if np.any(norms == 0.0):
@@ -177,42 +254,44 @@ def solve(white, config):
     w = np.zeros((num_bins, planes // 2), dtype=np.complex128)
     w[:, 0] = 1.0
     costs = []
+    with _bin_pool(num_bins, _split_workers(white)) as pool:
+        def mapped(start):
+            w_new, cost, step = iterate_once(white, start, config.prior, pool=pool)
+            costs.append(cost)
+            inner = np.einsum("kr,kr->k", start.conj(), w_new)
+            size = np.abs(inner)
+            phase = np.ones_like(inner)
+            np.divide(inner.conj(), size, out=phase, where=size > 0.0)
+            return w_new * phase[:, None], step < config.tol
 
-    def mapped(start):
-        w_new, cost, step = iterate_once(white, start, config.prior)
-        costs.append(cost)
-        inner = np.einsum("kr,kr->k", start.conj(), w_new)
-        size = np.abs(inner)
-        phase = np.ones_like(inner)
-        np.divide(inner.conj(), size, out=phase, where=size > 0.0)
-        return w_new * phase[:, None], step < config.tol
-
-    while True:
-        w1, done = mapped(w)
-        if done or len(costs) == config.max_iter:
-            return DemixState(w1, done, costs)
-        w2, done = mapped(w1)
-        if done or len(costs) == config.max_iter:
-            return DemixState(w2, done, costs)
-        r = w1 - w
-        size_r = float(np.linalg.norm(r))
-        size_v = float(np.linalg.norm(w2 - w1 - r))  # v = w2 - 2 w1 + w
-        # w' / alpha^2 = c^2 w - 2 c w1 + w2 with c = 1 + 1 / alpha in [0, 1]:
-        # no term overflows however long the step, and the normalization
-        # drops the positive scale.  ||r|| = 0 or ||v|| = 0 leaves no step
-        # to take: c = 0 (alpha = -1) gives w2
-        c = max(1.0 - size_v / size_r, 0.0) if size_r > 0.0 and size_v > 0.0 else 0.0
-        w_ext = (c * c) * w - (2.0 * c) * w1 + w2
-        norms = np.linalg.norm(w_ext, axis=1)
-        zero = norms == 0.0
-        w_ext[zero] = w2[zero]
-        norms[zero] = 1.0
-        w3, done = mapped(w_ext / norms[:, None])
-        if done:
-            return DemixState(w3, True, costs)
-        w = w3 if costs[-1] >= costs[-2] else w2
-        if len(costs) == config.max_iter:
-            return DemixState(w, False, costs)
+        while True:
+            w1, done = mapped(w)
+            if done or len(costs) == config.max_iter:
+                return DemixState(w1, done, costs)
+            w2, done = mapped(w1)
+            if done or len(costs) == config.max_iter:
+                return DemixState(w2, done, costs)
+            r = w1 - w
+            size_r = float(np.linalg.norm(r))
+            size_v = float(np.linalg.norm(w2 - w1 - r))  # v = w2 - 2 w1 + w
+            # w' / alpha^2 = c^2 w - 2 c w1 + w2 with c = 1 + 1 / alpha in [0, 1]:
+            # no term overflows however long the step, and the normalization
+            # drops the positive scale.  ||r|| = 0 or ||v|| = 0 leaves no step
+            # to take: c = 0 (alpha = -1) gives w2
+            c = 0.0
+            if size_r > 0.0 and size_v > 0.0:
+                c = max(1.0 - size_v / size_r, 0.0)
+            w_ext = (c * c) * w - (2.0 * c) * w1 + w2
+            norms = np.linalg.norm(w_ext, axis=1)
+            zero = norms == 0.0
+            w_ext[zero] = w2[zero]
+            norms[zero] = 1.0
+            w3, done = mapped(w_ext / norms[:, None])
+            if done:
+                return DemixState(w3, True, costs)
+            w = w3 if costs[-1] >= costs[-2] else w2
+            if len(costs) == config.max_iter:
+                return DemixState(w, False, costs)
 
 
 def back_project(w, q):

@@ -35,6 +35,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 COLA_TOL = 1e-6
+# frames that ``analyze`` transforms and copies to the planar layout at once
+ANALYZE_BLOCK = 32
 WINDOW_KINDS = ("hann", "sqrt_hann", "rect")
 
 # synthesis samples where the folded window-square falls below this fraction
@@ -189,12 +191,19 @@ def analyze(audio, config):
     num_frames = (n - config.fft_size) // config.hop_size + 1
     window = make_window(config.window, config.fft_size)
 
-    # [T, M, fft_size] view, then window and transform along the last axis
+    # [T, M, fft_size] view, then window and transform along the last axis,
+    # ANALYZE_BLOCK frames at a time: each block's copy to the planar layout
+    # then reads from cache
     frames = sliding_window_view(audio.samples, config.fft_size, axis=0)
     frames = frames[:: config.hop_size][:num_frames]
-    spec = np.fft.rfft(frames * window, axis=-1).transpose(2, 1, 0)
-    out = np.empty((config.num_bins, 2 * audio.num_channels, num_frames))
-    return np.concatenate([spec.real, spec.imag], axis=1, out=out)
+    num_channels = audio.num_channels
+    out = np.empty((config.num_bins, 2 * num_channels, num_frames))
+    for start in range(0, num_frames, ANALYZE_BLOCK):
+        block = slice(start, start + ANALYZE_BLOCK)
+        spec = np.fft.rfft(frames[block] * window, axis=-1).transpose(2, 1, 0)
+        out[:, :num_channels, block] = spec.real
+        out[:, num_channels:, block] = spec.imag
+    return out
 
 
 def synthesize(spec, config, sample_rate_hz):

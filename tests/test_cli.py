@@ -1,6 +1,7 @@
 """Command-line tests: each subcommand end to end on small synthetic
 scenarios, override parsing, and failure exit codes."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fastive import cli, metrics, roomsim
+from fastive import cli, extractor, metrics, roomsim
 from fastive.cli import apply_overrides, build_parser, main
 from fastive.extractor import STAGES, SolverConfig
 from fastive.priors import ContrastModel
@@ -272,7 +273,7 @@ def test_bench_grid(tmp_path, capsys):
     assert "N2_M2_sir10_t" in printed
 
 
-def test_bench_parallel_matches_serial(tmp_path):
+def test_bench_parallel_matches_serial(tmp_path, monkeypatch):
     # two geometries share one RIR build, and two priors one render and
     # reference factorisation per mixture
     grid = {
@@ -290,9 +291,14 @@ def test_bench_parallel_matches_serial(tmp_path):
                  "--jobs", "1"]) == 0
     serial = (tmp_path / "serial" / "records.jsonl").read_text().splitlines()
     assert len(serial) == 8
-    for jobs in ("2", "3"):
-        out = tmp_path / f"jobs{jobs}"
-        assert main(["bench", str(grid_path), "-o", str(out), "--jobs", jobs]) == 0
+    # concurrent solves, also with every map forced to split its bins over
+    # 3 threads of its own
+    for jobs, split in itertools.product(("2", "3"), (False, True)):
+        out = tmp_path / f"jobs{jobs}_{split}"
+        with monkeypatch.context() as patch:
+            if split:
+                patch.setattr(extractor, "_split_workers", lambda white: 3)
+            assert main(["bench", str(grid_path), "-o", str(out), "--jobs", jobs]) == 0
         par = (out / "records.jsonl").read_text().splitlines()
         assert len(par) == 8
         # whole records agree, scenario ids and SIRs included; only the

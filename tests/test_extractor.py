@@ -7,7 +7,9 @@ live in ``oracles.py``, shared with the acceptance gate.  End-to-end, the
 solver has to capture a source that dominates the mixture.
 """
 
+import os
 import re
+import threading
 import time
 import warnings
 from dataclasses import replace
@@ -17,9 +19,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fastive import extractor
 from fastive.extractor import (
+    SPLIT_MIN_ENTRIES,
     STAGES,
     SolverConfig,
+    _bin_pool,
+    _split_workers,
     _update_terms,
     back_project,
     demix,
@@ -305,6 +311,69 @@ def test_solve_counts_maps_up_to_max_iter(num_bins, num_frames, rank, kind, seed
     np.testing.assert_allclose(np.linalg.norm(state.w, axis=1), 1.0, atol=1e-12)
     if tol == 1e-300 and maps < max_iter:
         assert iterate_once(white, state.w, model)[2] <= 1e-12
+
+
+@pytest.mark.parametrize("shape, workers", [
+    ((1025, 4, 942), 3),   # 2 mics, 30 s: extract-m2-30s
+    ((1025, 12, 247), 3),  # 6 mics, 8 s: acceptance check 4's M = 6 case
+    ((1025, 12, 99), 1),   # 6 mics, 3 s: extract-m6-3s
+    ((1025, 4, 106), 1),   # 2 mics, 3 s and its reverberant tail: bench-grid
+    ((1, 2, SPLIT_MIN_ENTRIES // 2), 3),
+    ((1, 2, SPLIT_MIN_ENTRIES // 2 - 1), 1),
+])
+def test_maps_split_over_the_cpus_on_large_data_only(shape, workers, monkeypatch):
+    """One bin slice per allowed CPU from SPLIT_MIN_ENTRIES entries on; a
+    process allowed one CPU never splits."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    white = np.broadcast_to(0.0, shape)
+    assert _split_workers(white) == workers
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1})
+    assert _split_workers(white) == 1
+
+
+@settings(deadline=None, max_examples=40)
+@given(num_bins=st.integers(1, 40), num_frames=st.integers(2, 30),
+       rank=st.integers(1, 6), workers=st.integers(2, 5),
+       kind=st.sampled_from(ALL_KINDS), seed=st.integers(0, 2**32 - 1))
+def test_split_maps_match_the_serial_ones_bit_for_bit(num_bins, num_frames, rank,
+                                                      workers, kind, seed):
+    """Every bin's arithmetic is its own, so splitting the bins over threads,
+    more threads than bins or slices of unequal size included, changes no
+    bit of the update terms, of a map or of a whole solve."""
+    spec, w = random_instance(seed, num_bins, num_frames, rank)
+    white = planar(spec)
+    model = ContrastModel(kind=kind)
+    config = SolverConfig(prior=model, max_iter=12)
+    serial_terms = _update_terms(white, w, model)
+    serial_map = iterate_once(white, w, model)
+    serial_solve = solve(white, config)
+    with _bin_pool(num_bins, workers) as pool:
+        split_terms = _update_terms(white, w, model, pool=pool)
+        split_map = iterate_once(white, w, model, pool=pool)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(extractor, "_split_workers", lambda data: workers)
+        split_solve = solve(white, config)
+    for serial, split in [(serial_terms, split_terms), (serial_map, split_map)]:
+        for got, want in zip(split, serial):
+            assert np.array_equal(got, want)
+    assert np.array_equal(split_solve.w, serial_solve.w)
+    assert split_solve.cost_history == serial_solve.cost_history
+    assert split_solve.converged == serial_solve.converged
+
+
+def test_a_split_pass_runs_its_slices_at_once():
+    """A pool over 10 bins for 3 CPUs runs 3 contiguous slices covering
+    every bin once, concurrently: each waits at a barrier for the others."""
+    barrier = threading.Barrier(3, timeout=10)
+    slices = []
+
+    def work(bins):
+        barrier.wait()
+        slices.append((bins.start, bins.stop))
+
+    with _bin_pool(10, 3) as pool:
+        pool(work)
+    assert sorted(slices) == [(0, 3), (3, 6), (6, 10)]
 
 
 @pytest.mark.parametrize("kind", ["ssl", "t"])
