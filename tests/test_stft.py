@@ -152,20 +152,9 @@ def test_next_fast_len_matches_scipy_up_to_1e7(n):
     assert next_fast_len(n) == scipy_next_fast_len(n, True)
 
 
-@pytest.mark.parametrize("config", [StftConfig(8, 4, "rect"), StftConfig(64, 16),
-                                    StftConfig(2048, 512)])
-@pytest.mark.parametrize("num_channels", [1, 3])
-@pytest.mark.parametrize("num_frames", [1, 6, ANALYZE_BLOCK, 2 * ANALYZE_BLOCK + 5])
-def test_analyze_is_the_planar_per_frame_rfft(config, num_channels, num_frames):
-    """The layout pin: bin k of ``analyze`` holds, over the frames, the real
-    rows then the imaginary rows of each channel's windowed ``rfft``, in
-    one block of frames or several, the last one short."""
-    rng = np.random.default_rng(num_channels)
-    num_samples = (num_frames - 1) * config.hop_size + config.fft_size
-    # the trailing samples fill no frame
-    x = rng.normal(size=(num_samples + config.hop_size - 1, num_channels))
+def _assert_planar_per_frame_rfft(x, config):
+    num_channels = x.shape[1]
     spec = analyze(AudioBuffer(x, 8000), config)
-    assert spec.shape[2] == num_frames
     window = make_window(config.window, config.fft_size)
     starts = range(0, x.shape[0] - config.fft_size + 1, config.hop_size)
     per_frame = np.stack([np.fft.rfft(window * x[s:s + config.fft_size, m])
@@ -173,6 +162,33 @@ def test_analyze_is_the_planar_per_frame_rfft(config, num_channels, num_frames):
     want = per_frame.reshape(len(starts), num_channels, -1).transpose(2, 0, 1)
     assert spec.dtype == np.float64 and spec.flags.c_contiguous
     np.testing.assert_array_equal(spec, planar(want))
+    return spec
+
+
+@pytest.mark.parametrize("config", [StftConfig(8, 4, "rect"), StftConfig(64, 16),
+                                    StftConfig(2048, 512)])
+@pytest.mark.parametrize("num_channels", [1, 3])
+def test_analyze_is_the_planar_per_frame_rfft(config, num_channels):
+    """The layout pin: bin k of ``analyze`` holds, over the frames, the real
+    rows then the imaginary rows of each channel's windowed ``rfft``."""
+    rng = np.random.default_rng(num_channels)
+    x = rng.normal(size=(3 * config.fft_size + 5, num_channels))
+    _assert_planar_per_frame_rfft(x, config)
+
+
+@pytest.mark.parametrize("config", [StftConfig(8, 4, "rect"), StftConfig(64, 16),
+                                    StftConfig(2048, 512)])
+@pytest.mark.parametrize("num_channels", [1, 3])
+@pytest.mark.parametrize("num_frames", [1, 6, ANALYZE_BLOCK, 2 * ANALYZE_BLOCK + 5])
+def test_analyze_layout_holds_across_frame_blocks(config, num_channels, num_frames):
+    """The same layout pin in one block of frames or several, the last one
+    short."""
+    rng = np.random.default_rng(num_channels)
+    num_samples = (num_frames - 1) * config.hop_size + config.fft_size
+    # the trailing samples fill no frame
+    x = rng.normal(size=(num_samples + config.hop_size - 1, num_channels))
+    spec = _assert_planar_per_frame_rfft(x, config)
+    assert spec.shape[2] == num_frames
 
 
 def test_frames_are_left_aligned():
