@@ -10,26 +10,26 @@ once and then updates all bins simultaneously:
 
 followed by per-bin renormalization to unit length.  The iteration runs in
 real arithmetic on the planar [K, 2R, T] whitened data (``stft`` defines
-the layout), in two passes over the bins.  The first demixes: a real
-batched ``np.matmul`` (one BLAS call per bin) gives the real and imaginary
-rows of ``y``, [K, 2, T], and their summed squares each bin's power.
-Between the passes the power's column sums give ``r``, and the prior is
-evaluated at it.  The second contracts each bin's power with G''(r) to
-``a``, in an ``einsum`` rather than a BLAS matvec, scales ``y`` by G'(r) in
-place, and with a second batched matmul of the data with ``y`` gives the
-four real blocks of ``b``.  ``y`` and the power are the only [K, T]-sized
-arrays an iteration makes.  Each iteration also returns its step
-``max_k (1 - |<w_new^k, w_old^k>|)``, which ignores the irrelevant global
-phase per bin.
+the layout), in two passes over the bins.  The first demixes (``demix``,
+one BLAS call per bin) to the planar output ``y``, [K, 2, T], whose summed
+squares are each bin's power.  Between the passes the power's column sums
+give ``r``, and the prior is evaluated at it.  The second contracts each
+bin's power with G''(r) to ``a``, in an ``einsum`` rather than a BLAS
+matvec, scales ``y`` by G'(r) in place, and reads ``b`` off a second
+batched matmul, the real Gram of the data with ``y``.  ``y`` and the power
+are the only [K, T]-sized arrays an iteration makes.  Each iteration also
+returns its step ``max_k (1 - |<w_new^k, w_old^k>|)``, which ignores the
+irrelevant global phase per bin.
 
 Within a pass every bin's arithmetic is its own, so ``solve`` splits both
 passes over contiguous bin slices, one per CPU the process may run on
-(``os.sched_getaffinity``, which ``taskset`` restricts), on a thread pool
-that lives for the solve, when the whitened data has at least
-``SPLIT_MIN_ENTRIES`` (2^21) entries; below that a map is too short to
-share out.  The result is bit-identical to a serial run.  No BLAS call in
-a pass spans more than one bin: at long T, OpenBLAS would run the [K, T]
-matvec on threads of its own, which would take the CPUs from the split.
+(``os.sched_getaffinity``, which ``taskset`` restricts) and at most one
+per bin, on a thread pool that lives for the solve, when the whitened data
+has at least ``SPLIT_MIN_ENTRIES`` (2^21) entries; below that a map is too
+short to share out.  The result is bit-identical to a serial run.  No
+BLAS call in a pass spans more than one bin: at long T, OpenBLAS would run
+the [K, T] matvec on threads of its own, which would take the CPUs from
+the split.
 
 The solve accelerates this map with SQUAREM (Varadhan & Roland 2008),
 which keeps its fixed points: each cycle is two plain maps and one at an
@@ -61,12 +61,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import priors
-from .stft import AudioBuffer, StftConfig, analyze, check_int, check_number, synthesize
+from .stft import (AudioBuffer, StftConfig, analyze, check_int, check_number,
+                   complex_gram, real_form, synthesize)
 from .whitening import apply_whitener, build_whitener, estimate_covariance
 
 DENOM_TOL = 1e-30
-# whitened data of at least this many entries (K 2R T) has its maps split
-# over bin slices on the process's CPUs; below it a map is too short to share
+# entries (K 2R T) of whitened data from which ``solve`` splits its maps
 SPLIT_MIN_ENTRIES = 2**21
 
 
@@ -96,8 +96,8 @@ class DemixState:
 
     w : [K, R] unit-norm demixing vectors on whitened data
     cost_history : the cost ``-E[G]`` at the input of each map ``solve``
-        ran, in order: two plain maps and one at the extrapolated point per
-        cycle, so its length is the number of maps (``iterations_used``)
+        ran, in order, so its length is the number of maps
+        (``iterations_used``)
     """
 
     w: np.ndarray
@@ -121,19 +121,12 @@ class ExtractionResult:
     timings: dict = field(default_factory=dict)
 
 
-def _demix_rows(w):
-    """The real [K, 2, 2R] rows ``[Re w, Im w]`` and ``[-Im w, Re w]`` whose
-    product with planar whitened data is the demixed output."""
-    return np.stack([np.concatenate([w.real, w.imag], axis=1),
-                     np.concatenate([-w.imag, w.real], axis=1)], axis=1)
-
-
-def demix(white, w):
+def demix(white, w, out=None):
     """Demixed output ``y[k, t] = w^k^H x~[k, t]`` of planar whitened data,
     as the one-channel planar spectrum [K, 2, T] of its real and imaginary
-    rows: one real batched matmul of ``_demix_rows(w)`` with the [K, 2R, T]
-    data."""
-    return np.matmul(_demix_rows(w), white)
+    rows: one real batched matmul of the ``real_form`` of ``w^H`` with the
+    [K, 2R, T] data, into ``out`` if given (as ``np.matmul``'s)."""
+    return np.matmul(real_form(w.conj()[:, None, :]), white, out=out)
 
 
 def _on_calling_thread(work):
@@ -142,28 +135,23 @@ def _on_calling_thread(work):
 
 
 @contextlib.contextmanager
-def _bin_pool(num_bins, workers):
-    """A ``pool`` for ``_update_terms`` that runs ``work`` on ``workers``
-    contiguous bin slices at once, one thread each (fewer if there are fewer
-    bins), while the calling thread waits; a single slice runs on the
-    calling thread."""
-    bounds = [num_bins * i // workers for i in range(workers + 1)]
-    slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    if len(slices) < 2:
-        yield _on_calling_thread
-        return
-    with ThreadPoolExecutor(len(slices)) as executor:
+def _bin_pool(white):
+    """A ``pool`` for ``_update_terms``.  From ``SPLIT_MIN_ENTRIES`` entries
+    of ``white`` on, it runs ``work`` at once on one contiguous bin slice per
+    CPU the process may run on (``taskset`` restricts them), but on no more
+    slices than bins, one thread each, while the calling thread waits;
+    otherwise, or with one CPU, on the calling thread.  The executor starts
+    no thread until a split pass submits work."""
+    num_bins = white.shape[0]
+    workers = 1
+    if white.size >= SPLIT_MIN_ENTRIES and hasattr(os, "sched_getaffinity"):
+        workers = min(len(os.sched_getaffinity(0)), num_bins)
+    slices = [slice(num_bins * i // workers, num_bins * (i + 1) // workers)
+              for i in range(workers)]
+    with ThreadPoolExecutor(workers) as executor:
         # reading every result raises here what a worker raised
-        yield lambda work: list(executor.map(work, slices))
-
-
-def _split_workers(white):
-    """Bin slices to split a map over: one per CPU the process may run on
-    (``taskset`` restricts them) when the whitened data has at least
-    ``SPLIT_MIN_ENTRIES`` entries, else 1."""
-    if white.size < SPLIT_MIN_ENTRIES or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
+        yield (_on_calling_thread if workers == 1
+               else lambda work: list(executor.map(work, slices)))
 
 
 def _update_terms(white, w, model, *, pool=_on_calling_thread):
@@ -176,20 +164,17 @@ def _update_terms(white, w, model, *, pool=_on_calling_thread):
     calling thread.  The two passes over the bins run through it: demixing
     with the per-bin power, then the ``a`` and ``b`` contractions.  Between
     them the calling thread sums the power to ``r`` and evaluates the prior.
-    Both passes write into arrays made here and allocate none, and no bin's
-    arithmetic depends on the slice it falls in, so every split gives the
-    same bits.  ``white`` and ``w`` are only read."""
+    Both passes write into arrays made here, and no bin's arithmetic depends
+    on the slice it falls in, so every split gives the same bits.  ``white``
+    and ``w`` are only read."""
     num_bins, planes, num_frames = white.shape
-    rank = planes // 2
-    rows = _demix_rows(w)
     y = np.empty((num_bins, 2, num_frames))
     power = np.empty((num_bins, num_frames))
     acc = np.empty(num_bins)
     m = np.empty((num_bins, planes, 2))
 
     def demix_pass(bins):
-        y_bins = y[bins]
-        np.matmul(rows[bins], white[bins], out=y_bins)
+        y_bins = demix(white[bins], w[bins], out=y[bins])
         np.einsum("kct,kct->kt", y_bins, y_bins, out=power[bins])
 
     pool(demix_pass)
@@ -202,14 +187,13 @@ def _update_terms(white, w, model, *, pool=_on_calling_thread):
         np.einsum("kt,t->k", power[bins], gpp, out=acc[bins])
         y_bins = y[bins]
         y_bins *= gp
-        # blocks [[Re x.Re y, Re x.Im y], [Im x.Re y, Im x.Im y]] of sum_t G' x y
+        # the real Gram of the data with G' y, summed over t
         np.matmul(white[bins], y_bins.transpose(0, 2, 1), out=m[bins])
 
     pool(contract_pass)
     a = gp.mean() + acc / num_frames
     m /= num_frames
-    b = (m[:, :rank, 0] + m[:, rank:, 1]) + 1j * (m[:, rank:, 0] - m[:, :rank, 1])
-    return cost, a, b
+    return cost, a, complex_gram(m)[:, :, 0]
 
 
 def iterate_once(white, w, model, *, pool=_on_calling_thread):
@@ -254,7 +238,7 @@ def solve(white, config):
     w = np.zeros((num_bins, planes // 2), dtype=np.complex128)
     w[:, 0] = 1.0
     costs = []
-    with _bin_pool(num_bins, _split_workers(white)) as pool:
+    with _bin_pool(white) as pool:
         def mapped(start):
             w_new, cost, step = iterate_once(white, start, config.prior, pool=pool)
             costs.append(cost)
@@ -287,11 +271,9 @@ def solve(white, config):
             w_ext[zero] = w2[zero]
             norms[zero] = 1.0
             w3, done = mapped(w_ext / norms[:, None])
-            if done:
-                return DemixState(w3, True, costs)
-            w = w3 if costs[-1] >= costs[-2] else w2
-            if len(costs) == config.max_iter:
-                return DemixState(w, False, costs)
+            w = w3 if done or costs[-1] >= costs[-2] else w2
+            if done or len(costs) == config.max_iter:
+                return DemixState(w, done, costs)
 
 
 def back_project(w, q):
@@ -306,7 +288,9 @@ def estimate_mixing_vector(cov, w_eff):
     original-domain covariance, so that ``x ~ h y + interference`` and
     ``h_m y`` is the source image at mic m.  Bins of zero trace (exactly
     silent) yield h = 0; bins with positive power but vanishing output power
-    are an error.
+    are an error.  That error guards direct callers only: ``extract`` cannot
+    reach it, since its solve stays on the rows ``build_whitener`` keeps,
+    where a unit ``w`` has output power ``w_eff^H C w_eff >= 1/2``.
     """
     cw = np.einsum("kmn,kn->km", cov, w_eff)
     denom = np.einsum("km,km->k", w_eff.conj(), cw).real

@@ -11,7 +11,9 @@ Conventions
   rows of real parts over the frames, then C rows of imaginary parts (C
   mics, whitened components, or the one output).  Every stage of ``extract``
   passes this layout; complex spectra exist only at the FFT, inside
-  ``analyze`` and ``synthesize``.  The ``K = fft_size // 2 + 1`` bins are
+  ``analyze`` and ``synthesize``.  A complex operator acts on the layout
+  as its ``real_form``, and ``complex_gram`` reads a complex product off
+  the real Gram of planar rows.  The ``K = fft_size // 2 + 1`` bins are
   the one-sided output of the unscaled ``numpy.fft.rfft``, so frame-wise
   Parseval reads ``sum |x_w|^2 = (1/fft_size) * sum_onesided weight *
   |X|^2`` with weight 2 on every bin except DC and Nyquist.
@@ -167,6 +169,20 @@ def check_planar(spec):
     if np.iscomplexobj(spec) or spec.ndim != 3 or spec.shape[1] % 2:
         raise ValueError(f"spectrum must be planar real [K, 2M, T], "
                          f"got {spec.dtype} {spec.shape}")
+
+
+def real_form(op):
+    """The real [K, 2A, 2B] block ``[[Re op, -Im op], [Im op, Re op]]`` of a
+    complex [K, A, B] operator, which acts on planar data as ``op`` acts on
+    complex data."""
+    return np.block([[op.real, -op.imag], [op.imag, op.real]])
+
+
+def complex_gram(g):
+    """The complex [K, A, B] product ``x y^H`` read off the real [K, 2A, 2B]
+    Gram ``g = x y^T`` of planar ``x`` and ``y``."""
+    a, b = g.shape[1] // 2, g.shape[2] // 2
+    return (g[:, :a, :b] + g[:, a:, b:]) + 1j * (g[:, a:, :b] - g[:, :a, b:])
 
 
 def analyze(audio, config):

@@ -17,14 +17,15 @@ eigenpair is recoverable from it as ``d_i = 1 / ||q_i||^2`` and
 ``u_i = q_i^H sqrt(d_i)``.
 Spectra in and whitened data out are in the planar real layout that
 ``stft`` defines, [K, 2M, T] and [K, 2R, T]; covariance and whitening are
-each one real batched ``np.matmul`` (one BLAS call per bin) on it.
+each one real batched ``np.matmul`` (one BLAS call per bin) on it, read
+through ``stft``'s ``complex_gram`` and ``real_form``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .stft import check_planar
+from .stft import check_planar, complex_gram, real_form
 
 # diagonal shift applied before decomposition, relative to each bin's mean
 # channel power; no absolute power enters, so the whitener scales with the input
@@ -35,21 +36,19 @@ def estimate_covariance(x):
     """Sample covariance per bin, [K, M, M], of a planar [K, 2M, T] spectrum;
     >= 2 frames.
 
-    Uses the 1/T convention, ``C^k = sum_t x_t^k x_t^k^H / T``, assembled from
-    the one real batched Gram ``G = x x^T / T`` of the planar rows as
-    ``C = (G_rr + G_ii) + i (G_ir - G_ri)``, and re-symmetrized to be exactly
-    Hermitian.  A spectrum whose power overflows float64 is an error, as is
-    one whose loudest bin's shift in ``build_whitener`` would not be a normal
-    float; an all-zero spectrum is silence, not underflow.
+    Uses the 1/T convention, ``C^k = sum_t x_t^k x_t^k^H / T``, read off
+    the one real batched Gram ``x x^T / T`` of the planar rows, and
+    re-symmetrized to be exactly Hermitian.  A spectrum whose power
+    overflows float64 is an error, as is one whose loudest bin's shift in
+    ``build_whitener`` would not be a normal float; an all-zero spectrum is
+    silence, not underflow.
     """
     check_planar(x)
     m, num_frames = x.shape[1] // 2, x.shape[2]
     if num_frames < 2:
         raise ValueError(f"insufficient frames: got {num_frames}, need >= 2")
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.matmul(x, x.transpose(0, 2, 1)) / num_frames
-        cov = (gram[:, :m, :m] + gram[:, m:, m:]) \
-            + 1j * (gram[:, m:, :m] - gram[:, :m, m:])
+        cov = complex_gram(np.matmul(x, x.transpose(0, 2, 1)) / num_frames)
     if not np.all(np.isfinite(cov)):
         raise ValueError("spectrum power overflows float64: scale the input down")
     # EPS_COV_REL * loudest / M below the smallest normal, without underflow
@@ -109,8 +108,7 @@ def build_whitener(cov, rank=None):
 def apply_whitener(x, q):
     """Project a planar [K, 2M, T] spectrum onto its whitened principal
     components: the planar [K, 2R, T] ``Q^k x^k`` for the [K, R, M] whitener
-    ``q``, one real batched matmul with the rows
-    ``[[Re Q, -Im Q], [Im Q, Re Q]]``."""
+    ``q``, one real batched matmul with its ``real_form``."""
     check_planar(x)
     if x.shape[0] != q.shape[0]:
         raise ValueError(
@@ -120,4 +118,4 @@ def apply_whitener(x, q):
         raise ValueError(
             f"channel mismatch: spectrum {x.shape[1] // 2}, whitener {q.shape[2]}"
         )
-    return np.matmul(np.block([[q.real, -q.imag], [q.imag, q.real]]), x)
+    return np.matmul(real_form(q), x)

@@ -297,7 +297,8 @@ def test_bench_parallel_matches_serial(tmp_path, monkeypatch):
         out = tmp_path / f"jobs{jobs}_{split}"
         with monkeypatch.context() as patch:
             if split:
-                patch.setattr(extractor, "_split_workers", lambda white: 3)
+                patch.setattr(extractor, "SPLIT_MIN_ENTRIES", 0)
+                patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
             assert main(["bench", str(grid_path), "-o", str(out), "--jobs", jobs]) == 0
         par = (out / "records.jsonl").read_text().splitlines()
         assert len(par) == 8

@@ -25,7 +25,6 @@ from fastive.extractor import (
     STAGES,
     SolverConfig,
     _bin_pool,
-    _split_workers,
     _update_terms,
     back_project,
     demix,
@@ -131,6 +130,21 @@ def test_contractions_match_einsum(num_bins, num_frames, num_channels, kind,
     assert_within(from_planar(demix(white, w))[:, :, 0],
                   np.einsum("kr,ktr->kt", w.conj(), ref_white),
                   np.einsum("kr,ktr->kt", np.abs(w), np.abs(ref_white)))
+
+
+def test_demix_into_a_buffer_matches_the_allocating_call_bit_for_bit():
+    """``out`` is only where the output goes: ``demix`` fills and returns
+    it, also as a bin slice of a larger array, with the allocating call's
+    bits."""
+    spec, w = random_instance(3, 5, 17, 3)
+    white = planar(spec)
+    want = demix(white, w)
+    buf = np.empty_like(want)
+    assert demix(white, w, out=buf) is buf
+    assert np.array_equal(buf, want)
+    y = np.full_like(want, np.nan)
+    demix(white[1:4], w[1:4], out=y[1:4])
+    assert np.array_equal(y[1:4], want[1:4])
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -313,22 +327,35 @@ def test_solve_counts_maps_up_to_max_iter(num_bins, num_frames, rank, kind, seed
         assert iterate_once(white, state.w, model)[2] <= 1e-12
 
 
+def pool_slices(white):
+    """The (start, stop) bin slices that ``_bin_pool(white)`` runs a pass on."""
+    slices = []
+    with _bin_pool(white) as pool:
+        pool(lambda bins: slices.append(bins.indices(white.shape[0])[:2]))
+    return sorted(slices)
+
+
 @pytest.mark.parametrize("shape, workers", [
     ((1025, 4, 942), 3),   # 2 mics, 30 s: extract-m2-30s
     ((1025, 12, 247), 3),  # 6 mics, 8 s: acceptance check 4's M = 6 case
     ((1025, 12, 99), 1),   # 6 mics, 3 s: extract-m6-3s
     ((1025, 4, 106), 1),   # 2 mics, 3 s and its reverberant tail: bench-grid
-    ((1, 2, SPLIT_MIN_ENTRIES // 2), 3),
-    ((1, 2, SPLIT_MIN_ENTRIES // 2 - 1), 1),
+    ((4, 2, SPLIT_MIN_ENTRIES // 8), 3),  # exactly SPLIT_MIN_ENTRIES entries
+    ((4, 2, SPLIT_MIN_ENTRIES // 8 - 1), 1),  # one frame fewer
+    ((2, 2, SPLIT_MIN_ENTRIES), 2),  # no more slices than bins
 ])
 def test_maps_split_over_the_cpus_on_large_data_only(shape, workers, monkeypatch):
-    """One bin slice per allowed CPU from SPLIT_MIN_ENTRIES entries on; a
-    process allowed one CPU never splits."""
+    """One contiguous bin slice per allowed CPU, but no more than bins, from
+    SPLIT_MIN_ENTRIES entries on; a process allowed one CPU never splits."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
     white = np.broadcast_to(0.0, shape)
-    assert _split_workers(white) == workers
+    slices = pool_slices(white)
+    assert len(slices) == workers
+    starts, stops = zip(*slices)
+    assert starts[0] == 0 and stops[-1] == shape[0] and starts[1:] == stops[:-1]
+    assert all(stop > start for start, stop in slices)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1})
-    assert _split_workers(white) == 1
+    assert pool_slices(white) == [(0, shape[0])]
 
 
 @settings(deadline=None, max_examples=40)
@@ -338,8 +365,8 @@ def test_maps_split_over_the_cpus_on_large_data_only(shape, workers, monkeypatch
 def test_split_maps_match_the_serial_ones_bit_for_bit(num_bins, num_frames, rank,
                                                       workers, kind, seed):
     """Every bin's arithmetic is its own, so splitting the bins over threads,
-    more threads than bins or slices of unequal size included, changes no
-    bit of the update terms, of a map or of a whole solve."""
+    as many as bins or slices of unequal size included, changes no bit of
+    the update terms, of a map or of a whole solve."""
     spec, w = random_instance(seed, num_bins, num_frames, rank)
     white = planar(spec)
     model = ContrastModel(kind=kind)
@@ -347,11 +374,12 @@ def test_split_maps_match_the_serial_ones_bit_for_bit(num_bins, num_frames, rank
     serial_terms = _update_terms(white, w, model)
     serial_map = iterate_once(white, w, model)
     serial_solve = solve(white, config)
-    with _bin_pool(num_bins, workers) as pool:
-        split_terms = _update_terms(white, w, model, pool=pool)
-        split_map = iterate_once(white, w, model, pool=pool)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(extractor, "_split_workers", lambda data: workers)
+        patch.setattr(extractor, "SPLIT_MIN_ENTRIES", 0)
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+        with _bin_pool(white) as pool:
+            split_terms = _update_terms(white, w, model, pool=pool)
+            split_map = iterate_once(white, w, model, pool=pool)
         split_solve = solve(white, config)
     for serial, split in [(serial_terms, split_terms), (serial_map, split_map)]:
         for got, want in zip(split, serial):
@@ -361,9 +389,11 @@ def test_split_maps_match_the_serial_ones_bit_for_bit(num_bins, num_frames, rank
     assert split_solve.converged == serial_solve.converged
 
 
-def test_a_split_pass_runs_its_slices_at_once():
+def test_a_split_pass_runs_its_slices_at_once(monkeypatch):
     """A pool over 10 bins for 3 CPUs runs 3 contiguous slices covering
     every bin once, concurrently: each waits at a barrier for the others."""
+    monkeypatch.setattr(extractor, "SPLIT_MIN_ENTRIES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     barrier = threading.Barrier(3, timeout=10)
     slices = []
 
@@ -371,7 +401,7 @@ def test_a_split_pass_runs_its_slices_at_once():
         barrier.wait()
         slices.append((bins.start, bins.stop))
 
-    with _bin_pool(10, 3) as pool:
+    with _bin_pool(np.broadcast_to(0.0, (10, 2, 1))) as pool:
         pool(work)
     assert sorted(slices) == [(0, 3), (3, 6), (6, 10)]
 
@@ -495,6 +525,38 @@ def test_mixing_vector_rejects_null_output():
     cov = estimate_covariance(planar(data))
     with pytest.raises(ValueError, match="degenerate output power"):
         estimate_mixing_vector(cov, np.array([[0.0, 1.0 + 0.0j]]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(num_mics=st.integers(2, 16), log_gain=st.floats(-100.0, 100.0),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_kept_whitener_rows_carry_at_least_half_their_power(num_mics, log_gain,
+                                                             seed, data):
+    """Any unit ``w`` on the rows that ``build_whitener`` keeps has output
+    power ``w_eff^H C w_eff >= 1/2``: a kept row's unshifted eigenvalue is
+    more than half its shifted one.  So ``extract``, whose solve never
+    leaves the kept rows, cannot reach "degenerate output power", whose
+    threshold is at most about 5e-21 M there; the error guards direct
+    callers only.  Banks of every true rank, sources spread over 14
+    decades of power and gains of 1e-100..1e100."""
+    true_rank = data.draw(st.integers(1, num_mics), label="true_rank")
+    rank = data.draw(st.none() | st.integers(1, num_mics), label="rank")
+    log_powers = data.draw(st.lists(st.floats(-14.0, 0.0), min_size=true_rank,
+                                    max_size=true_rank), label="log_powers")
+    rng = np.random.default_rng(seed)
+    shape = (3, num_mics, true_rank)
+    mixing = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    mixing *= 10.0 ** (0.5 * (log_gain + np.array(log_powers)))
+    cov = mixing @ mixing.conj().transpose(0, 2, 1)
+    cov = 0.5 * (cov + cov.conj().transpose(0, 2, 1))
+    q = build_whitener(cov, rank=rank)
+    kept = np.any(q != 0.0, axis=2)
+    w = (rng.normal(size=kept.shape) + 1j * rng.normal(size=kept.shape)) * kept
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    w_eff = back_project(w, q)
+    power = np.einsum("km,kmn,kn->k", w_eff.conj(), cov, w_eff).real
+    assert np.all(power >= 0.49)
+    estimate_mixing_vector(cov, w_eff)
 
 
 def test_solver_config_validation():

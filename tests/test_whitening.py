@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastive.roomsim import default_geometry, render, speech_like_sources
-from fastive.stft import StftConfig, analyze
+from fastive.stft import StftConfig, analyze, synthesize
 from fastive.whitening import (
     EPS_COV_REL,
     apply_whitener,
@@ -158,16 +158,31 @@ def test_estimate_covariance_needs_a_three_axis_spectrum():
         estimate_covariance(np.zeros((2, 4, 3, 1)))
 
 
-def test_estimate_covariance_rejects_a_complex_spectrum():
+# every stage that takes a planar spectrum in, on a 5-bin 3-channel one
+PLANAR_STAGES = {
+    "estimate_covariance": estimate_covariance,
+    "apply_whitener": lambda spec: apply_whitener(
+        spec, build_whitener(estimate_covariance(random_spec(9)))),
+    "synthesize": lambda spec: synthesize(spec, StftConfig(8, 2), 8000),
+}
+
+
+LAYOUT_DEFECTS = {
+    "complex": r"planar real \[K, 2M, T\], got complex128",
+    "odd_rows": r"planar real \[K, 2M, T\]",
+}
+
+
+@pytest.mark.parametrize("defect", sorted(LAYOUT_DEFECTS))
+@pytest.mark.parametrize("stage", sorted(PLANAR_STAGES))
+def test_planar_stages_reject_other_layouts(stage, defect):
     """A complex [K, T, M] array, the layout before the planar one, is not
-    read as a [K, 2M, T] spectrum of T/2 channels and M frames."""
-    with pytest.raises(ValueError, match=r"planar real \[K, 2M, T\], got complex128"):
-        estimate_covariance(from_planar(random_spec(8)))
-
-
-def test_estimate_covariance_rejects_an_odd_row_count():
-    with pytest.raises(ValueError, match=r"planar real \[K, 2M, T\]"):
-        estimate_covariance(random_spec(8)[:, :5])
+    read as a [K, 2M, T] spectrum of T/2 channels and M frames, and an odd
+    row count is no planar spectrum."""
+    spec = random_spec(8)
+    bad = from_planar(spec) if defect == "complex" else spec[:, :5]
+    with pytest.raises(ValueError, match=LAYOUT_DEFECTS[defect]):
+        PLANAR_STAGES[stage](bad)
 
 
 def test_whitener_whitens():
@@ -336,20 +351,6 @@ def test_apply_whitener_shape_guards():
     two_ch = random_spec(4, num_channels=2)
     with pytest.raises(ValueError, match="channel mismatch"):
         apply_whitener(two_ch, q)
-
-
-def test_apply_whitener_rejects_a_complex_spectrum():
-    spec = random_spec(9)
-    q = build_whitener(estimate_covariance(spec))
-    with pytest.raises(ValueError, match=r"planar real \[K, 2M, T\], got complex128"):
-        apply_whitener(from_planar(spec), q)
-
-
-def test_apply_whitener_rejects_an_odd_row_count():
-    spec = random_spec(9)
-    q = build_whitener(estimate_covariance(spec))
-    with pytest.raises(ValueError, match=r"planar real \[K, 2M, T\]"):
-        apply_whitener(spec[:, :5], q)
 
 
 def test_regularization_handles_rank_deficiency():
