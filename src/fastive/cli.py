@@ -413,9 +413,11 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
     Every key is parsed and every cell built before any response; an unknown
     key, such as a top-level ``rank`` or ``solver.ref_mic`` (``ref_mic``,
     ``nu`` and ``gg_exponent`` are grid keys), or a value no trial can run
-    with, such as ``trials`` below 1 or an unknown ``prior``, is a
-    ValueError.  summary.json echoes the resolved grid, which feeds back in
-    as ``grid``, and ``manifest``, if given, with the grid's seed.
+    with, such as ``trials`` below 1 or an unknown ``prior``, or a repeated
+    cell, is a ValueError.  Each line of records.jsonl is one trial's wire
+    record, scored or failed, and each cell of summary.json is ``aggregate``
+    of its scored lines.  summary.json echoes the resolved grid, which feeds
+    back in as ``grid``, and ``manifest``, if given, with the grid's seed.
     """
     cfg = config_dict(grid, "grid")
     solver = cfg.pop("solver", {})
@@ -428,6 +430,12 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
     fs, mod_hz = spec.fs, spec.mod_hz
     num_samples = int(round(spec.duration_seconds * fs))
     axes = (spec.num_sources, spec.num_mics, spec.input_sir_db)
+    # a repeated cell would run its mixtures again under the same scenario
+    # ids; ids, not values, are compared, as they print input_sir_db with :g
+    cell_ids = [_cell_id(*cell) for cell in itertools.product(*axes, spec.prior)]
+    for i, cell_id in enumerate(cell_ids):
+        if cell_id in cell_ids[:i]:
+            raise ValueError(f"grid repeats cell {cell_id}")
 
     # every cell is a prefix of the default layout in the grid's room, and
     # the cells are a cross product, so the largest cell holds every cell's
@@ -447,15 +455,17 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
         rendered and its references are factored once, then each prior
         extracts and is scored in its own trial.
 
-        Returns one outcome per prior: an EvalReport, or an error record.
+        Returns one wire record per prior: the scored trial's, or an error.
         """
         n_src, n_mic, sir, trial = mixture
         seed = spec.seed + trial
         scenario = scenarios[(n_src, n_mic)]
         mixture_set = references = None
-        outcomes = []
+        records = []
         for prior_kind in spec.prior:
-            scenario_id = f"{_cell_id(n_src, n_mic, sir, prior_kind)}_trial{trial:03d}"
+            cell_id = _cell_id(n_src, n_mic, sir, prior_kind)
+            head = {"scenario_id": f"{cell_id}_trial{trial:03d}",
+                    "algorithm": f"fastive-{prior_kind}"}
             try:
                 if mixture_set is None:
                     sources = speech_like_sources(n_src, num_samples, fs, seed, mod_hz)
@@ -470,21 +480,13 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
                     references = factor_references(
                         mixture_set, result.audio.num_samples, scenario.soi_index,
                         scenario.ref_mic, spec.filter_len)
-                outcomes.append(evaluate(
-                    result, mixture_set,
-                    soi_index=scenario.soi_index, ref_mic=scenario.ref_mic,
-                    filter_len=spec.filter_len,
-                    algorithm=f"fastive-{prior_kind}",
-                    scenario_id=scenario_id,
-                    references=references,
-                ))
+                records.append(evaluate(
+                    result, mixture_set, soi_index=scenario.soi_index,
+                    ref_mic=scenario.ref_mic, filter_len=spec.filter_len,
+                    references=references, **head).to_record())
             except Exception as exc:  # recorded in-band, sweep continues
-                outcomes.append({
-                    "scenario_id": scenario_id,
-                    "algorithm": f"fastive-{prior_kind}",
-                    "error": f"{type(exc).__name__}: {exc}",
-                })
-        return outcomes
+                records.append({**head, "error": f"{type(exc).__name__}: {exc}"})
+        return records
 
     mixtures = list(itertools.product(*axes, range(spec.trials)))
     if jobs > 1:
@@ -497,12 +499,10 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
     records = []
     summaries = []
     cells = itertools.product(*axes, enumerate(spec.prior))
-    for n_src, n_mic, sir, (p, prior_kind) in cells:
-        cell_id = _cell_id(n_src, n_mic, sir, prior_kind)
+    for cell_id, (n_src, n_mic, sir, (p, prior_kind)) in zip(cell_ids, cells):
         cell = [by_mixture[(n_src, n_mic, sir, t)][p] for t in range(spec.trials)]
-        reports = [r for r in cell if not isinstance(r, dict)]
-        for r in cell:
-            records.append(r if isinstance(r, dict) else r.to_record())
+        records += cell
+        scored = [r for r in cell if "error" not in r]
         summary = {
             "cell": cell_id,
             "num_sources": n_src,
@@ -510,20 +510,20 @@ def run_grid(grid, output_dir, jobs=1, manifest=None):
             "input_sir_db": sir,
             "prior": prior_kind,
             "trials": spec.trials,
-            "errors": len(cell) - len(reports),
+            "errors": len(cell) - len(scored),
         }
-        if reports:
-            summary.update(aggregate(reports))
+        if scored:
+            summary.update(aggregate(scored))
         summaries.append(summary)
         errors = summary["errors"]
         print(f"{cell_id}: "
               + (f"success {summary['num_successes']}/{summary['num_trials']}"
-                 f" ({summary['success_rate']:.0%})" if reports else "no results")
+                 f" ({summary['success_rate']:.0%})" if scored else "no results")
               + (f", {errors} error{'s' * (errors > 1)}" if errors else "")
               + (f", mean SIRimp {summary['mean_sirimp_db']:.2f} dB"
                  if summary.get("mean_sirimp_db") is not None else "")
               + (f", mean runtime {summary['mean_runtime_s'] * 1e3:.0f} ms"
-                 if reports else ""))
+                 if scored else ""))
 
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -232,29 +232,23 @@ def evaluate(
     )
 
 
-def aggregate(reports):
-    """Battery summary: success rate over all trials, mean SIR improvement
-    over the successes (absent when there are none), mean runtime and
-    iterations, and the share of trials whose solve converged (stopped on
-    its tolerance, not on ``max_iter``)."""
-    reports = list(reports)
-    if not reports:
-        raise ValueError("no reports to aggregate")
-    successes = [r for r in reports if r.success]
-    mean_over = (
-        float(np.mean([r.sir_improvement_db for r in successes]))
-        if successes
-        else None
-    )
+def aggregate(records):
+    """Battery summary of scored bench records (``EvalReport.to_record``):
+    success rate over all trials, mean SIR improvement over the successes
+    (absent when there are none), mean runtime and iterations, and the share
+    of trials whose solve converged (stopped on its tolerance, not on
+    ``max_iter``)."""
+    records = list(records)
+    if not records:
+        raise ValueError("no records to aggregate")
+    successes = [r["sirimp_db"] for r in records if r["success"]]
     return {
-        "num_trials": len(reports),
+        "num_trials": len(records),
         "num_successes": len(successes),
-        "success_rate": len(successes) / len(reports),
-        "mean_sirimp_db": mean_over,
-        "mean_sirimp_all_db": float(
-            np.mean([r.sir_improvement_db for r in reports])
-        ),
-        "mean_runtime_s": float(np.mean([r.runtime_seconds for r in reports])),
-        "mean_iterations": float(np.mean([r.iterations for r in reports])),
-        "converged_share": sum(bool(r.converged) for r in reports) / len(reports),
+        "success_rate": len(successes) / len(records),
+        "mean_sirimp_db": float(np.mean(successes)) if successes else None,
+        "mean_sirimp_all_db": float(np.mean([r["sirimp_db"] for r in records])),
+        "mean_runtime_s": float(np.mean([r["runtime_s"] for r in records])),
+        "mean_iterations": float(np.mean([r["iterations"] for r in records])),
+        "converged_share": sum(bool(r["converged"]) for r in records) / len(records),
     }

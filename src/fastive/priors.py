@@ -7,9 +7,11 @@ Each model supplies a concave contrast G acting on the frame power
 * ``gg``: spherical generalized Gaussian, G(z) = z**p (default p = 1/4)
 * ``t``: spherical Student's t, G(z) = log(1 + z / nu)
 
-Arguments are floored at ``FLOOR`` before evaluation so the power-law
-derivatives stay finite at z = 0.  All three satisfy G' > 0 and G'' < 0 on
-z > 0, which keeps the fixed-point update coefficients positive.
+Each kind is one row of a table of its (G, G', G''), which ``g``, ``g_prime``
+and ``g_double_prime`` read; ``KINDS`` are its keys.  Arguments are floored
+at ``FLOOR`` before evaluation so the power-law derivatives stay finite at
+z = 0.  All three satisfy G' > 0 and G'' < 0 on z > 0, which keeps the
+fixed-point update coefficients positive.
 """
 
 from __future__ import annotations
@@ -20,8 +22,20 @@ import numpy as np
 
 from .stft import check_number
 
-KINDS = ("ssl", "gg", "t")
 FLOOR = 1e-12
+
+# kind: (G, G', G''), each a function of the model and the floored power z
+_CONTRASTS = {
+    "ssl": (lambda m, z: np.sqrt(z), lambda m, z: 0.5 / np.sqrt(z),
+            lambda m, z: -0.25 * z**-1.5),
+    "gg": (lambda m, z: z**m.gg_exponent,
+           lambda m, z: m.gg_exponent * z ** (m.gg_exponent - 1.0),
+           lambda m, z: (m.gg_exponent * (m.gg_exponent - 1.0)
+                         * z ** (m.gg_exponent - 2.0))),
+    "t": (lambda m, z: np.log1p(z / m.nu), lambda m, z: 1.0 / (m.nu + z),
+          lambda m, z: -1.0 / (m.nu + z) ** 2),
+}
+KINDS = tuple(_CONTRASTS)
 
 
 @dataclass(frozen=True)
@@ -41,50 +55,26 @@ class ContrastModel:
             raise ValueError("gg_exponent must lie in (0, 1)")
 
 
-def _checked(z):
-    z = np.asarray(z, dtype=np.float64)
-    if np.any(z < 0):
+def _contrast(order, model, z):
+    """The ``order``-th of the model's (G, G', G'') at the floored ``z``: a
+    float for a scalar ``z``, else an array."""
+    zf = np.asarray(z, dtype=np.float64)
+    if np.any(zf < 0):
         raise ValueError("negative argument to contrast function")
-    return np.maximum(z, FLOOR)
-
-
-def _ret(z, out):
+    out = _CONTRASTS[model.kind][order](model, np.maximum(zf, FLOOR))
     return out if np.ndim(z) else float(out)
 
 
 def g(model, z):
     """Contrast value G(z); z is scalar or array, nonnegative."""
-    zf = _checked(z)
-    if model.kind == "ssl":
-        out = np.sqrt(zf)
-    elif model.kind == "gg":
-        out = zf**model.gg_exponent
-    else:
-        out = np.log1p(zf / model.nu)
-    return _ret(z, out)
+    return _contrast(0, model, z)
 
 
 def g_prime(model, z):
     """First derivative G'(z), positive on z > 0."""
-    zf = _checked(z)
-    if model.kind == "ssl":
-        out = 0.5 / np.sqrt(zf)
-    elif model.kind == "gg":
-        p = model.gg_exponent
-        out = p * zf ** (p - 1.0)
-    else:
-        out = 1.0 / (model.nu + zf)
-    return _ret(z, out)
+    return _contrast(1, model, z)
 
 
 def g_double_prime(model, z):
     """Second derivative G''(z), negative on z > 0."""
-    zf = _checked(z)
-    if model.kind == "ssl":
-        out = -0.25 * zf**-1.5
-    elif model.kind == "gg":
-        p = model.gg_exponent
-        out = p * (p - 1.0) * zf ** (p - 2.0)
-    else:
-        out = -1.0 / (model.nu + zf) ** 2
-    return _ret(z, out)
+    return _contrast(2, model, z)

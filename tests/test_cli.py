@@ -382,7 +382,9 @@ def test_bench_renders_and_factors_each_mixture_once(tmp_path, monkeypatch):
                                       'room.rt60="0.3"', "seed=1_0",
                                       "num_sources=[]", "num_mics=[]",
                                       "prior=[]", "input_sir_db=[]",
-                                      "solver.rank=3", 'prior=["t","bogus"]'])
+                                      "solver.rank=3", 'prior=["t","bogus"]',
+                                      "num_sources=[2,2]", "input_sir_db=[10,10.0]",
+                                      'prior=["t","t"]'])
 def test_bench_parses_every_key_before_building_responses(tmp_path, monkeypatch,
                                                           override):
     calls = []
@@ -457,6 +459,41 @@ def test_bench_cell_line_counts_over_the_trials_that_reported(tmp_path, capsys,
               if line.startswith("N2_M2_sir10_t:")]
     assert (f"success {cell['num_successes']}/1 ({cell['success_rate']:.0%}), "
             "1 error, mean" in line)
+
+
+def test_bench_summary_is_the_aggregate_of_its_records(tmp_path, monkeypatch):
+    # summary.json can be recomputed from records.jsonl: each cell's
+    # statistics are metrics.aggregate of its scored lines, and its errors
+    # count its error lines.  The first trial raises inside extract
+    calls = []
+
+    def failing_first(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise RuntimeError("trial 0 fails")
+        return extract(*args, **kwargs)
+    extract = cli.extract
+    monkeypatch.setattr(cli, "extract", failing_first)
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({
+        "duration_seconds": 0.5, "trials": 2, "num_sources": [2, 3],
+        "prior": ["t", "ssl"], "stft": {"fft_size": 512, "hop_size": 128},
+        "filter_len": 64,
+    }))
+    out = tmp_path / "bench"
+    assert main(["bench", str(grid_path), "-o", str(out)]) == 0
+    records = [json.loads(line)
+               for line in (out / "records.jsonl").read_text().splitlines()]
+    cells = json.loads((out / "summary.json").read_text())["cells"]
+    assert len(cells) == 4 and sum(cell["errors"] for cell in cells) == 1
+    for cell in cells:
+        lines = [r for r in records
+                 if r["scenario_id"].startswith(f"{cell['cell']}_trial")]
+        scored = [r for r in lines if "error" not in r]
+        assert len(lines) == cell["trials"] == 2
+        assert cell["errors"] == len(lines) - len(scored)
+        stats = metrics.aggregate(scored)
+        assert {key: cell[key] for key in stats} == stats
 
 
 @pytest.mark.parametrize("key, message", [
@@ -580,6 +617,12 @@ def test_main_returns_2_on_bad_input(tmp_path, capsys):
         ("prior=[]", "prior must not be an empty list"),
         ("input_sir_db=[]", "input_sir_db must not be an empty list"),
         ("solver.rank=3", "solver.rank 3 exceeds num_mics 2"),
+        ("num_sources=[2,2]", "grid repeats cell N2_M2_sir10_t"),
+        ("num_mics=[2,3,2]", "grid repeats cell N2_M2_sir10_t"),
+        ("input_sir_db=[10,10.0]", "grid repeats cell N2_M2_sir10_t"),
+        # distinct values, one cell id: records could not tell them apart
+        ("input_sir_db=[10,10.0000001]", "grid repeats cell N2_M2_sir10_t"),
+        ('prior=["t","ssl","t"]', "grid repeats cell N2_M2_sir10_t"),
     ):
         assert main(["bench", str(grid), "-o", str(tmp_path / "bench"),
                      "--set", override]) == 2

@@ -214,12 +214,12 @@ def test_wire_record_fields():
 
 
 def test_aggregate_statistics():
-    reports = [
-        EvalReport(10.0, 18.0, 8.0, True, 0.2, 10, True),
-        EvalReport(10.0, 16.0, 6.0, True, 0.4, 20, True),
-        EvalReport(10.0, 6.0, -4.0, False, 0.6, 30, False),
+    records = [
+        EvalReport(10.0, 18.0, 8.0, True, 0.2, 10, True).to_record(),
+        EvalReport(10.0, 16.0, 6.0, True, 0.4, 20, True).to_record(),
+        EvalReport(10.0, 6.0, -4.0, False, 0.6, 30, False).to_record(),
     ]
-    summary = aggregate(reports)
+    summary = aggregate(records)
     assert summary["num_trials"] == 3
     assert summary["num_successes"] == 2
     assert summary["success_rate"] == pytest.approx(2.0 / 3.0)
@@ -231,8 +231,8 @@ def test_aggregate_statistics():
 
 
 def test_aggregate_with_no_successes():
-    summary = aggregate([EvalReport(10.0, 6.0, -4.0, False, 0.1, 5)])
+    summary = aggregate([EvalReport(10.0, 6.0, -4.0, False, 0.1, 5).to_record()])
     assert summary["mean_sirimp_db"] is None
     assert summary["mean_sirimp_all_db"] == pytest.approx(-4.0)
-    with pytest.raises(ValueError, match="no reports"):
+    with pytest.raises(ValueError, match="no records"):
         aggregate([])

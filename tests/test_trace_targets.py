@@ -7,6 +7,7 @@ without an error, so this test runs one small call of each entry point the
 benchmark drives and asserts that every site records a span.
 """
 
+import collections
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -39,3 +40,20 @@ def test_every_trace_target_records_a_span(tmp_path):
         cli.run_grid(grid, tmp_path)
     recorded = {span[0] for span in tracer.spans}
     assert [name for _, _, name, _ in targets if name not in recorded] == []
+
+
+def test_each_map_evaluates_every_prior_form_once():
+    """The benchmark's ``priors.calls`` is three per map only while each map
+    calls G, G' and G'' once: one traced extract (3 maps at most) records
+    ``iterations_used`` spans of each."""
+    fs = 16000
+    sources = roomsim.speech_like_sources(2, fs, fs, 0)
+    truth = roomsim.render(replace(roomsim.default_geometry(2, 2), seed=0,
+                                   source_signals=tuple(sources)), fs)
+    with tracing.Tracer() as tracer:
+        result = extractor.extract(truth.mixture, SolverConfig(max_iter=3),
+                                   StftConfig())
+    counts = collections.Counter(span[0] for span in tracer.spans)
+    assert result.iterations_used > 0
+    assert ({name: counts[name] for name in tracing.PRIOR_SPANS}
+            == dict.fromkeys(tracing.PRIOR_SPANS, result.iterations_used))
