@@ -33,7 +33,11 @@ the split.
 
 The solve accelerates this map with SQUAREM (Varadhan & Roland 2008),
 which keeps its fixed points: each cycle is two plain maps and one at an
-extrapolated point (``solve``).  A map is one iteration, so
+extrapolated point (``solve``).  The step length is global, but each bin
+extrapolates no further than its own contraction ratio over the cycle
+(Aitken's delta-squared), so a bin whose path curves or reverses is not
+thrown past its limit by the step the other bins take.  A map is one
+iteration, so
 ``iterations_used`` and the cost history count every map, the extrapolated
 one included; the solve stops, converged, at the first map whose step is
 below the tolerance, or unconverged after ``max_iter`` maps.
@@ -215,6 +219,41 @@ def iterate_once(white, w, model, *, pool=_on_calling_thread):
     return w_new, cost, step
 
 
+def _extrapolate(w, w1, w2):
+    """The SQUAREM point of a cycle from ``w`` through ``w1 = G(w)`` to
+    ``w2 = G(w1)``: per bin, the normalized ``c_k^2 w - 2 c_k w1 + w2``.
+
+    With ``r = w1 - w``, ``r2 = w2 - w1`` and ``v = r2 - r``, the global step
+    is ``c = max(1 - ||v|| / ||r||, 0)``, and bin k takes
+    ``c_k = clip(Re<r_k, r2_k> / ||r_k||^2, 0, c)`` (``c_k = 0`` if
+    ``||r_k|| = 0``): Aitken's ratio of its own last two updates, capped at
+    the global step.  A bin whose error shrinks by a ratio ``rho_k <= c``
+    per map lands on its limit; one whose update reverses is not
+    extrapolated.  ``c = 0`` returns ``w2`` itself."""
+    r = w1 - w
+    r2 = w2 - w1
+    size_r = float(np.linalg.norm(r))
+    size_v = float(np.linalg.norm(r2 - r))
+    # w' / alpha^2 = c^2 w - 2 c w1 + w2 with c = 1 + 1 / alpha in [0, 1],
+    # and each bin's c_k in [0, c]: no term overflows however long the step,
+    # and the normalization drops the positive scale.  ||r|| = 0 or
+    # ||v|| = 0 leaves no step to take, and ||v|| >= ||r|| a step c <= 0:
+    # c = 0 (alpha = -1) gives w2
+    if not 0.0 < size_v < size_r:
+        return w2
+    c = 1.0 - size_v / size_r
+    power = np.einsum("kr,kr->k", r.conj(), r).real
+    along = np.einsum("kr,kr->k", r.conj(), r2).real
+    ratio = np.divide(along, power, out=np.zeros_like(power), where=power > 0.0)
+    step = np.clip(ratio, 0.0, c)[:, None]
+    w_ext = (step * step) * w - (2.0 * step) * w1 + w2
+    norms = np.linalg.norm(w_ext, axis=1)
+    zero = norms == 0.0
+    w_ext[zero] = w2[zero]
+    norms[zero] = 1.0
+    return w_ext / norms[:, None]
+
+
 def solve(white, config):
     """SQUAREM-accelerated fixed point on planar whitened [K, 2R, T] data,
     from the one-hot start ``w^k = e_1`` (the top principal component).
@@ -225,15 +264,17 @@ def solve(white, config):
     A cycle maps ``w1 = G(w)`` and ``w2 = G(w1)``, takes ``r = w1 - w``,
     ``v = w2 - 2 w1 + w`` and one ``alpha = min(-||r|| / ||v||, -1)`` over
     all bins, and maps once more at the per-bin normalized
-    ``w' = w - 2 alpha r + alpha^2 v`` (``alpha = -1`` gives ``w2``).  That
-    map's output goes on if its cost at ``w'`` is at least the cost at
-    ``w1`` (E[G] did not rise), else ``w2`` does: both costs come with the
-    maps.  Each map is one ``iterate_once`` call and one ``cost_history``
-    entry.  The solve stops, converged, at the first map whose step is
-    below ``config.tol``, or unconverged after ``config.max_iter`` maps.  A
-    zero row of the whitened data (a direction ``build_whitener`` dropped)
-    stays zero in ``w``: the update has no component there, and the
-    extrapolation combines vectors that are zero there."""
+    ``w' = w - 2 alpha r + alpha^2 v`` (``alpha = -1`` gives ``w2``), each
+    bin's step capped at its own contraction ratio over the cycle
+    (``_extrapolate``).  That map's output goes on if its cost at ``w'`` is
+    at least the cost at ``w1`` (E[G] did not rise), else ``w2`` does: both
+    costs come with the maps.  Each map is one ``iterate_once`` call and
+    one ``cost_history`` entry.  The solve stops, converged, at the first
+    map whose step is below ``config.tol``, or unconverged after
+    ``config.max_iter`` maps.  A zero row of the whitened data (a direction
+    ``build_whitener`` dropped) stays zero in ``w``: the update has no
+    component there, and the extrapolation combines vectors that are zero
+    there."""
     num_bins, planes, _ = white.shape
     w = np.zeros((num_bins, planes // 2), dtype=np.complex128)
     w[:, 0] = 1.0
@@ -255,22 +296,7 @@ def solve(white, config):
             w2, done = mapped(w1)
             if done or len(costs) == config.max_iter:
                 return DemixState(w2, done, costs)
-            r = w1 - w
-            size_r = float(np.linalg.norm(r))
-            size_v = float(np.linalg.norm(w2 - w1 - r))  # v = w2 - 2 w1 + w
-            # w' / alpha^2 = c^2 w - 2 c w1 + w2 with c = 1 + 1 / alpha in [0, 1]:
-            # no term overflows however long the step, and the normalization
-            # drops the positive scale.  ||r|| = 0 or ||v|| = 0 leaves no step
-            # to take: c = 0 (alpha = -1) gives w2
-            c = 0.0
-            if size_r > 0.0 and size_v > 0.0:
-                c = max(1.0 - size_v / size_r, 0.0)
-            w_ext = (c * c) * w - (2.0 * c) * w1 + w2
-            norms = np.linalg.norm(w_ext, axis=1)
-            zero = norms == 0.0
-            w_ext[zero] = w2[zero]
-            norms[zero] = 1.0
-            w3, done = mapped(w_ext / norms[:, None])
+            w3, done = mapped(_extrapolate(w, w1, w2))
             w = w3 if done or costs[-1] >= costs[-2] else w2
             if done or len(costs) == config.max_iter:
                 return DemixState(w, done, costs)

@@ -207,16 +207,18 @@ def analyze(audio, config):
     num_frames = (n - config.fft_size) // config.hop_size + 1
     window = make_window(config.window, config.fft_size)
 
-    # [T, M, fft_size] view, then window and transform along the last axis,
-    # ANALYZE_BLOCK frames at a time: each block's copy to the planar layout
-    # then reads from cache
-    frames = sliding_window_view(audio.samples, config.fft_size, axis=0)
-    frames = frames[:: config.hop_size][:num_frames]
+    # [M, T, fft_size] view of a channel-major copy, so each frame's samples
+    # are contiguous for the window multiply; then window and transform along
+    # the last axis, ANALYZE_BLOCK frames at a time: each block's copy to the
+    # planar layout then reads from cache
+    channels = np.ascontiguousarray(audio.samples.T)
+    frames = sliding_window_view(channels, config.fft_size, axis=1)
+    frames = frames[:, :: config.hop_size][:, :num_frames]
     num_channels = audio.num_channels
     out = np.empty((config.num_bins, 2 * num_channels, num_frames))
     for start in range(0, num_frames, ANALYZE_BLOCK):
         block = slice(start, start + ANALYZE_BLOCK)
-        spec = np.fft.rfft(frames[block] * window, axis=-1).transpose(2, 1, 0)
+        spec = np.fft.rfft(frames[:, block] * window, axis=-1).transpose(2, 0, 1)
         out[:, :num_channels, block] = spec.real
         out[:, num_channels:, block] = spec.imag
     return out

@@ -119,6 +119,18 @@ def test_03_dominance_sensitivity(request, battery):
              f"success {low:.0%} at -5 dB < {high:.0%} at +10 dB, same seeds")
 
 
+@pytest.mark.parametrize("cell", ["N2_M2_sir10_t", "N2_M2_sir10_ssl", "N2_M2_sir-5_t"])
+def test_battery_solves_converge_in_few_maps(battery, cell):
+    """Every battery solve stops on its tolerance, in at most 32 maps on
+    average.  The cells read 25-27 maps with each bin's extrapolation
+    capped at its own contraction ratio, and 40-42 with one step shared by
+    all bins, under which the t cells each had a solve stop at
+    ``max_iter``."""
+    summary = battery[cell]
+    assert summary["converged_share"] == 1.0, summary
+    assert summary["mean_iterations"] <= 32, summary
+
+
 def test_04_runtime_scaling(request):
     """Solve-and-rescale runtime from 2 to 6 microphones on one fixed
     8-second mixture, 40 maps each; the per-map work is linear in channel
