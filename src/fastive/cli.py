@@ -41,16 +41,6 @@ def run_manifest(command, config_path, output_dir, overrides=(), seed=None):
             "output_dir": output_dir, "seed": seed}
 
 
-def config_float(value, name, least=None):
-    """``value`` as a float; ValueError naming the key ``name`` unless a finite
-    number, not a bool or str, and, when ``least`` is given, at least ``least``."""
-    number = check_number(value, name)
-    if not math.isfinite(number) or least is not None and number < least:
-        bound = "" if least is None else f" and >= {least:g}"
-        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
-    return number
-
-
 def config_int(value, name, least=-math.inf):
     """``value`` as an int, by ``stft.check_int``'s rule (at least ``least``),
     with a JSON number such as ``2.0`` counting as the integer it equals."""
@@ -99,7 +89,7 @@ def config_value(hint, value, name):
         if not entries:
             raise ValueError(f"{name} must not be an empty list")
         return tuple(config_value(kinds[0], v, name) for v in entries)
-    parse = {int: config_int, float: config_float}.get(kinds[0])
+    parse = {int: config_int, float: check_number}.get(kinds[0])
     return value if parse is None else parse(value, name)
 
 
@@ -159,9 +149,9 @@ def scenario_from_dict(cfg, base_dir=None):
                              source_signals=())
     kind = sources_cfg.pop("kind", "synthetic")
     if kind == "synthetic":
-        duration = config_float(sources_cfg.pop("duration_seconds", 3.0),
+        duration = check_number(sources_cfg.pop("duration_seconds", 3.0),
                                 "sources.duration_seconds", least=1 / fs)
-        mod_hz = config_float(sources_cfg.pop("mod_hz", 4.0), "sources.mod_hz")
+        mod_hz = check_number(sources_cfg.pop("mod_hz", 4.0), "sources.mod_hz")
         sources = {"kind": kind, "duration_seconds": duration, "mod_hz": mod_hz}
         signals = speech_like_sources(
             scenario.num_sources, int(round(duration * fs)), fs, scenario.seed, mod_hz
@@ -397,7 +387,7 @@ class GridSpec:
     def __post_init__(self):
         for name, least in (("fs", 1), ("trials", 1), ("filter_len", 1), ("seed", 0)):
             check_int(getattr(self, name), name, least)
-        config_float(self.duration_seconds, "duration_seconds", least=1 / self.fs)
+        check_number(self.duration_seconds, "duration_seconds", least=1 / self.fs)
 
 
 def run_grid(grid, output_dir, jobs=1, manifest=None):

@@ -87,8 +87,7 @@ class SolverConfig:
         if not isinstance(self.prior, priors.ContrastModel):
             raise ValueError(f"prior must be a ContrastModel, got {self.prior!r}")
         check_int(self.max_iter, "max_iter", 1)
-        if not 0 < check_number(self.tol, "tol") < np.inf:
-            raise ValueError("tol must be positive and finite")
+        check_number(self.tol, "tol", above=0)
         check_int(self.ref_mic, "ref_mic", 0)
         if self.rank is not None:
             check_int(self.rank, "rank", 1)

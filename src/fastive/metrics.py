@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .stft import next_fast_len
+from .stft import check_int, next_fast_len
 
 DEFAULT_FILTER_LEN = 512
 SIR_CAP_DB = 300.0
@@ -95,8 +95,7 @@ class References:
             raise ValueError("all signals must be 1-D of equal length")
         if not np.any(refs[0] != 0.0):
             raise ValueError("degenerate reference: target image is all-zero")
-        if filter_len < 1:
-            raise ValueError("filter_len must be >= 1")
+        check_int(filter_len, "filter_len", 1)
         flen = self.filter_len = filter_len
         self.num_samples = n
         self.input_sir_db = None

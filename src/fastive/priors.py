@@ -49,10 +49,8 @@ class ContrastModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown prior kind {self.kind!r}")
-        if not 0 < check_number(self.nu, "nu") < np.inf:
-            raise ValueError("nu must be positive and finite")
-        if not 0.0 < check_number(self.gg_exponent, "gg_exponent") < 1.0:
-            raise ValueError("gg_exponent must lie in (0, 1)")
+        check_number(self.nu, "nu", above=0)
+        check_number(self.gg_exponent, "gg_exponent", above=0, below=1)
 
 
 def _contrast(order, model, z):

@@ -103,17 +103,14 @@ class RoomSpec:
         dims = self.dimensions
         # numpy fails on a ragged tuple or list: check its entries one by one
         if not ((isinstance(dims, (tuple, list)) or np.ndim(dims) == 1)
-                and len(dims) == 3 and all(
-                    0 < check_number(v, f"dimensions[{i}]") < math.inf
-                    for i, v in enumerate(dims))):
+                and len(dims) == 3):
             raise ValueError("room dimensions must be three positive lengths")
-        if not 0 <= check_number(self.rt60, "rt60") < math.inf:
-            raise ValueError("rt60 must be finite and nonnegative")
-        if not 0 < check_number(self.speed_of_sound, "speed_of_sound") < math.inf:
-            raise ValueError("speed_of_sound must be finite and positive")
-        if self.rir_seconds is not None and not (
-                0 < check_number(self.rir_seconds, "rir_seconds") < math.inf):
-            raise ValueError("rir_seconds must be finite and positive")
+        for i, v in enumerate(dims):
+            check_number(v, f"dimensions[{i}]", above=0)
+        check_number(self.rt60, "rt60", least=0)
+        check_number(self.speed_of_sound, "speed_of_sound", above=0)
+        if self.rir_seconds is not None:
+            check_number(self.rir_seconds, "rir_seconds", above=0)
         if self.max_order is not None:
             check_int(self.max_order, "max_order", 0)
 
@@ -123,7 +120,8 @@ class Scenario:
     """Room, geometry, signals, and mixing control for one simulated take,
     by default the whole default layout (``default_geometry()``); raises
     ValueError when built unless every source and mic lies strictly inside
-    the room, apart from each other, and the indices are in range."""
+    the room, apart from each other, the indices are in range and
+    ``input_sir_db`` is None or a finite number."""
 
     room: RoomSpec = field(default_factory=RoomSpec)
     source_positions: tuple = SOURCE_POSITIONS
@@ -154,6 +152,8 @@ class Scenario:
                              "positions coincide")
         for name in ("soi_index", "ref_mic", "seed"):
             check_int(getattr(self, name), name, 0)
+        if self.input_sir_db is not None:
+            check_number(self.input_sir_db, "input_sir_db")
         if self.soi_index >= srcs.shape[0]:
             raise ValueError(f"soi_index {self.soi_index} out of range")
         if self.ref_mic >= mics.shape[0]:
@@ -392,8 +392,8 @@ def render(scenario, fs, rirs=None):
 def speech_like_sources(num_sources, num_samples, fs, seed, mod_hz=4.0):
     """Seeded synthetic talkers: i.i.d. Laplacian samples with a slow
     sinusoidal amplitude envelope (random phase per source), unit RMS."""
-    if num_samples < 1:
-        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
+    check_int(num_samples, "num_samples", 1)
+    check_number(mod_hz, "mod_hz")
     rng = np.random.default_rng(seed)
     t = np.arange(num_samples) / fs
     out = []

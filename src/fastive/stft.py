@@ -30,6 +30,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -55,15 +56,23 @@ def check_int(value, name, least):
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
-def check_number(value, name):
-    """``value`` as a float; ValueError naming ``name`` unless ``value`` is a
-    real number (a Python or numpy int or float, not a bool) within the float
-    range."""
+def check_number(value, name, *, least=-math.inf, above=-math.inf, below=math.inf):
+    """``value`` as a float.  A ValueError naming ``name`` reads ``must be a
+    number`` unless ``value`` is a real number (a Python or numpy int or float,
+    not a bool) in the float range, else ``must be finite`` and the finite
+    bounds unless it is finite, at least ``least``, above ``above``, below ``below``."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
-            return float(value)
+            number = float(value)
         except OverflowError:  # an int past the largest float
             pass
+        else:
+            if math.isfinite(number) and number >= least and above < number < below:
+                return number
+            bounds = "".join(f" and {op} {bound:g}" for op, bound in
+                             ((">=", least), (">", above), ("<", below))
+                             if math.isfinite(bound))
+            raise ValueError(f"{name} must be finite{bounds}, got {value!r}")
     raise ValueError(f"{name} must be a number, got {value!r}")
 
 

@@ -587,8 +587,8 @@ def test_main_returns_2_on_bad_input(tmp_path, capsys):
          "bad config: hop_size must not exceed fft_size"),
         ("stft.hop_size=1024", "bad config: window/hop violates constant overlap-add"),
         ("stft.window=kaiser", "bad config: unknown window 'kaiser'"),
-        ("nu=-1", "nu must be positive"),
-        ("gg_exponent=2", "gg_exponent must lie in (0, 1)"),
+        ("nu=-1", "nu must be finite and > 0, got -1.0"),
+        ("gg_exponent=2", "gg_exponent must be finite and > 0 and < 1, got 2.0"),
         ("stft.fftsize=512", "stft.fftsize is not a stft key"),
         ("solver.max_iters=1", "solver.max_iters is not a solver key"),
         ("solver.ref_mic=1", "solver.ref_mic is not a solver key"),

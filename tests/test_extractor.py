@@ -650,7 +650,7 @@ def test_solver_config_validation():
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad}"):
             SolverConfig(**{name: bad})
     for tol in (np.inf, np.nan):
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
+        with pytest.raises(ValueError, match=f"tol must be finite and > 0, got {tol}"):
             SolverConfig(tol=tol)
     for bad, message in (({"tol": True}, "tol must be a number, got True"),
                          ({"tol": "1e-6"}, "tol must be a number, got '1e-6'"),

@@ -82,6 +82,10 @@ def test_decompose_guards():
         decompose(np.ones(50), References(np.zeros(50), []))
     with pytest.raises(ValueError, match="filter_len"):
         decompose(np.ones(50), References(target, [], filter_len=0))
+    # a bool or a fraction is no filter length
+    for bad in (True, 2.5):
+        with pytest.raises(ValueError, match=f"filter_len must be an integer, got {bad}"):
+            References(target, [], filter_len=bad)
 
 
 def test_sir_arithmetic():

@@ -103,7 +103,7 @@ def test_model_validation():
     with pytest.raises(ValueError, match="unknown prior"):
         ContrastModel(kind="cauchy")
     for nu in (0.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="nu must be positive and finite"):
+        with pytest.raises(ValueError, match=f"nu must be finite and > 0, got {nu}"):
             ContrastModel(kind="t", nu=nu)
     with pytest.raises(ValueError, match="gg_exponent"):
         ContrastModel(kind="gg", gg_exponent=1.0)

@@ -511,6 +511,10 @@ def test_scenario_validation():
             ({"ref_mic": 1.0}, "ref_mic must be an integer, got 1.0"),
             ({"seed": 1.5}, "seed must be an integer, got 1.5"),
             ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"input_sir_db": True}, "input_sir_db must be a number, got True"),
+            ({"input_sir_db": "10"}, "input_sir_db must be a number, got '10'"),
+            ({"input_sir_db": math.nan}, "input_sir_db must be finite, got nan"),
+            ({"input_sir_db": math.inf}, "input_sir_db must be finite, got inf"),
             ({"num_sources": True}, "num_sources must be an integer, got True"),
             ({"num_sources": 2.5}, "num_sources must be an integer, got 2.5"),
             ({"num_sources": "2"}, "num_sources must be an integer, got '2'"),
@@ -558,6 +562,15 @@ def test_speech_like_sources_are_seeded_and_unit_power():
         assert np.sqrt(np.mean(x.samples**2)) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError, match="num_samples must be >= 1, got 0"):
         speech_like_sources(2, 0, FS, 11)
+    for bad, message in (
+            ({"num_samples": 100.0}, "num_samples must be an integer, got 100.0"),
+            ({"num_samples": True}, "num_samples must be an integer, got True"),
+            ({"mod_hz": True}, "mod_hz must be a number, got True"),
+            ({"mod_hz": "4"}, "mod_hz must be a number, got '4'"),
+            ({"mod_hz": math.inf}, "mod_hz must be finite, got inf")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            speech_like_sources(**{"num_sources": 2, "num_samples": 100, "fs": FS,
+                                   "seed": 11, **bad})
 
 
 def test_default_geometry_layout():

@@ -1,19 +1,31 @@
 """Analysis/synthesis transform tests: window identities, the planar
 layout, frame alignment, Parseval, exact reconstruction, WAV round trips,
 and the fast FFT length.  Spectra are read and built complex through
-``from_planar`` and ``planar``."""
+``from_planar`` and ``planar``.  Also the number checks every config class
+makes with ``check_int`` and ``check_number``."""
+
+import math
+import re
+import typing
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fastive.cli import GridSpec, config_object
+from fastive.extractor import SolverConfig
+from fastive.metrics import References
+from fastive.priors import ContrastModel
+from fastive.roomsim import RoomSpec, Scenario, speech_like_sources
 from fastive.stft import (
     ANALYZE_BLOCK,
     WINDOW_KINDS,
     AudioBuffer,
     StftConfig,
     analyze,
+    check_number,
     cola_deviation,
     complex_gram,
     load_wav,
@@ -339,3 +351,118 @@ def test_wav_mono_round_trip(tmp_path):
 def test_save_wav_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError, match="unsupported WAV"):
         save_wav(tmp_path / "x.wav", AudioBuffer(np.zeros(4), 8000), fmt="mp3")
+
+
+def test_check_number_states_each_bound_it_enforces():
+    assert check_number(np.int64(3), "x") == 3.0
+    assert type(check_number(np.float32(0.5), "x", above=0, below=1)) is float
+    for bounds, value, message in (
+            ({}, True, "x must be a number, got True"),
+            ({}, "1", "x must be a number, got '1'"),
+            ({}, 10**400, "x must be a number, got 1000"),
+            ({}, math.inf, "x must be finite, got inf"),
+            ({"least": 0}, math.nan, "x must be finite and >= 0, got nan"),
+            ({"least": 0}, -1, "x must be finite and >= 0, got -1"),
+            ({"above": 0}, 0, "x must be finite and > 0, got 0"),
+            ({"above": 0, "below": 1}, 1.0, "x must be finite and > 0 and < 1, got 1.0"),
+            ({"least": 1 / 16000}, 0, "x must be finite and >= 6.25e-05, got 0")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_number(value, "x", **bounds)
+
+
+def within(least=None, above=None, below=None):
+    """Finite floats at least ``least``, above ``above`` and below ``below``."""
+    return st.floats(min_value=above if least is None else least, max_value=below,
+                     exclude_min=above is not None, exclude_max=below is not None,
+                     allow_nan=False, allow_infinity=False)
+
+
+def built(cls, **fixed):
+    """Builds ``cls`` with ``fixed`` and the one field under test."""
+    return lambda name, value: cls(**fixed, **{name: value})
+
+
+def parsed(name, value):
+    """A GridSpec as the grid parser builds it, the one way a grid is read:
+    the prior's and the scenario's bounds on its keys are checked when
+    ``run_grid`` builds the cells."""
+    return config_object(GridSpec, {name: value}, "grid", prefix="")
+
+
+CLASSES = (SolverConfig, ContrastModel, StftConfig, AudioBuffer, RoomSpec,
+           Scenario, GridSpec)
+LEAST_1_FS = 1 / GridSpec.fs
+# (owner, field, build, in-range values, values just past each bound)
+NUMBER_FIELDS = [
+    (SolverConfig, "max_iter", built(SolverConfig), st.integers(1), (0,)),
+    (SolverConfig, "tol", built(SolverConfig), within(above=0), (0.0,)),
+    (SolverConfig, "ref_mic", built(SolverConfig), st.integers(0), (-1,)),
+    (SolverConfig, "rank", built(SolverConfig), st.integers(1), (0,)),
+    (ContrastModel, "nu", built(ContrastModel), within(above=0), (0.0,)),
+    (ContrastModel, "gg_exponent", built(ContrastModel), within(above=0, below=1),
+     (0.0, 1.0)),
+    (StftConfig, "fft_size", built(StftConfig, hop_size=1, window="rect"),
+     st.integers(1, 4096), (0,)),
+    (StftConfig, "hop_size", built(StftConfig, fft_size=64, window="rect"),
+     st.sampled_from([1, 2, 4, 8, 16, 32, 64]), (0, 65)),
+    (AudioBuffer, "sample_rate_hz", built(AudioBuffer, samples=np.zeros(4)),
+     st.integers(1), (0,)),
+    (RoomSpec, "dimensions", lambda name, v: RoomSpec(**{name: (7.0, v, 2.75)}),
+     within(above=0), (0.0,)),
+    (RoomSpec, "rt60", built(RoomSpec), within(least=0), (-5e-324,)),
+    (RoomSpec, "speed_of_sound", built(RoomSpec), within(above=0), (0.0,)),
+    (RoomSpec, "rir_seconds", built(RoomSpec), within(above=0), (0.0,)),
+    (RoomSpec, "max_order", built(RoomSpec), st.integers(0), (-1,)),
+    # the default scenario has 6 talkers and 6 mics
+    (Scenario, "soi_index", built(Scenario), st.integers(0, 5), (-1, 6)),
+    (Scenario, "seed", built(Scenario), st.integers(0), (-1,)),
+    (Scenario, "ref_mic", built(Scenario), st.integers(0, 5), (-1, 6)),
+    (Scenario, "input_sir_db", built(Scenario), within(), ()),
+    (GridSpec, "fs", parsed, st.integers(1), (0,)),
+    (GridSpec, "duration_seconds", parsed, within(least=LEAST_1_FS),
+     (math.nextafter(LEAST_1_FS, 0),)),
+    (GridSpec, "trials", parsed, st.integers(1), (0,)),
+    (GridSpec, "seed", parsed, st.integers(0), (-1,)),
+    (GridSpec, "mod_hz", parsed, within(), ()),
+    (GridSpec, "nu", parsed, within(), ()),
+    (GridSpec, "gg_exponent", parsed, within(), ()),
+    (GridSpec, "soi_index", parsed, st.integers(), ()),
+    (GridSpec, "ref_mic", parsed, st.integers(), ()),
+    (GridSpec, "filter_len", parsed, st.integers(1), (0,)),
+    # arguments checked as fields are; a rate past 2.8e307 Hz overflows
+    # 2 pi mod_hz to inf and the envelope to NaN, so its draw stays below fs
+    (speech_like_sources, "mod_hz",
+     lambda name, v: speech_like_sources(1, 8, 16000, 0, **{name: v}),
+     within(least=-16000.0, below=16000.0), ()),
+    (References, "filter_len", lambda name, v: References(np.ones(8), [], **{name: v}),
+     st.integers(1, 16), (0,)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, build, inside, outside",
+    [pytest.param(*row[1:], id=f"{row[0].__name__}.{row[1]}")
+     for row in NUMBER_FIELDS])
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_each_number_field_rejects_what_is_no_number_in_its_bounds(
+        name, build, inside, outside, data):
+    """A bool, a string, NaN, +-inf or a value just past a bound is a
+    ValueError naming the field; a value within the bounds builds."""
+    for bad in (True, "1", math.nan, math.inf, -math.inf, *outside):
+        with pytest.raises(ValueError, match=re.escape(name)):
+            build(name, bad)
+    build(name, data.draw(inside))
+
+
+def test_every_number_field_has_a_row():
+    """A new int or float field of a config class cannot go unchecked here;
+    tuple-valued fields (grid axes, positions, dimensions) are lists of
+    numbers, which their own parsers check entry by entry."""
+    rows = {(owner, name) for owner, name, *_ in NUMBER_FIELDS}
+    for cls in CLASSES:
+        hints = typing.get_type_hints(cls)
+        for f in fields(cls):
+            kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
+            if typing.get_origin(hints[f.name]) is not tuple and {int, float} & set(kinds):
+                assert (cls, f.name) in rows, f"{cls.__name__}.{f.name} has no row"
